@@ -6,7 +6,7 @@
 // two-key batch at ~1 ms cadence (a realistic hook rate; a saturating writer
 // would measure the scheduler, not the read path). Readers alternate between
 // typed point reads (Get) and full consistent snapshots, and report the
-// per-op latency of each plus the read-path counters (optimistic vs locked
+// per-op latency of each plus the read-path counters (optimistic vs gated
 // fallback). Emits BENCH_context_read.json to feed the perf trajectory.
 //
 // Methodology note: latencies are recorded as BATCH MEANS (one sample per
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   }
   table.PrintRule();
   std::printf("\nflat p50 from 1 to 8 readers = the optimistic read path never "
-              "serializes readers behind stripe mutexes\n");
+              "serializes readers behind a lock\n");
   WriteJson(results, duration);
   return 0;
 }

@@ -27,8 +27,8 @@ void BM_HookFire_Unarmed(benchmark::State& state) {
 BENCHMARK(BM_HookFire_Unarmed);
 
 // The armed hook, Context API v2: typed keys interned once, the two writes
-// stage into the thread-local batch, MarkReady flushes under the touched
-// stripes. This is the production hook-site code path.
+// stage into the thread-local batch, MarkReady claims both seqlock cells,
+// stores and publishes them. This is the production hook-site code path.
 void BM_HookFire_Armed(benchmark::State& state) {
   static const auto kFile = wdg::ContextKey<std::string>::Of("bench.file");
   static const auto kEntries = wdg::ContextKey<int64_t>::Of("bench.entries");
@@ -46,8 +46,8 @@ void BM_HookFire_Armed(benchmark::State& state) {
 }
 BENCHMARK(BM_HookFire_Armed);
 
-// Concurrent hook sites on DIFFERENT keys of one context: the sharded store
-// means threads hit different stripes instead of one global mutex.
+// Concurrent hook sites on DIFFERENT keys of one context: each flush claims
+// only its own cells, so threads never share a lock.
 void BM_HookFire_Armed_Contended(benchmark::State& state) {
   static wdg::CheckContext ctx("contended_ctx");
   static const auto kKeys = [] {
@@ -67,8 +67,8 @@ void BM_HookFire_Armed_Contended(benchmark::State& state) {
 BENCHMARK(BM_HookFire_Armed_Contended)->Threads(4);
 
 // The dominant hook shape in the system models: ONE value then MarkReady.
-// This exercises the wait-free single-value publish (claim-CAS + release
-// store), skipping stripe locks and the staging flush entirely.
+// The same flush as every batch, at its smallest: one claim-CAS, the payload
+// stores and one release-store publish.
 void BM_HookFire_Armed_SingleValue(benchmark::State& state) {
   static const auto kSeq = wdg::ContextKey<int64_t>::Of("bench.single.seq");
   wdg::HookSite site("kvs.listener.accept");
@@ -98,8 +98,8 @@ void BM_ContextSnapshot(benchmark::State& state) {
 BENCHMARK(BM_ContextSnapshot);
 
 // The checker-side cold path the lock-free read rebuild targets: a full
-// consistent snapshot (epoch + all populated slots) with zero stripe
-// mutexes on the optimistic path.
+// consistent snapshot (epoch + all populated slots) taking no lock: one
+// optimistic scan validated by the seq fingerprint.
 void BM_ContextSnapshotConsistent(benchmark::State& state) {
   wdg::CheckContext ctx("c");
   for (int i = 0; i < 8; ++i) {
@@ -140,7 +140,7 @@ void BM_ContextGet_ByName(benchmark::State& state) {
 BENCHMARK(BM_ContextGet_ByName);
 
 // Reader/writer mix on one context: 3 reader threads point-read a key that
-// a 4th thread keeps republishing through the single-value fast path.
+// a 4th thread keeps republishing as single-value batches.
 void BM_ContextGet_ContendedWithWriter(benchmark::State& state) {
   static wdg::CheckContext ctx("rw_ctx");
   static const auto kHot = wdg::ContextKey<int64_t>::Of("bench.rw.hot");

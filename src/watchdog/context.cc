@@ -184,66 +184,41 @@ CheckContext::~CheckContext() {
   }
 }
 
-// ------------------------------------------------- inline payload codec
+// ---------------------------------------------------- payload word codec
 
-uint32_t CheckContext::InlineWordCount(uint64_t header) {
-  if (static_cast<SlotTag>(header & 0xff) == SlotTag::kInlineStr) {
-    return (static_cast<uint32_t>(header >> 8) + 7) / 8;
+namespace {
+
+// Words needed to hold `len` string bytes.
+uint32_t WordsFor(size_t len) { return static_cast<uint32_t>((len + 7) / 8); }
+
+// Loads `len` bytes from atomic words into `dst`. Whole words copy with a
+// fixed-size memcpy (one store); only the tail needs a sized one.
+void LoadBytes(const std::atomic<uint64_t>* src, size_t len, char* dst) {
+  size_t off = 0;
+  for (; off + 8 <= len; off += 8) {
+    const uint64_t word = src[off / 8].load(std::memory_order_relaxed);
+    std::memcpy(dst + off, &word, 8);
   }
-  return 1;
+  if (off < len) {
+    const uint64_t word = src[off / 8].load(std::memory_order_relaxed);
+    std::memcpy(dst + off, &word, len - off);
+  }
 }
 
-bool CheckContext::EncodeInline(const CtxValue& value, uint64_t* header,
-                                uint64_t words[kPayloadWords]) {
-  if (const auto* i = std::get_if<int64_t>(&value)) {
-    *header = static_cast<uint64_t>(SlotTag::kInt);
-    words[0] = static_cast<uint64_t>(*i);
-    return true;
+// Stores `len` bytes from `src` into atomic words (the tail word zero-padded).
+void StoreBytes(const char* src, size_t len, std::atomic<uint64_t>* dst) {
+  for (size_t off = 0; off < len; off += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, src + off, std::min<size_t>(8, len - off));
+    dst[off / 8].store(word, std::memory_order_relaxed);
   }
-  if (const auto* d = std::get_if<double>(&value)) {
-    *header = static_cast<uint64_t>(SlotTag::kDouble);
-    words[0] = std::bit_cast<uint64_t>(*d);
-    return true;
-  }
-  if (const auto* b = std::get_if<bool>(&value)) {
-    *header = static_cast<uint64_t>(SlotTag::kBool);
-    words[0] = *b ? 1 : 0;
-    return true;
-  }
-  const std::string& s = std::get<std::string>(value);
-  if (s.size() > kInlineBytes) {
-    return false;
-  }
-  *header = static_cast<uint64_t>(SlotTag::kInlineStr) |
-            (static_cast<uint64_t>(s.size()) << 8);
-  std::memcpy(words, s.data(), s.size());
-  return true;
 }
 
-void CheckContext::DecodeInlineInto(uint64_t header,
-                                    const uint64_t words[kPayloadWords],
-                                    CtxValue* out) {
-  switch (static_cast<SlotTag>(header & 0xff)) {
-    case SlotTag::kInt:
-      *out = static_cast<int64_t>(words[0]);
-      break;
-    case SlotTag::kDouble:
-      *out = std::bit_cast<double>(words[0]);
-      break;
-    case SlotTag::kBool:
-      *out = words[0] != 0;
-      break;
-    default: {
-      const size_t len = static_cast<size_t>(header >> 8);
-      out->emplace<std::string>(reinterpret_cast<const char*>(words), len);
-      break;
-    }
-  }
-}
+}  // namespace
 
 // -------------------------------------------------- seqlock cell protocol
 
-uint32_t CheckContext::ClaimCell(SlotCell& cell) {
+void CheckContext::ClaimCell(SlotCell& cell) {
   uint32_t s = cell.seq.load(std::memory_order_relaxed);
   for (int spin = 0;; ++spin) {
     // The acq_rel CAS keeps the caller's payload stores from hoisting above
@@ -253,7 +228,7 @@ uint32_t CheckContext::ClaimCell(SlotCell& cell) {
     if ((s & 1) == 0 &&
         cell.seq.compare_exchange_weak(s, s + 1, std::memory_order_acq_rel,
                                        std::memory_order_relaxed)) {
-      return s + 1;
+      return;
     }
     if (spin % 64 == 63) {
       std::this_thread::yield();
@@ -262,8 +237,37 @@ uint32_t CheckContext::ClaimCell(SlotCell& cell) {
   }
 }
 
-void CheckContext::PublishCell(SlotCell& cell, uint32_t odd_seq) {
-  cell.seq.store(odd_seq + 1, std::memory_order_release);
+void CheckContext::PublishCell(SlotCell& cell) {
+  // The claimant is the cell's only writer, so its own seq read is exact.
+  cell.seq.store(cell.seq.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_release);
+}
+
+void CheckContext::StoreCell(SlotCell& cell, const HookBatch::Staged& entry,
+                             const std::vector<std::string>& spill) {
+  const size_t len = static_cast<size_t>(entry.header >> 8);
+  if (static_cast<SlotTag>(entry.header & 0xff) == SlotTag::kString &&
+      len > kInlineBytes) {
+    const std::string& value = spill[entry.words[0]];
+    SpillBlock* block = cell.spill.load(std::memory_order_relaxed);
+    if (block == nullptr || block->word_count < WordsFor(len)) {
+      // Grow under the claim. The release store pairs with the reader's
+      // acquire load of the pointer; the superseded block stays reachable
+      // (and readable) until ~CheckContext.
+      block = new SpillBlock(std::bit_ceil(WordsFor(len)), block);
+      cell.spill.store(block, std::memory_order_release);
+    }
+    StoreBytes(value.data(), len, block->words.get());  // copy-in, never aliasing
+  } else {
+    // Scalars use one word, inline strings ceil(len/8); trailing cell words
+    // keep stale bits that no decode ever reads.
+    const uint32_t word_count =
+        static_cast<SlotTag>(entry.header & 0xff) == SlotTag::kString ? WordsFor(len) : 1;
+    for (uint32_t w = 0; w < word_count; ++w) {
+      cell.words[w].store(entry.words[w], std::memory_order_relaxed);
+    }
+  }
+  cell.header.store(entry.header, std::memory_order_relaxed);
 }
 
 CheckContext::CellRead CheckContext::TryReadCell(const SlotCell& cell, CtxValue* out) {
@@ -273,20 +277,21 @@ CheckContext::CellRead CheckContext::TryReadCell(const SlotCell& cell, CtxValue*
   }
   const uint64_t header = cell.header.load(std::memory_order_relaxed);
   const SlotTag tag = static_cast<SlotTag>(header & 0xff);
-  if (tag == SlotTag::kEmpty || tag == SlotTag::kOverflowStr) {
-    // No payload words to copy (empty) or none worth copying (overflow):
-    // validate just the header observation. Snapshot scans are mostly empty
-    // cells, so skipping the six word loads here is the scan's fast path.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (cell.seq.load(std::memory_order_relaxed) != s1) {
-      return CellRead::kUnstable;
+  uint64_t word = 0;
+  if (tag == SlotTag::kString) {
+    const size_t len = static_cast<size_t>(header >> 8);
+    const std::atomic<uint64_t>* src = cell.words.data();
+    if (len > kInlineBytes) {
+      const SpillBlock* block = cell.spill.load(std::memory_order_acquire);
+      if (block == nullptr || block->word_count < WordsFor(len)) {
+        return CellRead::kUnstable;  // header from a newer write than the block
+      }
+      src = block->words.get();
     }
-    return tag == SlotTag::kEmpty ? CellRead::kEmpty : CellRead::kOverflow;
-  }
-  uint64_t words[kPayloadWords];
-  const uint32_t word_count = InlineWordCount(header);
-  for (uint32_t i = 0; i < word_count; ++i) {
-    words[i] = cell.words[i].load(std::memory_order_relaxed);
+    std::string& text = out->emplace<std::string>(len, '\0');
+    LoadBytes(src, len, text.data());
+  } else if (tag != SlotTag::kEmpty) {
+    word = cell.words[0].load(std::memory_order_relaxed);
   }
   // The fence orders the payload loads before the seq re-check, so a write
   // racing the copy is always caught (Boehm's seqlock reader idiom; every
@@ -295,7 +300,21 @@ CheckContext::CellRead CheckContext::TryReadCell(const SlotCell& cell, CtxValue*
   if (cell.seq.load(std::memory_order_relaxed) != s1) {
     return CellRead::kUnstable;
   }
-  DecodeInlineInto(header, words, out);
+  switch (tag) {
+    case SlotTag::kEmpty:
+      return CellRead::kEmpty;
+    case SlotTag::kInt:
+      *out = static_cast<int64_t>(word);
+      break;
+    case SlotTag::kDouble:
+      *out = std::bit_cast<double>(word);
+      break;
+    case SlotTag::kBool:
+      *out = word != 0;
+      break;
+    case SlotTag::kString:
+      break;  // already decoded in place
+  }
   return CellRead::kOk;
 }
 
@@ -307,7 +326,7 @@ HookBatch& CheckContext::OwnedBatch() {
     // Entries staged for another context and never flushed (its hook exited
     // without MarkReady) are abandoned, not leaked into this one.
     batch.entries_.clear();
-    batch.overflow_.clear();
+    batch.spill_.clear();
     batch.owner_id_ = id_;
   }
   return batch;
@@ -338,14 +357,13 @@ void CheckContext::StageWrite(uint32_t slot, std::string value) {
   HookBatch& batch = OwnedBatch();
   HookBatch::Staged& e = batch.entries_.emplace_back();
   e.slot = slot;
+  e.header = static_cast<uint64_t>(SlotTag::kString) |
+             (static_cast<uint64_t>(value.size()) << 8);
   if (value.size() <= kInlineBytes) {
-    e.header = static_cast<uint64_t>(SlotTag::kInlineStr) |
-               (static_cast<uint64_t>(value.size()) << 8);
     std::memcpy(e.words, value.data(), value.size());
   } else {
-    e.header = static_cast<uint64_t>(SlotTag::kOverflowStr);
-    e.words[0] = batch.overflow_.size();  // index, resolved at striped flush
-    batch.overflow_.push_back(std::move(value));
+    e.words[0] = batch.spill_.size();  // index, resolved at flush
+    batch.spill_.push_back(std::move(value));
   }
 }
 
@@ -416,219 +434,60 @@ const CheckContext::SlotCell* CheckContext::CellIfPresent(uint32_t slot) const {
   return &chunk->cells[slot % kSlotsPerChunk];
 }
 
-void CheckContext::StoreCellLocked(SlotCell& cell, CtxValue value) {
-  uint64_t header = 0;
-  uint64_t words[kPayloadWords];
-  const bool fits_inline = EncodeInline(value, &header, words);
-  const uint32_t odd = ClaimCell(cell);
-  if (fits_inline) {
-    cell.header.store(header, std::memory_order_relaxed);
-    const uint32_t word_count = InlineWordCount(header);
-    for (uint32_t i = 0; i < word_count; ++i) {
-      cell.words[i].store(words[i], std::memory_order_relaxed);
-    }
-  } else {
-    // Overflow strings live in the stripe-guarded member; the tag redirects
-    // readers onto the locked path. copy-in: replication, never aliasing.
-    cell.overflow = std::move(std::get<std::string>(value));
-    cell.header.store(static_cast<uint64_t>(SlotTag::kOverflowStr),
-                      std::memory_order_relaxed);
-  }
-  PublishCell(cell, odd);
-}
-
-void CheckContext::WriteSlot(uint32_t slot, CtxValue value) {
-  SlotCell* cell = CellFor(slot);
-  while (snapshot_waiters_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();  // let a pending locked snapshot go first
-  }
-  // Single-slot write: per-cell seqlock atomicity is the whole story, so no
-  // begun/done bracket — a snapshot either sees it or linearizes before it,
-  // and the seq-fingerprint re-check rejects mid-scan movement.
-  {
-    std::lock_guard<std::mutex> lock(stripes_[slot % kStripes]);
-    StoreCellLocked(*cell, std::move(value));
-  }
-  MarkPopulated(slot);
-}
-
-bool CheckContext::TryPublishSingle(const HookBatch::Staged& entry) {
-  if (static_cast<SlotTag>(entry.header & 0xff) == SlotTag::kOverflowStr) {
-    return false;  // needs overflow storage → stripe-locked flush
-  }
-  SlotCell& cell = *CellFor(entry.slot);
-  uint32_t s = cell.seq.load(std::memory_order_relaxed);
-  if ((s & 1) != 0 ||
-      !cell.seq.compare_exchange_strong(s, s + 1, std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-    // Another writer is mid-publish on this cell; take the locked path
-    // instead of spinning so the fast path stays wait-free.
-    return false;
-  }
-  cell.header.store(entry.header, std::memory_order_relaxed);
-  const uint32_t word_count = InlineWordCount(entry.header);
-  for (uint32_t i = 0; i < word_count; ++i) {
-    cell.words[i].store(entry.words[i], std::memory_order_relaxed);
-  }
-  PublishCell(cell, s + 1);
-  MarkPopulated(entry.slot);
-  fastpath_publishes_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool CheckContext::FlushBatchLockFree(HookBatch& batch) {
-  // Stack-bounded: real hook batches carry a handful of values. Bigger ones
-  // (none exist in-repo) just take the striped path.
-  constexpr size_t kMaxFast = 16;
-  if (batch.entries_.size() > kMaxFast) {
-    return false;
-  }
-  // Entries are already in cell wire format; an overflow string bails to the
-  // striped path before any shared state is touched. Duplicate slots
-  // collapse to the batch's last write (claiming one cell twice would
-  // self-deadlock).
-  const HookBatch::Staged* picked[kMaxFast];
-  size_t n = 0;
-  for (const HookBatch::Staged& e : batch.entries_) {
-    if (static_cast<SlotTag>(e.header & 0xff) == SlotTag::kOverflowStr) {
-      return false;
-    }
-    size_t j = 0;
-    while (j < n && picked[j]->slot != e.slot) {
-      ++j;
-    }
-    picked[j] = &e;
-    if (j == n) {
-      ++n;
-    }
-  }
-  // Claim order must be ascending so overlapping batches serialize on their
-  // first common cell (ordered two-phase claiming). One- and two-entry
-  // batches — the dominant hook shapes — order with a single compare;
-  // anything larger takes the insertion sort (n is still tiny).
-  size_t order[kMaxFast];
-  if (n <= 2) {
-    const bool swap = n == 2 && picked[0]->slot > picked[1]->slot;
-    order[0] = swap ? 1 : 0;
-    order[n - 1] = swap ? 0 : n - 1;
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      size_t j = i;
-      while (j > 0 && picked[order[j - 1]]->slot > picked[i]->slot) {
-        order[j] = order[j - 1];
-        --j;
-      }
-      order[j] = i;
-    }
-  }
-  SlotCell* cells[kMaxFast];
-  for (size_t i = 0; i < n; ++i) {
-    cells[i] = CellFor(picked[i]->slot);  // may allocate the chunk
-  }
-  // Same anti-starvation gate as the striped path (see FlushBatch), but NO
-  // begun/done bracket: because every cell is claimed before any is
-  // published (two-phase), a reader that saw one of this batch's publishes
-  // necessarily finds every other batch cell's seq changed afterwards, so
-  // the snapshot seq-fingerprint re-check catches any torn observation
-  // without the flush paying two counter RMWs per fire.
-  while (snapshot_waiters_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
-  uint32_t odd[kMaxFast];
-  for (size_t i = 0; i < n; ++i) {
-    odd[order[i]] = ClaimCell(*cells[order[i]]);
-  }
-  // All cells held odd: store payloads, then publish. A reader can never see
-  // part of the batch settle before the rest — unpublished cells read as
-  // unstable until the last publish lands.
-  for (size_t i = 0; i < n; ++i) {
-    cells[i]->header.store(picked[i]->header, std::memory_order_relaxed);
-    const uint32_t word_count = InlineWordCount(picked[i]->header);
-    for (uint32_t w = 0; w < word_count; ++w) {
-      cells[i]->words[w].store(picked[i]->words[w], std::memory_order_relaxed);
-    }
-    PublishCell(*cells[i], odd[i]);
-    MarkPopulated(picked[i]->slot);
-  }
-  return true;
-}
-
 void CheckContext::FlushBatch(HookBatch& batch) {
-  if (batch.entries_.empty()) {
-    return;
+  std::vector<HookBatch::Staged>& entries = batch.entries_;
+  const size_t n = entries.size();
+  const auto descending_or_equal = [](const HookBatch::Staged& a,
+                                      const HookBatch::Staged& b) {
+    return a.slot >= b.slot;
+  };
+  if (std::adjacent_find(entries.begin(), entries.end(), descending_or_equal) !=
+      entries.end()) {
+    // Claims must go in ascending slot order, and one cell claimed twice
+    // would self-deadlock. Insertion sort is stable and allocation-free (hook
+    // batches are short and nearly ordered); the compaction pass then keeps
+    // only the last write of each run of equal slots.
+    for (size_t i = 1; i < n; ++i) {
+      const HookBatch::Staged e = entries[i];
+      size_t j = i;
+      for (; j > 0 && entries[j - 1].slot > e.slot; --j) {
+        entries[j] = entries[j - 1];
+      }
+      entries[j] = e;
+    }
+    size_t kept = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (i + 1 == n || entries[i + 1].slot != entries[i].slot) {
+        entries[kept++] = entries[i];
+      }
+    }
+    entries.resize(kept);
   }
-  if (FlushBatchLockFree(batch)) {
-    batch.entries_.clear();
-    return;
-  }
-  // Pre-create cells (may allocate a chunk) before taking any stripe.
-  uint32_t stripe_mask = 0;
-  for (const HookBatch::Staged& e : batch.entries_) {
-    (void)CellFor(e.slot);
-    stripe_mask |= 1u << (e.slot % kStripes);
-  }
-  // Gate check before entering the flush window: costs one relaxed-class
-  // load per flush when idle, and keeps a hot writer fleet from barging the
-  // stripes away from a locked-fallback snapshot indefinitely.
+  // The gate sits before the first claim, so a gated reader never waits on
+  // a writer that is itself waiting here.
   while (snapshot_waiters_.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
-  // All touched stripes held at once, acquired in ascending order (the same
-  // order the locked snapshot fallback uses), so a locked reader can never
-  // see half a batch and two overlapping batches can never interleave their
-  // slots.
-  for (uint32_t s = 0; s < kStripes; ++s) {
-    if (stripe_mask & (1u << s)) {
-      stripes_[s].lock();
-    }
+  for (const HookBatch::Staged& e : entries) {
+    ClaimCell(*CellFor(e.slot));  // a first touch allocates the chunk
   }
-  // The begun/done bracket lets optimistic snapshots prove no STRIPED flush
-  // overlapped their scan — cells here publish one at a time, so per-cell
-  // seqs alone can't rule out a half-landed batch. It sits inside the stripe
-  // section so the counters only ever move while some stripe is held: the
-  // locked fallback, which holds them all, can therefore never deadlock
-  // waiting on a flusher that is itself queued behind those stripes. The
-  // acq_rel RMW keeps the cell stores below from hoisting above it.
-  flushes_begun_.fetch_add(1, std::memory_order_acq_rel);
-  for (const HookBatch::Staged& e : batch.entries_) {
+  // Every cell held odd: store and publish. A reader can never see part of
+  // the batch settle before the rest — a seq it visited before the first
+  // publish has moved by the time it re-checks.
+  for (const HookBatch::Staged& e : entries) {
     SlotCell& cell = *CellFor(e.slot);
-    const uint32_t odd = ClaimCell(cell);
-    if (static_cast<SlotTag>(e.header & 0xff) == SlotTag::kOverflowStr) {
-      // The staged entry carries the overflow_ index; the string itself
-      // lands in the stripe-guarded member.
-      cell.overflow = std::move(batch.overflow_[e.words[0]]);
-      cell.header.store(static_cast<uint64_t>(SlotTag::kOverflowStr),
-                        std::memory_order_relaxed);
-    } else {
-      cell.header.store(e.header, std::memory_order_relaxed);
-      const uint32_t word_count = InlineWordCount(e.header);
-      for (uint32_t w = 0; w < word_count; ++w) {
-        cell.words[w].store(e.words[w], std::memory_order_relaxed);
-      }
-    }
-    PublishCell(cell, odd);
+    StoreCell(cell, e, batch.spill_);
+    PublishCell(cell);
     MarkPopulated(e.slot);
   }
-  flushes_done_.fetch_add(1, std::memory_order_acq_rel);
-  for (uint32_t s = kStripes; s-- > 0;) {
-    if (stripe_mask & (1u << s)) {
-      stripes_[s].unlock();
-    }
-  }
-  batch.entries_.clear();
-  batch.overflow_.clear();
+  entries.clear();
+  batch.spill_.clear();
 }
 
 void CheckContext::MarkReady(TimeNs now) {
   HookBatch& batch = ThreadBatch();
   if (batch.owner_id_ == id_) {
-    // Single-value batches — the dominant hook shape — publish with one
-    // claim-CAS and one release store, skipping the stripe dance entirely.
-    if (batch.entries_.size() == 1 && TryPublishSingle(batch.entries_[0])) {
-      batch.entries_.clear();
-    } else {
-      FlushBatch(batch);
-    }
+    FlushBatch(batch);
     batch.owner_id_ = 0;
   }
   last_update_.store(now, std::memory_order_release);
@@ -651,64 +510,22 @@ std::optional<CtxValue> CheckContext::ReadSlot(uint32_t slot) const {
     return std::nullopt;
   }
   CtxValue value;
-  for (int attempt = 0; attempt < kCellRetries; ++attempt) {
-    switch (TryReadCell(*cell, &value)) {
-      case CellRead::kOk:
-        return value;
-      case CellRead::kEmpty:
-        return std::nullopt;
-      case CellRead::kOverflow:
-        get_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        return ReadSlotLocked(slot, *cell);
-      case CellRead::kUnstable:
-        break;  // writer mid-publish; its window is a few stores — retry
-    }
+  CellRead read = CellRead::kUnstable;
+  for (int attempt = 0; attempt < kCellRetries && read == CellRead::kUnstable;
+       ++attempt) {
+    read = TryReadCell(*cell, &value);  // a writer's window is a few stores
   }
-  get_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  return ReadSlotLocked(slot, *cell);
-}
-
-bool CheckContext::ReadCellStripeHeld(const SlotCell& cell, CtxValue* out) const {
-  // Stripe held: striped flushes and overflow writers are excluded. The
-  // remaining racers — the single-value fast path and the lock-free batch
-  // flush — hold a cell odd only for a handful of stores before publishing
-  // (neither blocks while claiming), so the loop converges quickly.
-  for (int spin = 0;; ++spin) {
-    switch (TryReadCell(cell, out)) {
-      case CellRead::kOk:
-        return true;
-      case CellRead::kEmpty:
-        return false;
-      case CellRead::kOverflow: {
-        const uint32_t s1 = cell.seq.load(std::memory_order_acquire);
-        const uint64_t header = cell.header.load(std::memory_order_acquire);
-        if ((s1 & 1) == 0 &&
-            static_cast<SlotTag>(header & 0xff) == SlotTag::kOverflowStr) {
-          // `overflow` is only mutated under this stripe, so the copy itself
-          // is safe; the seq re-check pairs it with the tag we validated.
-          std::string copy = cell.overflow;
-          std::atomic_thread_fence(std::memory_order_acquire);
-          if (cell.seq.load(std::memory_order_relaxed) == s1) {
-            *out = CtxValue(std::move(copy));
-            return true;
-          }
-        }
-        break;
-      }
-      case CellRead::kUnstable:
-        break;
-    }
-    if (spin % 64 == 63) {
+  if (read == CellRead::kUnstable) {
+    // Writers keep landing on this cell: hold new flushes back until one
+    // copy settles. Flushes already past the gate finish without waiting.
+    get_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    snapshot_waiters_.fetch_add(1, std::memory_order_acq_rel);
+    while ((read = TryReadCell(*cell, &value)) == CellRead::kUnstable) {
       std::this_thread::yield();
     }
+    snapshot_waiters_.fetch_sub(1, std::memory_order_acq_rel);
   }
-}
-
-std::optional<CtxValue> CheckContext::ReadSlotLocked(uint32_t slot,
-                                                     const SlotCell& cell) const {
-  std::lock_guard<std::mutex> lock(stripes_[slot % kStripes]);
-  CtxValue value;
-  if (!ReadCellStripeHeld(cell, &value)) {
+  if (read == CellRead::kEmpty) {
     return std::nullopt;
   }
   return value;
@@ -722,192 +539,99 @@ std::optional<CtxValue> CheckContext::Get(const std::string& key) const {
   return ReadSlot(*slot);
 }
 
+bool CheckContext::TryScan(ConsistentSnapshot* out) const {
+  KeyRegistry& registry = KeyRegistry::Instance();
+  std::vector<CtxSnapshot::Entry>& entries = out->values.entries_;
+  entries.clear();
+  // Fingerprint pre-pass: freeze the set of cells this attempt will visit
+  // (the populated masks) and sum their seq counters. Seqs only ever grow,
+  // so an equal sum after the value pass proves no visited cell moved
+  // while values were being copied. Because a flush claims EVERY batch cell
+  // (odd seq) before publishing ANY, a reader that copied one value of a
+  // batch finds some other visited seq changed by re-check time — so the
+  // fingerprint rules out torn batches without the write path paying a
+  // per-flush counter.
+  const uint32_t chunk_limit = chunk_limit_.load(std::memory_order_acquire);
+  const Chunk* chunk_ptrs[kMaxChunks];
+  uint32_t masks[kMaxChunks];
+  const auto seq_sum = [&] {
+    uint64_t sum = 0;
+    for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
+      uint32_t mask = masks[ci];
+      while (mask != 0) {
+        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
+        mask &= mask - 1;
+        sum += chunk_ptrs[ci]->cells[i].seq.load(std::memory_order_relaxed);
+      }
+    }
+    return sum;
+  };
+  for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
+    const Chunk* chunk = chunks_[ci].load(std::memory_order_acquire);
+    chunk_ptrs[ci] = chunk;
+    // Only ever-populated cells are worth probing; the bitmask iteration
+    // skips the (typically dominant) empty remainder of the chunk.
+    masks[ci] = chunk == nullptr ? 0u : chunk->populated.load(std::memory_order_acquire);
+  }
+  const uint64_t fingerprint = seq_sum();
+  // Orders the fingerprint loads before every value load below — the
+  // seqlock reader-entry fence (all accesses atomic: TSan-clean).
+  std::atomic_thread_fence(std::memory_order_acquire);
+  for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
+    uint32_t mask = masks[ci];
+    while (mask != 0) {
+      const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
+      mask &= mask - 1;
+      // Emplace first and decode straight into the entry's variant — no
+      // temporary CtxValue, no post-scan move. Misreads pop it back off.
+      CtxSnapshot::Entry& entry = entries.emplace_back();
+      entry.first = &registry.NameOf(ci * kSlotsPerChunk + i);
+      CellRead read = CellRead::kUnstable;
+      for (int spin = 0; spin < kCellRetries && read == CellRead::kUnstable; ++spin) {
+        read = TryReadCell(chunk_ptrs[ci]->cells[i], &entry.second);
+      }
+      if (read == CellRead::kUnstable) {
+        return false;  // the whole attempt is discarded
+      }
+      if (read == CellRead::kEmpty) {
+        entries.pop_back();  // bit raced a first write mid-claim
+      }
+    }
+  }
+  // The fence orders every value load before the fingerprint re-check. Any
+  // visited cell moving during the scan discards the attempt, so a snapshot
+  // can never mix two concurrently-published batches.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (seq_sum() != fingerprint) {
+    return false;
+  }
+  out->epoch = epoch_.load(std::memory_order_acquire);
+  out->last_update = last_update_.load(std::memory_order_acquire);
+  return true;
+}
+
 CheckContext::ConsistentSnapshot CheckContext::SnapshotConsistent() const {
   ConsistentSnapshot snapshot;
   // Values land directly in the result's flat entry array — one reserve up
   // front (slot capacity is tiny: chunks in use × kSlotsPerChunk), no
   // intermediate scratch, no per-entry re-move on success.
-  KeyRegistry& registry = KeyRegistry::Instance();
-  std::vector<CtxSnapshot::Entry>& entries = snapshot.values.entries_;
-  const uint32_t chunk_limit = chunk_limit_.load(std::memory_order_acquire);
-  entries.reserve(static_cast<size_t>(chunk_limit) * kSlotsPerChunk);
+  snapshot.values.entries_.reserve(
+      static_cast<size_t>(chunk_limit_.load(std::memory_order_acquire)) * kSlotsPerChunk);
   for (int attempt = 0; attempt < kSnapshotRetries; ++attempt) {
-    entries.clear();
-    const uint64_t begun = flushes_begun_.load(std::memory_order_acquire);
-    if (flushes_done_.load(std::memory_order_acquire) != begun) {
-      // A striped batch flush is mid-flight right now; its cells would tear.
-      snapshot_retries_.fetch_add(1, std::memory_order_relaxed);
-      continue;
+    if (TryScan(&snapshot)) {
+      snapshot_optimistic_.fetch_add(1, std::memory_order_relaxed);
+      return snapshot;
     }
-    // Fingerprint pre-pass: freeze the set of cells this attempt will visit
-    // (the populated masks) and sum their seq counters. Seqs only ever grow,
-    // so an equal sum after the value pass proves no visited cell moved
-    // while values were being copied. Because the lock-free flush claims
-    // EVERY batch cell (odd seq) before publishing ANY, a reader that copied
-    // one value of a batch finds some other visited seq changed by re-check
-    // time — so the fingerprint rules out torn batches without the write
-    // path paying a per-flush counter bracket. Striped flushes publish cell
-    // by cell and are covered by the begun/done bracket instead.
-    const Chunk* chunk_ptrs[kMaxChunks];
-    uint32_t masks[kMaxChunks];
-    uint64_t fingerprint = 0;
-    for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
-      const Chunk* chunk = chunks_[ci].load(std::memory_order_acquire);
-      chunk_ptrs[ci] = chunk;
-      // Only ever-populated cells are worth probing; the bitmask iteration
-      // skips the (typically dominant) empty remainder of the chunk.
-      uint32_t mask =
-          chunk == nullptr ? 0u : chunk->populated.load(std::memory_order_acquire);
-      masks[ci] = mask;
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        fingerprint += chunk->cells[i].seq.load(std::memory_order_relaxed);
-      }
-    }
-    // Orders the fingerprint loads before every value load below — the
-    // seqlock reader-entry fence (all accesses atomic: TSan-clean).
-    std::atomic_thread_fence(std::memory_order_acquire);
-    bool stable = true;
-    for (uint32_t ci = 0; ci < chunk_limit && stable; ++ci) {
-      const Chunk* chunk = chunk_ptrs[ci];
-      uint32_t mask = masks[ci];
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        const SlotCell& cell = chunk->cells[i];
-        const uint32_t slot = ci * kSlotsPerChunk + i;
-        // Emplace first and decode straight into the entry's variant — no
-        // temporary CtxValue, no post-scan move. Misreads pop it back off.
-        CtxSnapshot::Entry& entry =
-            entries.emplace_back(&registry.NameOf(slot), CtxValue{});
-        CellRead read = CellRead::kUnstable;
-        for (int spin = 0; spin < kCellRetries; ++spin) {
-          read = TryReadCell(cell, &entry.second);
-          if (read != CellRead::kUnstable) {
-            break;
-          }
-        }
-        if (read == CellRead::kUnstable) {
-          stable = false;  // the whole attempt is discarded
-          break;
-        }
-        if (read == CellRead::kOverflow) {
-          // Long string: one stripe briefly, for this cell only — the scan
-          // stays lock-free for every inline slot.
-          auto locked = ReadSlotLocked(slot, cell);
-          if (locked.has_value()) {
-            entry.second = std::move(*locked);
-          } else {
-            entries.pop_back();
-          }
-          continue;
-        }
-        if (read != CellRead::kOk) {
-          entries.pop_back();  // kEmpty: bit raced a first write mid-claim
-        }
-      }
-    }
-    // The fence orders every value load before the validation loads: the
-    // bracket re-check (striped flushes) and the fingerprint re-check
-    // (fast-path publishes and lock-free batch flushes). Either moving
-    // during the scan discards the attempt, so a snapshot can never mix two
-    // concurrently-published batches.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (!stable || flushes_begun_.load(std::memory_order_relaxed) != begun) {
-      snapshot_retries_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    uint64_t recheck = 0;
-    for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
-      const Chunk* chunk = chunk_ptrs[ci];
-      uint32_t mask = masks[ci];
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        recheck += chunk->cells[i].seq.load(std::memory_order_relaxed);
-      }
-    }
-    if (recheck != fingerprint) {
-      snapshot_retries_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    snapshot_optimistic_.fetch_add(1, std::memory_order_relaxed);
-    snapshot.epoch = epoch_.load(std::memory_order_acquire);
-    snapshot.last_update = last_update_.load(std::memory_order_acquire);
-    return snapshot;
+    snapshot_retries_.fetch_add(1, std::memory_order_relaxed);
   }
+  // Persistent churn: raise the gate so new flushes yield at entry. Only
+  // writers already past the gate can still move a visited seq, at most
+  // once each, so the retries converge.
   snapshot_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  return SnapshotLocked();
-}
-
-CheckContext::ConsistentSnapshot CheckContext::SnapshotLocked() const {
-  ConsistentSnapshot snapshot;
   snapshot_waiters_.fetch_add(1, std::memory_order_acq_rel);
-  // Holding every stripe quiesces the striped writers (overflow batches,
-  // WriteSlot): their begun/done bracket only moves while a stripe is held,
-  // so no striped flush can be in flight here and none can start. Lock-free
-  // batch flushes and fast-path publishes don't take stripes; consistency
-  // against them comes from the same seq-fingerprint the optimistic path
-  // uses, in a retry loop. The retries are bounded — the waiter count we
-  // bumped above gates NEW lock-free flushes, so only writers already past
-  // the gate check can move a visited seq, at most once each.
-  for (uint32_t s = 0; s < kStripes; ++s) {
-    stripes_[s].lock();
-  }
-  KeyRegistry& registry = KeyRegistry::Instance();
-  const uint32_t chunk_limit = chunk_limit_.load(std::memory_order_acquire);
-  for (;;) {
-    snapshot.values.entries_.clear();
-    const Chunk* chunk_ptrs[kMaxChunks];
-    uint32_t masks[kMaxChunks];
-    uint64_t fingerprint = 0;
-    for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
-      const Chunk* chunk = chunks_[ci].load(std::memory_order_acquire);
-      chunk_ptrs[ci] = chunk;
-      uint32_t mask =
-          chunk == nullptr ? 0u : chunk->populated.load(std::memory_order_acquire);
-      masks[ci] = mask;
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        fingerprint += chunk->cells[i].seq.load(std::memory_order_relaxed);
-      }
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
-      const Chunk* chunk = chunk_ptrs[ci];
-      uint32_t mask = masks[ci];
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        CtxValue value;
-        if (ReadCellStripeHeld(chunk->cells[i], &value)) {
-          snapshot.values.entries_.emplace_back(
-              &registry.NameOf(ci * kSlotsPerChunk + i), std::move(value));
-        }
-      }
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    uint64_t recheck = 0;
-    for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
-      const Chunk* chunk = chunk_ptrs[ci];
-      uint32_t mask = masks[ci];
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        recheck += chunk->cells[i].seq.load(std::memory_order_relaxed);
-      }
-    }
-    if (recheck == fingerprint) {
-      break;
-    }
-    std::this_thread::yield();  // a pre-gate lock-free writer raced the scan
-  }
-  snapshot.epoch = epoch_.load(std::memory_order_acquire);
-  snapshot.last_update = last_update_.load(std::memory_order_acquire);
-  for (uint32_t s = kStripes; s-- > 0;) {
-    stripes_[s].unlock();
+  while (!TryScan(&snapshot)) {
+    snapshot_retries_.fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::yield();
   }
   snapshot_waiters_.fetch_sub(1, std::memory_order_acq_rel);
   return snapshot;
@@ -923,7 +647,6 @@ CheckContext::ReadStats CheckContext::read_stats() const {
   stats.snapshot_retries = snapshot_retries_.load(std::memory_order_relaxed);
   stats.snapshot_fallbacks = snapshot_fallbacks_.load(std::memory_order_relaxed);
   stats.get_fallbacks = get_fallbacks_.load(std::memory_order_relaxed);
-  stats.fastpath_publishes = fastpath_publishes_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -1032,10 +755,10 @@ std::map<std::string, CtxValue> CheckContext::ParseDump(const std::string& dump)
 
 void CheckContext::Restore(const std::map<std::string, CtxValue>& values, TimeNs now) {
   // Dump text carries no static type information, so restored keys intern as
-  // kAny and go through the untyped slot path directly. This is the only
+  // kAny and stage through the untyped slot path. This is the only
   // string-keyed write left in the tree; live code uses ContextKey<T>.
   for (const auto& [key, value] : values) {
-    WriteSlot(KeyRegistry::Instance().Intern(key, CtxType::kAny), value);
+    StageWrite(KeyRegistry::Instance().Intern(key, CtxType::kAny), value);
   }
   MarkReady(now);
 }

@@ -13,25 +13,25 @@
 //   * Typed keys. A `ContextKey<T>` is registered once (process-wide) and
 //     resolves a name to a slot index, so a hook-site write is an indexed
 //     store — no string hashing, no map insert, no global lock.
-//   * Sharded storage. Slots live in lazily-allocated chunks; writers are
-//     serialized by striped locks, so concurrent hook sites writing
-//     different keys never contend on a shared mutex.
+//   * Seqlock cells. Every slot is a cell with a seqlock-style epoch (even =
+//     stable, odd = mid-write) over atomic payload words. Strings up to 48
+//     bytes sit inline; longer ones live in a per-cell, grow-only spill
+//     block reached through an atomic pointer. One protocol serves every
+//     value: writers claim the cell (seq even→odd), store, and release-store
+//     seq back to even; readers copy optimistically and re-validate seq.
 //   * Batched one-way sync. Writes staged through the typed API accumulate
-//     in a thread-local HookBatch; MarkReady() flushes the whole batch under
-//     the (few) stripes it touches and only then publishes the epoch + READY
-//     flag. Checkers therefore only ever observe fully-populated contexts.
-//     Single-value batches (the dominant hook shape) skip the stripes
-//     entirely: one claim-CAS + release-store publish.
+//     in a thread-local HookBatch; MarkReady() claims every touched cell in
+//     ascending slot order, stores them all, publishes them all, and only
+//     then bumps the epoch + READY flag. Checkers therefore only ever
+//     observe fully-populated contexts, and no mutex sits on the path.
 //
-// v3 read path (see docs/CONTEXT_API.md "Read path"): checker-side reads are
-// lock-free. Every slot cell carries a seqlock-style epoch (even = stable,
-// odd = mid-write) over a fixed atomic-word payload, so `Get()` is an
-// optimistic copy + re-validate, and `SnapshotConsistent()` is an optimistic
-// whole-store scan validated against a flush-window counter pair — it takes
-// ZERO stripe mutexes unless a flush overlaps it repeatedly (bounded retries,
-// then the locked fallback). The name→slot KeyRegistry is an append-only
-// intern table probed lock-free, so `Get<T>(name)` and snapshot name
-// resolution never lock either.
+// Read path (see docs/CONTEXT_API.md "Read path"): `Get()` is an optimistic
+// copy + re-validate of one cell, and `SnapshotConsistent()` an optimistic
+// whole-store scan validated by a seq fingerprint. Neither locks. A read
+// that keeps colliding with writers raises the `snapshot_waiters_` gate,
+// which holds new flushes at entry until the read settles. The name→slot
+// KeyRegistry is an append-only intern table probed lock-free, so
+// `Get<T>(name)` and snapshot name resolution never lock either.
 //
 // The watchdog driver refuses to run a checker whose context is not READY
 // (e.g. an in-memory kvs never flushes, so the flush checker never fires —
@@ -260,15 +260,16 @@ class HookBatch {
   // time keeps this POD: staging appends 64 flat bytes, MarkReady's flush
   // stores the words straight into the slot cell without re-inspecting a
   // variant, and clear() is a pointer reset instead of a destructor walk.
-  // Strings too long for the inline words park in `overflow_` and stage
-  // their index in words[0]; such batches take the striped flush path.
+  // Strings too long for the inline words park in `spill_` (moved, not
+  // copied) and stage their index in words[0]; the flush copies them into
+  // the cell's spill block.
   struct Staged {
     uint32_t slot;
     uint64_t header;
     uint64_t words[6];  // == CheckContext::kPayloadWords (static_asserted)
   };
   std::vector<Staged> entries_;
-  std::vector<std::string> overflow_;
+  std::vector<std::string> spill_;
   uint64_t owner_id_ = 0;  // CheckContext::id_ of the staging target
 };
 
@@ -288,7 +289,7 @@ class CheckContext {
   // deduced from the key alone, so Set(kFile, "/sst/9") works.
   template <typename T>
   void Set(const ContextKey<T>& key, std::type_identity_t<T> value) {
-    StageWrite(key.slot(), CtxValue(std::move(value)));
+    StageWrite(key.slot(), std::move(value));
   }
   void Set(const ContextKey<CtxValue>& key, CtxValue value) {
     StageWrite(key.slot(), std::move(value));
@@ -300,10 +301,8 @@ class CheckContext {
   // keeps the shim from reappearing in generated checkers.
 
   // Publishes the calling thread's staged batch, then bumps the epoch and
-  // marks the context READY. Multi-value batches flush under every stripe
-  // they touch (held at once, so readers can never observe half a batch);
-  // a single inline-encodable value takes the wait-free fast path — one
-  // claim-CAS on its cell and one release-store publish, no mutex.
+  // marks the context READY. Every cell of the batch is claimed before any
+  // is published, so readers can never observe half a batch.
   void MarkReady(TimeNs now);
   // Drops READY (e.g. component shut down / reconfigured).
   void Invalidate();
@@ -327,8 +326,9 @@ class CheckContext {
 
   // The one typed getter. Returns nullopt when the key was never written or
   // holds a different type (ints widen to double, matching v1 GetDouble).
-  // Lock-free: an optimistic seqlock copy of the slot cell; falls back to
-  // the stripe lock only after bounded retries or for overflow strings.
+  // Lock-free: an optimistic seqlock copy of the slot cell. After
+  // kCellRetries collisions it raises the snapshot gate and retries until
+  // the copy is stable.
   template <typename T>
   std::optional<T> Get(const ContextKey<T>& key) const {
     return Extract<T>(ReadSlot(key.slot()));
@@ -350,7 +350,8 @@ class CheckContext {
   // context", §5.2). Optimistic: scans every slot cell without locks and
   // validates that no batch flush overlapped the scan (so the values can
   // never mix two concurrently-flushed batches); after kSnapshotRetries
-  // overlapped attempts it falls back to holding every stripe.
+  // overlapped attempts it raises the snapshot gate and repeats the same
+  // scan until one is stable.
   struct ConsistentSnapshot {
     uint64_t epoch = 0;
     TimeNs last_update = 0;
@@ -366,7 +367,8 @@ class CheckContext {
   // look numeric; the tag exists so "1234" survives the round trip). The
   // §5.2 failure-reproduction path.
   static std::map<std::string, CtxValue> ParseDump(const std::string& dump);
-  // Bulk-install parsed values and mark ready.
+  // Bulk-install parsed values and mark ready: the values stage into the
+  // calling thread's batch and publish as one atomic batch.
   void Restore(const std::map<std::string, CtxValue>& values, TimeNs now);
 
   // Entries this thread has staged for this context but not yet flushed.
@@ -375,31 +377,28 @@ class CheckContext {
   // --- read-path observability ------------------------------------------
   // Counters for the optimistic machinery (all monotone). Tests assert the
   // bounded-retry fallback actually triggers under flush churn; benches
-  // report how often snapshots stayed lock-free.
+  // report how often reads settled without holding writers back.
   struct ReadStats {
-    int64_t snapshot_optimistic = 0;  // snapshots served without stripe locks
-    int64_t snapshot_retries = 0;     // optimistic scans restarted by a flush
-    int64_t snapshot_fallbacks = 0;   // snapshots that took the locked path
-    int64_t get_fallbacks = 0;        // point reads that took a stripe lock
-    int64_t fastpath_publishes = 0;   // MarkReady single-value fast publishes
+    int64_t snapshot_optimistic = 0;  // snapshots stable within kSnapshotRetries
+    int64_t snapshot_retries = 0;     // scans restarted by a concurrent flush
+    int64_t snapshot_fallbacks = 0;   // snapshots that raised the gate
+    int64_t get_fallbacks = 0;        // point reads that raised the gate
   };
   ReadStats read_stats() const;
 
  private:
   static constexpr uint32_t kSlotsPerChunk = 32;
   static constexpr uint32_t kMaxChunks = 64;  // 2048 slots process-wide
-  static constexpr uint32_t kStripes = 16;
-  // Payload capacity of a cell's atomic words: strings up to this many bytes
-  // are stored inline (seqlock-copyable); longer ones live in the
-  // stripe-guarded `overflow` member and force readers onto the locked path.
+  // Payload capacity of a cell's inline atomic words; longer strings go to
+  // the cell's spill block.
   static constexpr uint32_t kInlineBytes = 48;
   static constexpr uint32_t kPayloadWords = kInlineBytes / 8;
   // Staged entries are encoded in the cell wire format at Set() time, so
   // their payload capacity must match the cell's exactly.
   static_assert(sizeof(HookBatch::Staged::words) == kPayloadWords * sizeof(uint64_t),
                 "HookBatch::Staged must hold a full inline payload");
-  // Bounded optimism: per-cell re-reads before a point read takes the stripe
-  // lock, and whole-scan restarts before a snapshot takes every stripe.
+  // Bounded optimism: per-cell re-reads before a point read raises the
+  // snapshot gate, and whole-scan restarts before a snapshot does.
   static constexpr int kCellRetries = 8;
   static constexpr int kSnapshotRetries = 4;
 
@@ -408,23 +407,38 @@ class CheckContext {
     kInt,
     kDouble,
     kBool,
-    kInlineStr,    // length in header bits 8.., bytes in words[]
-    kOverflowStr,  // value lives in SlotCell::overflow (stripe-guarded)
+    // Length in header bits 8..; the bytes sit in the inline words when the
+    // length is at most kInlineBytes and in the spill block otherwise.
+    kString,
+  };
+
+  // Out-of-line payload for a string longer than kInlineBytes. Blocks only
+  // grow (power-of-two word counts): a writer that needs more room installs
+  // a bigger block and chains the superseded one behind it, so a pointer a
+  // reader loaded stays valid until ~CheckContext. No reclamation protocol.
+  struct SpillBlock {
+    SpillBlock(uint32_t n, SpillBlock* older)
+        : word_count(n),
+          words(std::make_unique<std::atomic<uint64_t>[]>(n)),
+          superseded(older) {}
+    const uint32_t word_count;
+    const std::unique_ptr<std::atomic<uint64_t>[]> words;
+    const std::unique_ptr<SpillBlock> superseded;
   };
 
   // One slot. `seq` is the per-slot seqlock epoch: even = stable, odd = a
-  // writer is mid-publish. The payload is a tag/length header plus
-  // kPayloadWords atomic words, so readers copy it with plain atomic loads
-  // (TSan-clean, no torn reads possible). Writers — whether holding the
-  // stripe mutex or on the single-value fast path — claim the cell by
-  // CAS-ing seq even→odd, store the payload, then release-store seq back to
-  // even. `overflow` (strings > kInlineBytes) is written only under the
-  // stripe mutex, and read either under that mutex or never.
+  // writer is mid-publish. The payload is a tag/length header plus either
+  // kPayloadWords inline atomic words or the words of `spill`, so readers
+  // copy it with plain atomic loads (TSan-clean, no torn reads possible).
+  // Writers claim the cell by CAS-ing seq even→odd, store the payload
+  // (installing a bigger spill block with a release store if needed), then
+  // release-store seq back to even.
   struct SlotCell {
+    ~SlotCell() { delete spill.load(std::memory_order_relaxed); }
     std::atomic<uint32_t> seq{0};
-    std::atomic<uint64_t> header{0};  // SlotTag | (inline length << 8)
+    std::atomic<uint64_t> header{0};  // SlotTag | (string length << 8)
     std::array<std::atomic<uint64_t>, kPayloadWords> words{};
-    std::string overflow;
+    std::atomic<SpillBlock*> spill{nullptr};
   };
   struct Chunk {
     std::array<SlotCell, kSlotsPerChunk> cells;
@@ -437,7 +451,7 @@ class CheckContext {
     std::atomic<uint32_t> populated{0};
   };
 
-  enum class CellRead { kOk, kEmpty, kUnstable, kOverflow };
+  enum class CellRead { kOk, kEmpty, kUnstable };
 
   template <typename T>
   static std::optional<T> Extract(std::optional<CtxValue> value) {
@@ -447,27 +461,18 @@ class CheckContext {
     return internal::ExtractTyped<T>(*value);
   }
 
-  // Inline payload codec. Encode returns false when the value cannot be
-  // represented in the atomic words (a string longer than kInlineBytes).
-  static bool EncodeInline(const CtxValue& value, uint64_t* header,
-                           uint64_t words[kPayloadWords]);
-  // Words actually carrying payload for `header`: scalars use one, inline
-  // strings ceil(len/8). Writers store and readers load only these —
-  // trailing cell words keep stale bits that no decode ever reads.
-  static uint32_t InlineWordCount(uint64_t header);
-  // Decodes in place (strings construct directly inside the caller's
-  // variant — the snapshot scan decodes straight into its result entry).
-  static void DecodeInlineInto(uint64_t header,
-                               const uint64_t words[kPayloadWords],
-                               CtxValue* out);
-
   // Seqlock writer protocol. ClaimCell spins (the competing writer's window
-  // is a handful of stores) and returns the odd seq; the caller stores the
-  // payload and publishes with PublishCell.
-  static uint32_t ClaimCell(SlotCell& cell);
-  static void PublishCell(SlotCell& cell, uint32_t odd_seq);
-  // One optimistic read attempt: copies the atomic payload and re-validates
-  // the cell seq around it.
+  // is a handful of stores) and leaves seq odd; the claimant, now the cell's
+  // only writer, stores the payload and publishes with PublishCell.
+  static void ClaimCell(SlotCell& cell);
+  static void PublishCell(SlotCell& cell);
+  // Stores one staged entry into its claimed cell; `spill` resolves the
+  // index a long string staged in words[0].
+  static void StoreCell(SlotCell& cell, const HookBatch::Staged& entry,
+                        const std::vector<std::string>& spill);
+  // One optimistic read attempt: copies the atomic payload (decoding
+  // straight into `out`) and re-validates the cell seq around it. `out`
+  // holds garbage unless the result is kOk.
   static CellRead TryReadCell(const SlotCell& cell, CtxValue* out);
 
   // The calling thread's batch, claimed for this context (entries staged for
@@ -481,43 +486,26 @@ class CheckContext {
   void StageWrite(uint32_t slot, bool value);
   void StageWrite(uint32_t slot, std::string value);
   void StageWrite(uint32_t slot, CtxValue value);
-  // Writes one slot immediately under its stripe (legacy shim, Restore).
-  void WriteSlot(uint32_t slot, CtxValue value);
-  // Stores `value` into `cell`; the cell's stripe mutex must be held (the
-  // only path allowed to touch `overflow`).
-  void StoreCellLocked(SlotCell& cell, CtxValue value);
-  // Single-value fast path: one claim-CAS + release publish, no stripe. Fails
-  // (→ locked flush) when the value needs overflow storage or the claim CAS
-  // loses to a concurrent writer.
-  bool TryPublishSingle(const HookBatch::Staged& entry);
   // Records `slot` in its chunk's population bitmask after a publish. The
   // steady-state overwrite pays one relaxed load (bit already set).
   void MarkPopulated(uint32_t slot);
-  // Applies the batch and clears it. All-inline batches flush lock-free:
-  // every cell is claimed (seq even→odd, ascending slot order so two
-  // overlapping batches serialize instead of deadlocking or interleaving),
-  // then stored and published — the per-cell seqlocks ARE the locks, and the
-  // claim-all-before-publish-any shape is what lets a snapshot's seq
-  // fingerprint prove batch atomicity without the flush touching any shared
-  // counter. Batches with overflow strings (or absurdly many entries) take
-  // the striped path.
+  // The one write path: applies the batch and clears it. Orders the entries
+  // by slot (skipped when already ascending; otherwise a stable sort that
+  // keeps each slot's last write), claims every cell in ascending slot order
+  // (so two overlapping batches serialize instead of deadlocking or
+  // interleaving), then stores and publishes them. Claim-all-before-
+  // publish-any is what lets a snapshot's seq fingerprint prove batch
+  // atomicity without the flush touching any shared counter.
   void FlushBatch(HookBatch& batch);
-  // The lock-free flavor; returns false when the batch needs stripes.
-  bool FlushBatchLockFree(HookBatch& batch);
   SlotCell* CellFor(uint32_t slot);                // allocates the chunk
   const SlotCell* CellIfPresent(uint32_t slot) const;
   std::optional<CtxValue> ReadSlot(uint32_t slot) const;
-  std::optional<CtxValue> ReadSlotLocked(uint32_t slot, const SlotCell& cell) const;
-  // Reads one cell to a stable value; the cell's stripe must be held. The
-  // remaining racers are single-value fast publishes and lock-free batch
-  // flushes (neither takes stripes) — their windows are a few stores wide,
-  // so the wait converges; the stripe still excludes overflow rewrites.
-  bool ReadCellStripeHeld(const SlotCell& cell, CtxValue* out) const;
-  ConsistentSnapshot SnapshotLocked() const;
+  // One snapshot scan attempt into `out`; false when a writer moved a
+  // visited cell and the attempt must be discarded.
+  bool TryScan(ConsistentSnapshot* out) const;
 
   const std::string name_;
   const uint64_t id_;  // process-unique, guards against stale thread batches
-  mutable std::array<std::mutex, kStripes> stripes_;
   std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
   // One past the highest chunk index ever allocated: snapshot scans stop
   // here instead of walking all kMaxChunks pointers (contexts use a handful
@@ -526,30 +514,15 @@ class CheckContext {
   std::atomic<bool> ready_{false};
   std::atomic<uint64_t> epoch_{0};
   std::atomic<TimeNs> last_update_{0};
-  // Flush-window counters for STRIPED flushes only, which publish their
-  // cells one at a time: `begun` moves before the first cell store, `done`
-  // after the last, both inside the stripe-held section, so an optimistic
-  // snapshot can prove no striped flush overlapped its scan (begun stable
-  // across the scan and equal to done at the start) and the locked fallback,
-  // holding every stripe, knows none is in flight. Lock-free batch flushes,
-  // fast-path publishes, and WriteSlot don't participate: the first claims
-  // all cells before publishing any and the latter two touch one cell, so
-  // the snapshot seq-fingerprint re-check already detects them.
-  std::atomic<uint64_t> flushes_begun_{0};
-  std::atomic<uint64_t> flushes_done_{0};
-  // Snapshot gate: while a locked-fallback snapshot is pending, new flushes
-  // yield at entry instead of re-grabbing stripes. Futexes barge — a hot
-  // flusher re-acquires a just-released stripe before the woken snapshot
-  // thread runs — so without the gate a saturating writer fleet can starve
-  // the fallback for whole scheduler rounds (worst on one core). In-flight
-  // flushes are unaffected (they already hold their stripes), and the
-  // single-value fast path ignores the gate entirely to stay wait-free.
+  // The anti-starvation gate: while a read that exhausted its optimistic
+  // retries is pending, new flushes yield at entry. Flushes already past the
+  // gate finish (they never wait on the gate while holding a claim), so the
+  // gated read's retries converge even against a saturating writer fleet.
   mutable std::atomic<int> snapshot_waiters_{0};
   mutable std::atomic<int64_t> snapshot_optimistic_{0};
   mutable std::atomic<int64_t> snapshot_retries_{0};
   mutable std::atomic<int64_t> snapshot_fallbacks_{0};
   mutable std::atomic<int64_t> get_fallbacks_{0};
-  std::atomic<int64_t> fastpath_publishes_{0};
 };
 
 // A single instrumentation point in the main program. Firing an unarmed hook

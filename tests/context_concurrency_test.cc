@@ -8,7 +8,9 @@
 // epoch must be monotone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -93,7 +95,7 @@ TEST(ContextConcurrencyTest, SnapshotNeverObservesTornBatch) {
     });
   }
 
-  // Typed point-reads race the flushes too (stripe-level read path).
+  // Typed point-reads race the flushes too (per-cell seqlock read path).
   std::thread point_reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       for (int p = 0; p < kProducers; ++p) {
@@ -127,13 +129,14 @@ TEST(ContextConcurrencyTest, SnapshotNeverObservesTornBatch) {
   }
 }
 
-// Seqlock torture with every writer shape at once: multi-key flush batches,
-// single-value fast-path publishes, and a 2-key batch whose string value
-// overflows the inline payload (routing readers through the per-slot locked
-// path). Each writer embeds the same sequence number in every value of a
-// batch — the overflow writer embeds it in both the string and a sibling
-// int — so any torn or mixed-epoch observation is detectable. Run under the
-// TSan CI leg: all optimistic reads are atomic-word loads by construction.
+// Seqlock torture with every batch shape at once: a 3-key batch, a
+// single-value batch, and a 2-key batch whose string is too long for the
+// inline words and lives in the cell's spill block. All three go through the
+// one flush (claim every cell, then store and publish). Each writer embeds
+// the same sequence number in every value of a batch — the spill writer
+// embeds it in both the string and a sibling int — so any torn or
+// mixed-epoch observation is detectable. Run under the TSan CI leg: every
+// read, inline or spilled, is an atomic-word load by construction.
 TEST(ContextConcurrencyTest, SeqlockTortureMixedWriterShapes) {
   CheckContext ctx("torture");
 
@@ -146,7 +149,7 @@ TEST(ContextConcurrencyTest, SeqlockTortureMixedWriterShapes) {
 
   std::atomic<bool> stop{false};
 
-  // Writer 1: 3-key inline batches (stripe-locked flush path).
+  // Writer 1: 3-key inline batches.
   std::thread batch_writer([&] {
     int64_t seq = 0;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -158,7 +161,7 @@ TEST(ContextConcurrencyTest, SeqlockTortureMixedWriterShapes) {
     }
   });
 
-  // Writer 2: single-value batches (wait-free fast path).
+  // Writer 2: single-value batches.
   std::thread fast_writer([&] {
     int64_t seq = 0;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -168,9 +171,9 @@ TEST(ContextConcurrencyTest, SeqlockTortureMixedWriterShapes) {
     }
   });
 
-  // Writer 3: 2-key batch where the string (> 48 bytes) lands in overflow
-  // storage; the trailing digits encode the same seq as the sibling int.
-  std::thread overflow_writer([&] {
+  // Writer 3: 2-key batch where the string (> 48 bytes) lands in the spill
+  // block; the trailing digits encode the same seq as the sibling int.
+  std::thread spill_writer([&] {
     const std::string pad(64, 'p');
     int64_t seq = 0;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -202,8 +205,8 @@ TEST(ContextConcurrencyTest, SeqlockTortureMixedWriterShapes) {
                     StrFormat("%lld", static_cast<long long>(std::get<int64_t>(
                                           snapshot.values.at("tt.big.seq")))));
         }
-        // Fast-path point reads: decoded value is never torn and, from one
-        // thread, never goes backwards (single writer increments it).
+        // Single-value point reads: decoded value is never torn and, from
+        // one thread, never goes backwards (single writer increments it).
         const auto fast = ctx.Get(kFast);
         if (fast.has_value()) {
           ASSERT_GE(*fast, last_fast);
@@ -218,23 +221,23 @@ TEST(ContextConcurrencyTest, SeqlockTortureMixedWriterShapes) {
   stop = true;
   batch_writer.join();
   fast_writer.join();
-  overflow_writer.join();
+  spill_writer.join();
   for (auto& t : readers) {
     t.join();
   }
 
   EXPECT_GT(snapshots.load(), 50);
   const auto stats = ctx.read_stats();
-  EXPECT_GT(stats.fastpath_publishes, 0);
   // Fallbacks may or may not trigger under scheduler noise; optimistic
   // successes plus fallbacks must account for every completed snapshot.
   EXPECT_EQ(stats.snapshot_optimistic + stats.snapshot_fallbacks,
             snapshots.load());
 }
 
-// The bounded-retry fallback: hold a flush window open (flushes_begun_ !=
-// flushes_done_ for the whole call) and SnapshotConsistent must burn its
-// retries, take the locked path, and still return a coherent result.
+// The bounded-retry fallback: four writers hammer the same two cells, so
+// snapshot scans keep finding a claimed cell or a moved seq. SnapshotConsistent
+// must burn its retries, raise the snapshot gate (holding new flushes back),
+// and still return a coherent result.
 TEST(ContextConcurrencyTest, SnapshotFallsBackUnderPersistentFlushChurn) {
   CheckContext ctx("fallback");
   static const auto kA = ContextKey<int64_t>::Of("fb.a");
@@ -244,7 +247,7 @@ TEST(ContextConcurrencyTest, SnapshotFallsBackUnderPersistentFlushChurn) {
   ctx.MarkReady(1);
 
   // Churn writers: two-key batches as fast as they can flush, so snapshot
-  // scans keep colliding with open flush windows.
+  // scans keep colliding with claimed cells.
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < 4; ++w) {
@@ -267,7 +270,7 @@ TEST(ContextConcurrencyTest, SnapshotFallsBackUnderPersistentFlushChurn) {
               std::get<int64_t>(snapshot.values.at("fb.b")));
     ++completed;
     if (ctx.read_stats().snapshot_fallbacks > 0 && completed > 100) {
-      break;  // exercised both the retry burn and the locked path
+      break;  // exercised both the retry burn and the gated scan
     }
   }
   stop = true;
@@ -279,6 +282,73 @@ TEST(ContextConcurrencyTest, SnapshotFallsBackUnderPersistentFlushChurn) {
   EXPECT_GT(stats.snapshot_retries + stats.snapshot_optimistic, 0);
   // Every snapshot completed one way or the other — none hung, none torn.
   EXPECT_EQ(stats.snapshot_optimistic + stats.snapshot_fallbacks, completed);
+}
+
+// Spill-block growth under readers: two writers rewrite one string key with
+// lengths that cycle across the 48-byte inline boundary while their ceiling
+// doubles every 512 writes (up to 4 KB), so cells keep switching between
+// inline words and spill blocks and the blocks keep growing — each growth
+// installs a new block while readers may still hold the old pointer. The
+// string spells out its seq (which fixes its length and padding) and a
+// sibling int carries the same seq in the same batch, so a reader checks
+// both self-consistency (Get) and batch atomicity (snapshot).
+std::string SpillValue(int64_t seq) {
+  const int64_t ceiling = int64_t{64} << ((seq / 512) % 7);
+  std::string value = StrFormat("%lld|", static_cast<long long>(seq));
+  const size_t len = std::max(value.size(), static_cast<size_t>((seq * 37) % ceiling));
+  value.resize(len, static_cast<char>('a' + seq % 26));
+  return value;
+}
+
+TEST(ContextConcurrencyTest, SpillGrowthNeverTearsAString) {
+  CheckContext ctx("spill");
+  static const auto kStr = ContextKey<std::string>::Of("sg.str");
+  static const auto kSeq = ContextKey<int64_t>::Of("sg.seq");
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      for (int64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const int64_t seq = i * 2 + w;  // disjoint seq spaces per writer
+        ctx.Set(kStr, SpillValue(seq));
+        ctx.Set(kSeq, seq);
+        ctx.MarkReady(seq);
+      }
+    });
+  }
+
+  std::atomic<int64_t> checked{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto snapshot = ctx.SnapshotConsistent();
+        const auto str = snapshot.values.find("sg.str");
+        if (str != snapshot.values.end()) {
+          const int64_t seq = std::get<int64_t>(snapshot.values.at("sg.seq"));
+          ASSERT_EQ(std::get<std::string>(str->second), SpillValue(seq));
+        }
+        if (const auto value = ctx.Get(kStr); value.has_value()) {
+          const long long seq = std::strtoll(value->c_str(), nullptr, 10);
+          ASSERT_EQ(*value, SpillValue(seq));
+        }
+        checked.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  RealClock::Instance().SleepFor(Ms(300));
+  stop = true;
+  for (auto& t : writers) {
+    t.join();
+  }
+  for (auto& t : readers) {
+    t.join();
+  }
+  EXPECT_GT(checked.load(), 50);
+  const int64_t last = *ctx.Get(kSeq);
+  EXPECT_EQ(*ctx.Get(kStr), SpillValue(last));
 }
 
 TEST(ContextConcurrencyTest, EpochCountsFlushesExactly) {

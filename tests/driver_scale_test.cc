@@ -57,10 +57,16 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+// Out of line on purpose: inlined into a caller, `free` would meet a pointer
+// GCC tracks as `new`-allocated and trip -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete[](void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete(void* ptr, std::size_t) noexcept {
+  std::free(ptr);
+}
+[[gnu::noinline]] void operator delete[](void* ptr, std::size_t) noexcept {
+  std::free(ptr);
+}
 
 namespace wdg {
 namespace {
@@ -716,6 +722,71 @@ TEST(DriverScaleTest, SteadyStateDispatchIsAllocationFree) {
   EXPECT_GT(runs_after, runs_before + 100);  // the window really dispatched
   EXPECT_TRUE(driver.Stop().ok());
   EXPECT_TRUE(driver.Failures().empty());
+}
+
+// The hook plane allocates nothing in steady state either: an armed Fire
+// that stages values and MarkReady()s them reuses the thread-local batch,
+// the context's chunk and each cell's spill block. Covers batches of 1, 2 and
+// 20 values (the 20 staged out of slot order, so the flush sorts them) and a
+// 200-byte string built before the window and moved in. Snapshot stays out:
+// it returns an owning copy.
+TEST(DriverScaleTest, SteadyStateHookPlaneIsAllocationFree) {
+  static const auto kOne = ContextKey<int64_t>::Of("hookalloc.one");
+  static const auto kTwo = ContextKey<double>::Of("hookalloc.two");
+  static const auto kLong = ContextKey<std::string>::Of("hookalloc.long");
+  std::vector<ContextKey<int64_t>> wide;
+  for (int i = 0; i < 20; ++i) {
+    wide.push_back(ContextKey<int64_t>::Of(StrFormat("hookalloc.wide%02d", i)));
+  }
+  CheckContext ctx("hookalloc");
+  HookSite site("hookalloc.site");
+  site.Arm(&ctx);
+  const auto fire_all = [&](int64_t round, std::string long_value) {
+    site.Fire([&](CheckContext& c) {
+      c.Set(kOne, round);
+      c.MarkReady(round);
+    });
+    site.Fire([&](CheckContext& c) {
+      c.Set(kOne, round);
+      c.Set(kTwo, 0.5 * static_cast<double>(round));
+      c.MarkReady(round);
+    });
+    site.Fire([&](CheckContext& c) {
+      for (auto key = wide.rbegin(); key != wide.rend(); ++key) {
+        c.Set(*key, round);
+      }
+      c.MarkReady(round);
+    });
+    site.Fire([&](CheckContext& c) {
+      c.Set(kLong, std::move(long_value));
+      c.Set(kOne, round);
+      c.MarkReady(round);
+    });
+  };
+  constexpr int kRounds = 64;
+  std::vector<std::string> long_values;
+  for (int i = 0; i < 2 * kRounds; ++i) {
+    long_values.emplace_back(200, static_cast<char>('a' + i % 26));
+  }
+  for (int i = 0; i < kRounds; ++i) {  // warmup: batch, chunk, spill block
+    fire_all(i, std::move(long_values[i]));
+  }
+  g_alloc_trace_budget.store(6, std::memory_order_relaxed);
+  const int64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int i = kRounds; i < 2 * kRounds; ++i) {
+    fire_all(i, std::move(long_values[i]));
+  }
+  const int64_t allocs_after = g_heap_allocs.load(std::memory_order_relaxed);
+  g_alloc_trace_budget.store(0, std::memory_order_relaxed);
+  EXPECT_EQ(allocs_after - allocs_before, 0)
+      << (allocs_after - allocs_before) << " heap allocations across "
+      << 4 * kRounds << " armed fires";
+  EXPECT_EQ(ctx.epoch(), static_cast<uint64_t>(8 * kRounds));
+  EXPECT_EQ(*ctx.Get(kOne), 2 * kRounds - 1);
+  EXPECT_EQ(*ctx.Get(wide[0]), 2 * kRounds - 1);
+  EXPECT_EQ(*ctx.Get(kLong),
+            std::string(200, static_cast<char>('a' + (2 * kRounds - 1) % 26)));
+  EXPECT_EQ(site.fired_count(), 8 * kRounds);
 }
 
 // --- deadline-budget inference properties ---------------------------------

@@ -217,6 +217,34 @@ TEST(ParseDumpTest, RestorePopulatesAndMarksReady) {
   EXPECT_EQ(*ctx.Get<int64_t>("entries"), 16);
 }
 
+// A failure signature with more keys than any hook batch and one long
+// string: Restore stages every parsed value and publishes them as one batch,
+// so the restored context must match the original key for key.
+TEST(ParseDumpTest, DumpRestoreRoundTripOfManyKeysAndALongString) {
+  // Interned first, so its slot sorts before the rt.k* keys while its name
+  // sorts after them: the restored batch reaches the flush out of slot order.
+  static const auto kLong = ContextKey<std::string>::Of("rt.long");
+  CheckContext original("orig");
+  for (int i = 0; i < 20; ++i) {
+    original.Set(ContextKey<int64_t>::Of(StrFormat("rt.k%02d", i)), i * 11);
+  }
+  const std::string long_value(300, 'L');
+  original.Set(kLong, long_value);
+  original.MarkReady(1);
+  const std::string dump = original.Dump();
+
+  CheckContext restored("restored");
+  restored.Restore(CheckContext::ParseDump(dump), 2);
+  EXPECT_TRUE(restored.ready());
+  EXPECT_EQ(restored.epoch(), 1u);
+  EXPECT_EQ(restored.Snapshot().size(), 21u);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(*restored.Get<int64_t>(StrFormat("rt.k%02d", i)), i * 11);
+  }
+  EXPECT_EQ(*restored.Get<std::string>("rt.long"), long_value);
+  EXPECT_EQ(restored.Dump(), dump);
+}
+
 // ------------------------------------------------------------------- replay
 
 TEST(ReplayTest, ReproducesAPersistentFault) {

@@ -108,48 +108,60 @@ TEST(CheckContextTest, StringNameReadsOverTypedWrites) {
   EXPECT_FALSE(ctx.Get("missing").has_value());
 }
 
-// Strings longer than the 48-byte inline payload land in the stripe-guarded
-// overflow member; reads route through the locked per-slot path and must
-// round-trip exactly, including back-to-back overwrites in both directions.
-TEST(CheckContextTest, OverflowStringsRoundTrip) {
-  static const auto kBig = ContextKey<std::string>::Of("ovf.big");
-  const std::string long_value(200, 'x');
-  CheckContext ctx("c");
-  ctx.Set(kBig, long_value);
-  ctx.MarkReady(1);
-  EXPECT_EQ(*ctx.Get(kBig), long_value);
-  EXPECT_EQ(std::get<std::string>(ctx.Snapshot().at("ovf.big")), long_value);
-  ctx.Set(kBig, "short again");  // overflow -> inline overwrite
-  ctx.MarkReady(2);
-  EXPECT_EQ(*ctx.Get(kBig), "short again");
-  ctx.Set(kBig, std::string(64, 'y'));  // inline -> overflow again
-  ctx.MarkReady(3);
-  EXPECT_EQ(*ctx.Get(kBig), std::string(64, 'y'));
-}
-
-// Single-value batches publish through the wait-free fast path (one CAS +
-// one release store); multi-value batches and overflow strings do not.
-TEST(CheckContextTest, SingleValueFastPathCounted) {
-  static const auto kOne = ContextKey<int64_t>::Of("fp.one");
-  static const auto kTwo = ContextKey<int64_t>::Of("fp.two");
-  static const auto kBig = ContextKey<std::string>::Of("fp.big");
+// One key rewritten across the 48-byte inline boundary in both directions:
+// short strings live in the cell's inline words, longer ones in its spill
+// block (which only grows), and every length must round-trip through both
+// the point read and the snapshot scan. A sibling two-key batch rides along
+// on the first write to pin multi-value publishes and the epoch count.
+TEST(CheckContextTest, StringsRoundTripAcrossTheInlineBoundary) {
+  static const auto kStr = ContextKey<std::string>::Of("len.str");
+  static const auto kOne = ContextKey<int64_t>::Of("len.one");
+  static const auto kTwo = ContextKey<int64_t>::Of("len.two");
+  const size_t lengths[] = {0, 47, 48, 49, 64, 200, 3000, 10};
   CheckContext ctx("c");
   ctx.Set(kOne, 1);
-  ctx.MarkReady(1);
-  EXPECT_EQ(ctx.read_stats().fastpath_publishes, 1);
-  ctx.Set(kOne, 2);
-  ctx.Set(kTwo, 3);
-  ctx.MarkReady(2);  // two-entry batch -> stripe-locked flush
-  EXPECT_EQ(ctx.read_stats().fastpath_publishes, 1);
-  ctx.Set(kBig, std::string(100, 'z'));
-  ctx.MarkReady(3);  // single entry but overflow -> stripe-locked flush
-  EXPECT_EQ(ctx.read_stats().fastpath_publishes, 1);
+  ctx.MarkReady(0);
+  uint64_t marks = 1;
+  for (const size_t len : lengths) {
+    std::string value(len, 'a');
+    for (size_t i = 0; i < len; ++i) {
+      value[i] = static_cast<char>('a' + (i * 7 + len) % 26);  // no repeats per word
+    }
+    ctx.Set(kStr, value);
+    if (marks == 1) {
+      ctx.Set(kOne, 2);
+      ctx.Set(kTwo, 3);
+    }
+    ctx.MarkReady(static_cast<TimeNs>(++marks));
+    EXPECT_EQ(*ctx.Get(kStr), value) << "Get, length " << len;
+    EXPECT_EQ(std::get<std::string>(ctx.Snapshot().at("len.str")), value)
+        << "Snapshot, length " << len;
+  }
   EXPECT_EQ(*ctx.Get(kOne), 2);
   EXPECT_EQ(*ctx.Get(kTwo), 3);
-  EXPECT_EQ(ctx.epoch(), 3u);
+  EXPECT_EQ(ctx.epoch(), marks);
 }
 
-// Uncontended reads never touch a stripe mutex: the optimistic counters
+// A batch staged out of slot order, with one key written twice, publishes
+// every key once and keeps the last write of the repeated one.
+TEST(CheckContextTest, UnorderedBatchKeepsTheLastWriteOfARepeatedKey) {
+  static const auto kLow = ContextKey<int64_t>::Of("order.low");
+  static const auto kHigh = ContextKey<std::string>::Of("order.high");
+  CheckContext ctx("c");
+  ctx.Set(kHigh, std::string(100, 'x'));
+  ctx.Set(kLow, 1);
+  ctx.Set(kHigh, "last");
+  ctx.Set(kLow, 2);
+  ctx.Set(kHigh, std::string(60, 'z'));
+  ctx.MarkReady(1);
+  EXPECT_EQ(*ctx.Get(kLow), 2);
+  EXPECT_EQ(*ctx.Get(kHigh), std::string(60, 'z'));
+  EXPECT_EQ(ctx.KeyEpoch(kLow), 1u);
+  EXPECT_EQ(ctx.KeyEpoch(kHigh), 1u);
+  EXPECT_EQ(ctx.Snapshot().size(), 2u);
+}
+
+// Uncontended reads never raise the snapshot gate: the optimistic counters
 // advance and the fallback counters stay at zero.
 TEST(CheckContextTest, ReadStatsTrackOptimisticPath) {
   static const auto kK = ContextKey<int64_t>::Of("stats.k");

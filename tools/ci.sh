@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: build + ctest three times — plain, under address sanitizer, and a
-# thread-sanitizer leg focused on the context/hook synchronization hot path —
-# so the wdg_lint static checks and both sanitizers run on every PR.
+# CI gate: build + ctest three times — plain (warnings are errors), under
+# address sanitizer, and a thread-sanitizer leg focused on the context/hook
+# synchronization hot path — so the wdg_lint static checks and both
+# sanitizers run on every PR.
 #
 #   tools/ci.sh [extra ctest args...]
 #
@@ -27,6 +28,10 @@ run_leg() {
   local cmake_args=(-B "${build_dir}" -S .)
   if [[ -n "${sanitize}" ]]; then
     cmake_args+=("-DWDG_SANITIZE=${sanitize}")
+  else
+    # The plain build must stay warning-free. Only this leg: under TSan,
+    # libstdc++ itself warns (-Wtsan) on atomic_thread_fence.
+    cmake_args+=("-DCMAKE_CXX_FLAGS=-Werror")
   fi
   echo "=== configure ${build_dir} (sanitize='${sanitize}') ==="
   cmake "${cmake_args[@]}"
@@ -95,9 +100,10 @@ echo "=== bench trend gate ==="
 # a deliberate full bench run appends to the trend.
 python3 tools/bench_trend.py --dry-run
 run_leg build-ci-asan address "$@"
-# TSan leg: the concurrency suites that hammer the sharded context store and
-# batched hook flush, plus the pooled scheduler/executor scale suite
-# (abandonment, backpressure, and shutdown races), the chaos/soak tier that
+# TSan leg: the concurrency suites that hammer the seqlock context cells and
+# batched hook flush (spill-block growth included), plus the pooled
+# scheduler/executor scale suite (abandonment, backpressure, and shutdown
+# races, plus the hook-plane allocation guard), the chaos/soak tier that
 # storms the adaptive autoscaler + deadline budgets with injected faults, and
 # the signal-suite/fusion tests (FusionDetector::OnFailure runs on scheduler
 # threads; the suite test drives a live driver against a publisher thread).
