@@ -9,6 +9,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/kvs/ir_model.h"
 #include "src/kvs/memtable.h"
+#include "src/kvs/sstable.h"
 #include "src/kvs/wal.h"
 #include "src/watchdog/context.h"
 
@@ -175,6 +176,47 @@ void BM_Crc32_4K(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
 }
 BENCHMARK(BM_Crc32_4K);
+
+// One table read as Index::Get and the index.lookup mimic pay it per table:
+// 150 x 512 B records (~79 KB), key in the middle, zero-latency disk, so the
+// row is the CPU cost of ReadAll + footer CRC + record walk.
+class SsTableBench {
+ public:
+  SsTableBench()
+      : injector_(wdg::RealClock::Instance()),
+        disk_(wdg::RealClock::Instance(), injector_,
+              wdg::DiskOptions{.base_latency = 0, .per_kb_latency = 0}) {
+    std::vector<std::pair<std::string, kvs::MemEntry>> entries;
+    for (int i = 0; i < 150; ++i) {
+      entries.emplace_back(wdg::StrFormat("key%04d", i),
+                           kvs::MemEntry{std::string(512, 'v'), false});
+    }
+    (void)kvs::SsTable::Write(disk_, kPath, entries);
+  }
+  static constexpr const char* kPath = "/sst/000001.sst";
+  wdg::SimDisk& disk() { return disk_; }
+
+ private:
+  wdg::FaultInjector injector_;
+  wdg::SimDisk disk_;
+};
+
+void BM_SsTableLookup(benchmark::State& state) {
+  SsTableBench table;
+  const std::string key = "key0075";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kvs::SsTable::Lookup(table.disk(), SsTableBench::kPath, key));
+  }
+}
+BENCHMARK(BM_SsTableLookup);
+
+void BM_SsTableValidate(benchmark::State& state) {
+  SsTableBench table;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kvs::SsTable::Validate(table.disk(), SsTableBench::kPath));
+  }
+}
+BENCHMARK(BM_SsTableValidate);
 
 void BM_MemtableSet(benchmark::State& state) {
   kvs::Memtable table;

@@ -1,4 +1,4 @@
-// CRC32 (IEEE 802.3 polynomial, table-driven). Used for partition/sstable
+// CRC32 (IEEE 802.3 polynomial, slicing-by-8). Used for partition/sstable
 // integrity checks — the "fsck-like" safety checks mimic checkers run.
 #pragma once
 

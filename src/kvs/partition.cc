@@ -7,11 +7,6 @@
 
 namespace kvs {
 
-uint32_t PartitionManager::FileCrc(const std::string& path) const {
-  const auto data = disk_.ReadAll(path);
-  return data.ok() ? wdg::Crc32(*data) : 0;
-}
-
 wdg::Status PartitionManager::Register(const std::string& path, const std::string& min_key,
                                        const std::string& max_key) {
   PartitionInfo info;
@@ -49,10 +44,11 @@ wdg::Status PartitionManager::Validate(const std::string& path) const {
     info = *it;
   }
   WDG_ASSIGN_OR_RETURN(const std::string data, disk_.ReadAll(info.path));
-  if (wdg::Crc32(data) != info.expected_crc) {
+  const uint32_t crc = wdg::Crc32(data);
+  if (crc != info.expected_crc) {
     return wdg::CorruptionError(
         wdg::StrFormat("partition %s checksum mismatch (expected %08x, got %08x)",
-                       info.path.c_str(), info.expected_crc, wdg::Crc32(data)));
+                       info.path.c_str(), info.expected_crc, crc));
   }
   return wdg::Status::Ok();
 }

@@ -47,8 +47,6 @@ class PartitionManager {
   int64_t quarantined_count() const;
 
  private:
-  uint32_t FileCrc(const std::string& path) const;
-
   wdg::SimDisk& disk_;
   mutable std::mutex mu_;
   std::vector<PartitionInfo> partitions_;

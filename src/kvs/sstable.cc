@@ -1,95 +1,124 @@
 #include "src/kvs/sstable.h"
 
+#include <array>
+#include <string_view>
+
 #include "src/common/checksum.h"
-#include "src/common/strings.h"
+#include "src/kvs/coding.h"
 
 namespace kvs {
 
 namespace {
-constexpr char kRecordSep = '\x1e';
-constexpr char kFieldSep = '\x1f';
+// Body: records back to back, each [u32 key_len][u32 value_len][tag][key][value]
+// with tag 'V' (value) or 'T' (tombstone), then an 8-hex-char footer holding
+// the CRC32 of the body. Lengths frame every record, so any byte round-trips.
+constexpr size_t kHeaderSize = 9;
+constexpr size_t kFooterSize = 8;
+
+// The footer text for `crc`: lowercase hex, byte-compared on read (parsing it
+// instead would accept a case flip in the footer).
+std::array<char, kFooterSize> FooterFor(uint32_t crc) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::array<char, kFooterSize> out{};
+  for (size_t i = 0; i < kFooterSize; ++i) {
+    out[i] = kHex[(crc >> (4 * (kFooterSize - 1 - i))) & 0xfu];
+  }
+  return out;
+}
 
 std::string Serialize(const std::vector<std::pair<std::string, MemEntry>>& entries) {
-  std::string body;
+  size_t size = 0;
   for (const auto& [key, entry] : entries) {
+    size += kHeaderSize + key.size() + entry.value.size();
+  }
+  std::string body;
+  body.reserve(size + kFooterSize);
+  for (const auto& [key, entry] : entries) {
+    PutU32(body, static_cast<uint32_t>(key.size()));
+    PutU32(body, static_cast<uint32_t>(entry.value.size()));
+    body += entry.tombstone ? 'T' : 'V';
     body += key;
-    body += kFieldSep;
-    body += entry.tombstone ? "T" : "V";
-    body += kFieldSep;
     body += entry.value;
-    body += kRecordSep;
   }
   return body;
 }
 
-wdg::Result<std::map<std::string, MemEntry>> Parse(const std::string& body) {
-  std::map<std::string, MemEntry> entries;
+// Reads the whole table, checks the footer CRC over the body, and calls
+// `visit(key, tombstone, value)` for every record. The views point into the
+// read buffer and die with this call. Every record is checked even after the
+// caller has what it needs, so a malformed table fails as a whole.
+template <typename Visit>
+wdg::Status ReadTable(const wdg::SimDisk& disk, const std::string& path, Visit&& visit) {
+  WDG_ASSIGN_OR_RETURN(const std::string data, disk.ReadAll(path));
+  if (data.size() < kFooterSize) {
+    return wdg::CorruptionError("sstable too short for footer: " + path);
+  }
+  const std::string_view body(data.data(), data.size() - kFooterSize);
+  const auto expected = FooterFor(wdg::Crc32(body));
+  if (std::string_view(expected.data(), expected.size()) !=
+      std::string_view(data).substr(body.size())) {
+    return wdg::CorruptionError("sstable checksum mismatch: " + path);
+  }
   size_t at = 0;
   while (at < body.size()) {
-    const size_t end = body.find(kRecordSep, at);
-    if (end == std::string::npos) {
-      return wdg::CorruptionError("sstable record missing terminator");
+    if (body.size() - at < kHeaderSize) {
+      return wdg::CorruptionError("sstable record header truncated: " + path);
     }
-    const std::string record = body.substr(at, end - at);
-    const auto fields = wdg::StrSplit(record, kFieldSep);
-    if (fields.size() != 3 || (fields[1] != "T" && fields[1] != "V")) {
-      return wdg::CorruptionError("sstable record malformed");
+    const size_t key_len = GetU32(body, at);
+    const size_t value_len = GetU32(body, at + 4);
+    const char tag = body[at + 8];
+    at += kHeaderSize;
+    if (tag != 'T' && tag != 'V') {
+      return wdg::CorruptionError("sstable record malformed: " + path);
     }
-    MemEntry entry;
-    entry.tombstone = fields[1] == "T";
-    entry.value = fields[2];
-    entries[fields[0]] = std::move(entry);
-    at = end + 1;
+    if (key_len > body.size() - at || value_len > body.size() - at - key_len) {
+      return wdg::CorruptionError("sstable record overruns body: " + path);
+    }
+    visit(body.substr(at, key_len), tag == 'T', body.substr(at + key_len, value_len));
+    at += key_len + value_len;
   }
-  return entries;
+  return wdg::Status::Ok();
 }
 }  // namespace
 
 wdg::Status SsTable::Write(wdg::SimDisk& disk, const std::string& path,
                            const std::vector<std::pair<std::string, MemEntry>>& entries) {
-  const std::string body = Serialize(entries);
-  // Footer: 8 hex chars of CRC over the body.
-  const std::string footer = wdg::StrFormat("%08x", wdg::Crc32(body));
+  std::string data = Serialize(entries);
+  const auto footer = FooterFor(wdg::Crc32(data));
+  data.append(footer.data(), footer.size());
   WDG_RETURN_IF_ERROR(disk.Create(path));
-  WDG_RETURN_IF_ERROR(disk.Write(path, 0, body + footer));
+  WDG_RETURN_IF_ERROR(disk.Write(path, 0, data));
   return disk.Fsync(path);
 }
 
-namespace {
-wdg::Result<std::string> LoadValidatedBody(const wdg::SimDisk& disk, const std::string& path) {
-  WDG_ASSIGN_OR_RETURN(const std::string data, disk.ReadAll(path));
-  if (data.size() < 8) {
-    return wdg::CorruptionError("sstable too short for footer: " + path);
-  }
-  const std::string body = data.substr(0, data.size() - 8);
-  const std::string footer = data.substr(data.size() - 8);
-  if (wdg::StrFormat("%08x", wdg::Crc32(body)) != footer) {
-    return wdg::CorruptionError("sstable checksum mismatch: " + path);
-  }
-  return body;
-}
-}  // namespace
-
 wdg::Result<std::map<std::string, MemEntry>> SsTable::Load(const wdg::SimDisk& disk,
                                                            const std::string& path) {
-  WDG_ASSIGN_OR_RETURN(const std::string body, LoadValidatedBody(disk, path));
-  return Parse(body);
+  std::map<std::string, MemEntry> entries;
+  WDG_RETURN_IF_ERROR(
+      ReadTable(disk, path, [&](std::string_view key, bool tombstone, std::string_view value) {
+        // Records are written in key order, so the end is the right hint.
+        entries.insert_or_assign(entries.end(), std::string(key),
+                                 MemEntry{std::string(value), tombstone});
+      }));
+  return entries;
 }
 
 wdg::Status SsTable::Validate(const wdg::SimDisk& disk, const std::string& path) {
-  WDG_ASSIGN_OR_RETURN(const std::string body, LoadValidatedBody(disk, path));
-  return Parse(body).status();
+  return ReadTable(disk, path, [](std::string_view, bool, std::string_view) {});
 }
 
 wdg::Result<std::optional<MemEntry>> SsTable::Lookup(const wdg::SimDisk& disk,
                                                      const std::string& path,
                                                      const std::string& key) {
-  WDG_ASSIGN_OR_RETURN(const auto entries, Load(disk, path));
-  const auto it = entries.find(key);
-  if (it == entries.end()) {
-    return std::optional<MemEntry>{};
-  }
-  return std::optional<MemEntry>{it->second};
+  std::optional<MemEntry> found;
+  WDG_RETURN_IF_ERROR(
+      ReadTable(disk, path, [&](std::string_view record_key, bool tombstone,
+                                std::string_view value) {
+        if (record_key == key) {
+          found = MemEntry{std::string(value), tombstone};
+        }
+      }));
+  return found;
 }
 
 }  // namespace kvs

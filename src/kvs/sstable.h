@@ -19,15 +19,18 @@ class SsTable {
   static wdg::Status Write(wdg::SimDisk& disk, const std::string& path,
                            const std::vector<std::pair<std::string, MemEntry>>& entries);
 
-  // Loads and validates the whole table. CORRUPTION if the footer CRC
-  // mismatches the data (bad media, bit rot, lost write).
+  // Every reader below reads the whole file, checks the footer CRC over the
+  // body and walks every record: CORRUPTION if the CRC mismatches the data
+  // (bad media, bit rot, lost write) or any record is malformed.
+
+  // Returns all entries.
   static wdg::Result<std::map<std::string, MemEntry>> Load(const wdg::SimDisk& disk,
                                                            const std::string& path);
 
-  // Validates integrity without materializing entries.
+  // Integrity only: builds nothing.
   static wdg::Status Validate(const wdg::SimDisk& disk, const std::string& path);
 
-  // Point lookup (loads the table; fine at simulation scale).
+  // Point lookup: copies out only the matching record, if any.
   static wdg::Result<std::optional<MemEntry>> Lookup(const wdg::SimDisk& disk,
                                                      const std::string& path,
                                                      const std::string& key);

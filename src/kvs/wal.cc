@@ -1,26 +1,9 @@
 #include "src/kvs/wal.h"
 
-#include <cstring>
-
 #include "src/common/checksum.h"
+#include "src/kvs/coding.h"
 
 namespace kvs {
-
-namespace {
-// Frame: [u32 length][u32 crc32(payload)][payload]
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-uint32_t GetU32(const std::string& data, size_t at) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(data[at + i])) << (8 * i);
-  }
-  return v;
-}
-}  // namespace
 
 Wal::Wal(wdg::SimDisk& disk, std::string path) : disk_(disk), path_(std::move(path)) {}
 
@@ -31,6 +14,7 @@ wdg::Status Wal::Open() {
   return wdg::Status::Ok();
 }
 
+// Frame: [u32 length][u32 crc32(payload)][payload]
 std::string Wal::FrameRecord(const std::string& record) {
   std::string framed;
   framed.reserve(record.size() + 8);

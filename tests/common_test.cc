@@ -117,6 +117,58 @@ TEST(ChecksumTest, DetectsSingleBitFlip) {
   EXPECT_NE(before, Crc32(data));
 }
 
+// The plain byte-at-a-time table CRC: the reference the sliced one must match.
+uint32_t BytewiseCrc32Extend(uint32_t crc, std::string_view data) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  uint32_t c = crc ^ 0xffffffffu;
+  for (const char ch : data) {
+    c = table[(c ^ static_cast<uint8_t>(ch)) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::string RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::string out(size, '\0');
+  for (char& ch : out) {
+    ch = static_cast<char>(rng.Uniform(0, 255));
+  }
+  return out;
+}
+
+TEST(ChecksumTest, MatchesBytewiseAtEveryLengthAndOffset) {
+  const std::string buffer = RandomBytes(64 + 8, 1);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const std::string_view data = std::string_view(buffer).substr(offset, length);
+      EXPECT_EQ(Crc32(data), BytewiseCrc32Extend(0, data))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(ChecksumTest, MatchesBytewiseOnTableSizedBuffer) {
+  const std::string buffer = RandomBytes(79 * 1024, 2);
+  EXPECT_EQ(Crc32(buffer), BytewiseCrc32Extend(0, buffer));
+}
+
+TEST(ChecksumTest, ExtendMatchesBytewiseAtEverySplit) {
+  const std::string data = RandomBytes(40, 3);
+  const uint32_t whole = BytewiseCrc32Extend(0, data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const std::string_view view(data);
+    EXPECT_EQ(Crc32Extend(Crc32(view.substr(0, split)), view.substr(split)), whole)
+        << "split at " << split;
+  }
+}
+
 TEST(ConfigTest, TypedAccessorsAndDefaults) {
   ConfigStore config;
   config.ParseInline("threads=4, ratio=0.5, verbose=true, name=kvs");

@@ -97,6 +97,24 @@ TEST_F(KvsNodeTest, WritesSurviveFlushAndCompaction) {
   }
 }
 
+TEST_F(KvsNodeTest, RecordSeparatorInValueSurvivesFlush) {
+  KvsOptions options = LeaderOptions();
+  options.flush_threshold_bytes = 1 << 20;  // flush only when forced below
+  StartNode(std::move(options));
+  KvsClient client(net_, "c1", "kvs1");
+  const std::string odd = std::string("x") + '\x1e' + "y";
+  ASSERT_TRUE(client.Set("a", odd).ok());
+  ASSERT_TRUE(client.Set("b", "plain").ok());
+  ASSERT_TRUE(node_->flusher().FlushOnce(/*force=*/true).ok());
+  ASSERT_EQ(node_->memtable().ApproximateBytes(), 0);  // both gets read the table
+  const auto a = client.Get("a");
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(*a, odd);
+  const auto b = client.Get("b");
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(*b, "plain");
+}
+
 TEST_F(KvsNodeTest, RecoveryReplaysWal) {
   StartNode(LeaderOptions());
   {

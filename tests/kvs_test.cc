@@ -2,9 +2,11 @@
 // partition manager, flusher, compaction, replication.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "src/common/checksum.h"
+#include "src/common/strings.h"
 #include "src/common/threading.h"
 #include "src/kvs/ctx_keys.h"
 #include "src/kvs/compaction.h"
@@ -229,6 +231,60 @@ TEST_F(SsTableTest, EmptyTableIsValid) {
   const auto loaded = SsTable::Load(disk_, "/sst/empty");
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->empty());
+}
+
+TEST_F(SsTableTest, AnyByteInKeysAndValuesRoundtrips) {
+  const std::string rs(1, '\x1e');
+  const std::string us(1, '\x1f');
+  const std::string nul(1, '\0');
+  std::vector<std::pair<std::string, MemEntry>> entries = {
+      {nul + "k", {"x" + nul + "y", false}},
+      {"k" + rs, {rs, false}},
+      {"k" + us, {"a" + us + "b" + rs + "c", false}},
+      {"plain", {"plain", false}},
+      {"tomb" + rs + us + nul, {"", true}},
+  };
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/odd", entries).ok());
+  EXPECT_TRUE(SsTable::Validate(disk_, "/sst/odd").ok());
+  const auto loaded = SsTable::Load(disk_, "/sst/odd");
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded->size(), entries.size());
+  for (const auto& [key, entry] : entries) {
+    ASSERT_EQ(loaded->count(key), 1u);
+    EXPECT_EQ(loaded->at(key).value, entry.value);
+    EXPECT_EQ(loaded->at(key).tombstone, entry.tombstone);
+    const auto hit = SsTable::Lookup(disk_, "/sst/odd", key);
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    ASSERT_TRUE(hit->has_value());
+    EXPECT_EQ((*hit)->value, entry.value);
+    EXPECT_EQ((*hit)->tombstone, entry.tombstone);
+  }
+  const auto miss = SsTable::Lookup(disk_, "/sst/odd", "k");
+  ASSERT_TRUE(miss.ok());
+  EXPECT_FALSE(miss->has_value());
+}
+
+TEST_F(SsTableTest, LengthPastEndIsCorruptionDespiteValidCrc) {
+  // One record, key_len 3 and value_len 1000, in a 12-byte body whose footer
+  // CRC is correct: the walker must refuse it, not read past the buffer.
+  const std::string body("\x03\x00\x00\x00\xe8\x03\x00\x00" "V" "key", 12);
+  ASSERT_TRUE(disk_.Create("/sst/overrun").ok());
+  ASSERT_TRUE(
+      disk_.Write("/sst/overrun", 0, body + wdg::StrFormat("%08x", wdg::Crc32(body))).ok());
+  EXPECT_EQ(SsTable::Validate(disk_, "/sst/overrun").code(), wdg::StatusCode::kCorruption);
+  EXPECT_EQ(SsTable::Load(disk_, "/sst/overrun").status().code(),
+            wdg::StatusCode::kCorruption);
+  EXPECT_EQ(SsTable::Lookup(disk_, "/sst/overrun", "key").status().code(),
+            wdg::StatusCode::kCorruption);
+
+  // A body that ends inside a record header is refused the same way.
+  const std::string stub("\x03\x00\x00", 3);
+  ASSERT_TRUE(disk_.Create("/sst/stub").ok());
+  ASSERT_TRUE(
+      disk_.Write("/sst/stub", 0, stub + wdg::StrFormat("%08x", wdg::Crc32(stub))).ok());
+  EXPECT_EQ(SsTable::Validate(disk_, "/sst/stub").code(), wdg::StatusCode::kCorruption);
 }
 
 class IndexTest : public KvsDiskFixture {

@@ -60,8 +60,10 @@ if ./build-ci/tools/wdg_lint --fixture bad --warnings-as-errors --summary; then
 fi
 echo "=== bench smoke: driver scale ==="
 # Quick pass over the pooled-executor bench so a scheduler/executor regression
-# shows up as a CI diff in BENCH_driver_scale.json, not a silent perf slide.
-./build-ci/bench/bench_driver_scale --quick
+# fails loudly here. Runs in the build tree: the quick-mode JSON lacks the 1M
+# rows, and written at the repo root it would clobber the committed full-run
+# BENCH_driver_scale.json that the trend gate below reads.
+(cd build-ci/bench && ./bench_driver_scale --quick)
 echo "=== bench smoke: 10k sharded fleet ==="
 # Fast fleet-scale tier: the 10k-checker sharded config must hold p99 queue
 # delay <= 500 us with live workers capped at shards x per-shard pool size.
