@@ -1,11 +1,8 @@
-// Driver scaling: pooled executor vs. the old thread-per-check execution.
-//
-// The pre-split driver spawned a fresh thread for every checker execution —
-// at N checkers on a T-ms interval that is N*1000/T thread creations per
-// second inside the monitored process. This bench replays that strategy (as a
-// faithful local replica; the production driver no longer implements it) next
-// to the pooled scheduler/executor at {1, 8, 64, 256} checkers and reports
-// checks/sec, p99 queue delay (due -> body running), and threads created.
+// Driver scaling: the pooled scheduler/executor at {1, 8, 64, 256} checkers,
+// reporting checks/sec, p99 queue delay (due -> body running), and threads
+// created — thread creation stays flat at the fixed pool size. At 64 and 256
+// checkers a storm row also wedges 8 checkers at once to show the fixed pool
+// absorbing the hangs through abandon-and-respawn.
 // Emits BENCH_driver_scale.json to seed the perf trajectory.
 //
 // The sharded rows run the fleet-scale configuration (8 scheduler shards,
@@ -29,9 +26,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
-#include "src/common/metrics.h"
 #include "src/common/strings.h"
-#include "src/common/threading.h"
 #include "src/eval/table.h"
 #include "src/fault/fault_injector.h"
 #include "src/watchdog/builder.h"
@@ -42,7 +37,7 @@
 namespace {
 
 constexpr wdg::DurationNs kInterval = wdg::Ms(50);
-constexpr int kStormHangs = 8;  // hang-storm width in adaptive mode
+constexpr int kStormHangs = 8;  // hang-storm width of the pooled-storm rows
 
 struct ModeResult {
   std::string mode;
@@ -50,13 +45,7 @@ struct ModeResult {
   double checks_per_sec = 0;
   double p99_queue_delay_us = 0;
   int64_t threads_spawned = 0;
-
-  // Adaptive-mode extras (meaningful only when mode == "adaptive").
-  int64_t scale_up_events = 0;
-  int64_t scale_down_events = 0;
   int64_t workers_abandoned = 0;
-  int min_workers = 0;
-  bool scaled_back_to_min = false;
 
   // Sharded-mode extras (meaningful only for mode "sharded"/"sharded-idle").
   int shards = 0;
@@ -209,51 +198,6 @@ ModeResult RunShardedIdle(int checkers, wdg::DurationNs duration) {
   return result;
 }
 
-// The old driver, distilled: a 2ms polling tick over every slot, one new
-// thread per due execution.
-ModeResult RunThreadPerCheck(int checkers, wdg::DurationNs duration) {
-  wdg::RealClock& clock = wdg::RealClock::Instance();
-  wdg::Histogram delay;
-  std::atomic<int64_t> completed{0};
-  std::vector<wdg::TimeNs> next_run(checkers);
-  const wdg::TimeNs start = clock.NowNs();
-  for (int i = 0; i < checkers; ++i) {
-    next_run[i] = start + wdg::Ms(i % 50);  // same stagger as the pooled run
-  }
-  std::vector<std::unique_ptr<wdg::JoiningThread>> threads;
-  int64_t spawned = 0;
-  while (clock.NowNs() - start < duration) {
-    const wdg::TimeNs now = clock.NowNs();
-    for (int i = 0; i < checkers; ++i) {
-      if (now < next_run[i]) {
-        continue;
-      }
-      next_run[i] = now + kInterval;
-      ++spawned;
-      const wdg::TimeNs due = now;
-      threads.push_back(std::make_unique<wdg::JoiningThread>(
-          [&clock, &delay, &completed, due] {
-            delay.Record(static_cast<double>(clock.NowNs() - due));
-            completed.fetch_add(1, std::memory_order_relaxed);
-          }));
-      if (threads.size() >= 1024) {
-        threads.clear();  // join the finished backlog so memory stays bounded
-      }
-    }
-    clock.SleepFor(wdg::Ms(2));  // the old fixed tick
-  }
-  threads.clear();
-  const double elapsed_s = static_cast<double>(clock.NowNs() - start) /
-                           static_cast<double>(wdg::kNsPerSec);
-  ModeResult result;
-  result.mode = "thread-per-check";
-  result.checkers = checkers;
-  result.checks_per_sec = static_cast<double>(completed.load()) / elapsed_s;
-  result.p99_queue_delay_us = delay.Percentile(99) / 1000.0;
-  result.threads_spawned = spawned;
-  return result;
-}
-
 ModeResult RunPooled(int checkers, wdg::DurationNs duration) {
   wdg::RealClock& clock = wdg::RealClock::Instance();
   wdg::WatchdogDriver::Options options;
@@ -286,41 +230,27 @@ ModeResult RunPooled(int checkers, wdg::DurationNs duration) {
   return result;
 }
 
-// The storm runs: same probe fleet as RunPooled, but kStormHangs checkers
-// wedge on injected faults mid-run — each eats a worker until the driver
-// abandons it at its deadline, so the pool loses capacity exactly when the
-// queue is backing up. Run twice: with the pool fixed at the RunPooled size
-// ("pooled-storm", the baseline the adaptive executor is judged against) and
-// with the utilization autoscaler on ("adaptive", min 2 / max 16 workers).
-// After the fleet quiesces the adaptive pool must coast back to min_workers.
-ModeResult RunStorm(int checkers, wdg::DurationNs duration, bool adaptive) {
+// The storm run ("pooled-storm"): same probe fleet and fixed 4-worker pool as
+// RunPooled, but kStormHangs checkers wedge on injected faults mid-run — each
+// eats a worker until the driver abandons it at its deadline and spawns its
+// replacement, so the pool loses capacity exactly when the queue is backing up.
+ModeResult RunStorm(int checkers, wdg::DurationNs duration) {
   wdg::RealClock& clock = wdg::RealClock::Instance();
   wdg::FaultInjector injector(clock, /*seed=*/0x5eedbe9c);
   wdg::WatchdogDriver::Options options;
+  options.executor.workers = 4;
   options.executor.queue_capacity = 512;
-  if (adaptive) {
-    options.executor.workers = 2;
-    options.executor.adaptive = true;
-    options.executor.min_workers = 2;
-    options.executor.max_workers = 16;
-    options.executor.scale_cooldown = wdg::Ms(50);
-    options.deadline_budget.enabled = true;
-  } else {
-    options.executor.workers = 4;  // same fixed pool as RunPooled
-  }
   wdg::WatchdogDriver driver(clock, options);
 
   const int hangs = checkers >= kStormHangs ? kStormHangs : 0;
-  std::vector<std::string> names;
-  names.reserve(static_cast<size_t>(checkers));
   for (int i = 0; i < checkers - hangs; ++i) {
     wdg::CheckerOptions checker;
     checker.interval = kInterval;
     checker.timeout = wdg::Ms(400);
     checker.initial_delay = wdg::Ms(i % 50);
-    names.push_back(wdg::StrFormat("p%03d", i));
     driver.AddChecker(std::make_unique<wdg::ProbeChecker>(
-        names.back(), "bench", [] { return wdg::Status::Ok(); }, checker));
+        wdg::StrFormat("p%03d", i), "bench", [] { return wdg::Status::Ok(); },
+        checker));
   }
   for (int i = 0; i < hangs; ++i) {
     wdg::CheckerOptions checker;
@@ -329,9 +259,8 @@ ModeResult RunStorm(int checkers, wdg::DurationNs duration, bool adaptive) {
     checker.adaptive_deadline = false;
     checker.initial_delay = wdg::Ms(i % 50);
     const std::string site = wdg::StrFormat("bench.hang.%d", i);
-    names.push_back(wdg::StrFormat("h%03d", i));
     driver.AddChecker(std::make_unique<wdg::MimicChecker>(
-        names.back(), "bench", nullptr,
+        wdg::StrFormat("h%03d", i), "bench", nullptr,
         [&injector, site](const wdg::CheckContext&, wdg::MimicChecker&) {
           (void)injector.Act(site);
           return wdg::CheckResult::Pass();
@@ -357,35 +286,15 @@ ModeResult RunStorm(int checkers, wdg::DurationNs duration, bool adaptive) {
   const wdg::DriverMetricsSnapshot metrics = driver.DriverMetrics();
   const double elapsed_s = static_cast<double>(clock.NowNs() - start) /
                            static_cast<double>(wdg::kNsPerSec);
-
-  ModeResult result;
-  if (adaptive) {
-    // Quiesce the fleet and require the autoscaler to walk back to
-    // min_workers before shutdown.
-    for (const std::string& name : names) {
-      (void)driver.TrySetCheckerEnabled(name, false);
-    }
-    result.min_workers = options.executor.min_workers;
-    const wdg::TimeNs scale_back_deadline = clock.NowNs() + wdg::Sec(5);
-    while (clock.NowNs() < scale_back_deadline) {
-      if (driver.DriverMetrics().target_workers <=
-          options.executor.min_workers) {
-        result.scaled_back_to_min = true;
-        break;
-      }
-      clock.SleepFor(wdg::Ms(10));
-    }
-  }
   (void)driver.Stop();
 
-  result.mode = adaptive ? "adaptive" : "pooled-storm";
+  ModeResult result;
+  result.mode = "pooled-storm";
   result.checkers = checkers;
   result.checks_per_sec =
       static_cast<double>(metrics.executions_completed) / elapsed_s;
   result.p99_queue_delay_us = metrics.queue_delay_p99_ns / 1000.0;
   result.threads_spawned = metrics.threads_spawned;
-  result.scale_up_events = metrics.scale_up_events;
-  result.scale_down_events = metrics.scale_down_events;
   result.workers_abandoned = metrics.workers_abandoned;
   return result;
 }
@@ -410,15 +319,9 @@ void WriteJson(const std::vector<ModeResult>& results, wdg::DurationNs duration)
                  "\"threads_spawned\": %lld",
                  r.checkers, r.mode.c_str(), r.checks_per_sec,
                  r.p99_queue_delay_us, static_cast<long long>(r.threads_spawned));
-    if (r.mode == "adaptive") {
-      std::fprintf(out,
-                   ", \"scale_up_events\": %lld, \"scale_down_events\": %lld, "
-                   "\"workers_abandoned\": %lld, \"min_workers\": %d, "
-                   "\"scaled_back_to_min\": %s",
-                   static_cast<long long>(r.scale_up_events),
-                   static_cast<long long>(r.scale_down_events),
-                   static_cast<long long>(r.workers_abandoned), r.min_workers,
-                   r.scaled_back_to_min ? "true" : "false");
+    if (r.mode == "pooled-storm") {
+      std::fprintf(out, ", \"workers_abandoned\": %lld",
+                   static_cast<long long>(r.workers_abandoned));
     }
     if (r.shards > 0) {
       std::fprintf(out,
@@ -540,7 +443,7 @@ int main(int argc, char** argv) {
       quick ? std::vector<int>{1000, 10000}
             : std::vector<int>{1000, 10000, 100000, 1000000};
 
-  std::printf("=== driver scaling: pooled executor vs thread-per-check ===\n");
+  std::printf("=== driver scaling: pooled executor ===\n");
   std::printf("interval %lld ms, %s run (%lld ms per config)\n\n",
               static_cast<long long>(kInterval / wdg::kNsPerMs),
               quick ? "quick" : "full",
@@ -548,13 +451,11 @@ int main(int argc, char** argv) {
 
   std::vector<ModeResult> results;
   for (const int checkers : fleet_sizes) {
-    results.push_back(RunThreadPerCheck(checkers, duration));
     results.push_back(RunPooled(checkers, duration));
     if (checkers >= 64) {
-      // Storm modes only make sense where there is enough load to scale on;
-      // small fleets never leave min_workers.
-      results.push_back(RunStorm(checkers, duration, /*adaptive=*/false));
-      results.push_back(RunStorm(checkers, duration, /*adaptive=*/true));
+      // The storm only queues work behind the hangs where the fleet is big
+      // enough to keep the pool busy.
+      results.push_back(RunStorm(checkers, duration));
     }
   }
   for (const int checkers : sharded_fleets) {
@@ -567,7 +468,7 @@ int main(int argc, char** argv) {
                            {"checks/sec", 11},
                            {"p99 q-delay (us)", 17},
                            {"threads spawned", 16},
-                           {"scale up/down", 14},
+                           {"abandoned", 10},
                            {"batches/skipped", 16}});
   table.PrintHeader();
   for (const ModeResult& r : results) {
@@ -576,11 +477,8 @@ int main(int argc, char** argv) {
          wdg::StrFormat("%.0f", r.checks_per_sec),
          wdg::StrFormat("%.0f", r.p99_queue_delay_us),
          wdg::StrFormat("%lld", static_cast<long long>(r.threads_spawned)),
-         r.mode == "adaptive"
-             ? wdg::StrFormat("%lld/%lld%s",
-                              static_cast<long long>(r.scale_up_events),
-                              static_cast<long long>(r.scale_down_events),
-                              r.scaled_back_to_min ? "" : " (!min)")
+         r.mode == "pooled-storm"
+             ? wdg::StrFormat("%lld", static_cast<long long>(r.workers_abandoned))
              : "-",
          r.shards > 0
              ? wdg::StrFormat("%lld/%lld",
@@ -589,25 +487,10 @@ int main(int argc, char** argv) {
              : "-"});
   }
   table.PrintRule();
-  std::printf("\nthe pooled executor holds thread creation flat (pool size) while "
-              "thread-per-check grows linearly with fleet size * rate; the "
-              "storm rows additionally absorb a %d-checker hang storm — "
-              "pooled-storm with the fixed pool, adaptive with the autoscaler "
-              "(which must coast back to min_workers afterwards)\n", kStormHangs);
-  for (const ModeResult& a : results) {
-    if (a.mode != "adaptive") {
-      continue;
-    }
-    for (const ModeResult& b : results) {
-      if (b.mode == "pooled-storm" && b.checkers == a.checkers &&
-          b.p99_queue_delay_us > 0) {
-        std::printf("adaptive vs pooled-storm p99 @ %d checkers: %.2fx%s\n",
-                    a.checkers, a.p99_queue_delay_us / b.p99_queue_delay_us,
-                    a.p99_queue_delay_us <= 2 * b.p99_queue_delay_us
-                        ? " (within 2x)" : " (OVER the 2x budget)");
-      }
-    }
-  }
+  std::printf("\nthe pooled executor holds thread creation flat at the pool size; "
+              "the pooled-storm rows additionally absorb a %d-checker hang "
+              "storm, one abandonment and one respawned worker per hang\n",
+              kStormHangs);
   for (const ModeResult& r : results) {
     if (r.mode == "sharded") {
       std::printf("sharded @ %d checkers: %.0f checks/s, p99 %.0f us, "

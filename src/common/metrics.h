@@ -1,8 +1,8 @@
 // Process-local metrics: counters, gauges, latency histograms.
 //
 // The monitored systems (kvs, minizk) export their health indicators here;
-// signal-type watchdog checkers and the ResourceSignalDetector baseline read
-// them — exactly the "system health indicators" of Table 2's middle row.
+// signal-type watchdog checkers read them — exactly the "system health
+// indicators" of Table 2's middle row.
 #pragma once
 
 #include <atomic>

@@ -71,8 +71,7 @@ CheckResult KeyedSignalChecker::Check() {
   if (!value.has_value()) {
     // The context is live but nobody has published THIS key: not healthy,
     // not a failure — the publisher's hook simply hasn't run (or isn't
-    // wired; RegisterSignalSuite callers pair the suite with
-    // ResourceSignalDetector::WiringStatus-style audits for that).
+    // wired).
     return CheckResult::NotReady();
   }
   return OnSample(*value, clock_.NowNs());

@@ -108,8 +108,7 @@ class JitterState {
 
 // Base for all suite checkers: resolve one int64 key out of the bound
 // context. Null context / not-READY / never-written key all surface as
-// NotReady — never as "healthy" — mirroring the ResourceSignalDetector
-// wiring-status fix: a signal nobody feeds must not look green.
+// NotReady — never as "healthy": a signal nobody feeds must not look green.
 class KeyedSignalChecker : public Checker {
  public:
   KeyedSignalChecker(std::string name, std::string component, Clock& clock,

@@ -59,11 +59,6 @@ std::map<std::string, double> DriverMetricsSnapshot::ToMap() const {
       {"wdg.driver.skipped_unchanged", static_cast<double>(skipped_unchanged)},
       {"wdg.driver.batches", static_cast<double>(batches_dispatched)},
       {"wdg.driver.wheel.entries", static_cast<double>(wheel_entries)},
-      {"wdg.driver.autoscale.enabled", adaptive_pool ? 1.0 : 0.0},
-      {"wdg.driver.autoscale.target_workers", static_cast<double>(target_workers)},
-      {"wdg.driver.autoscale.scale_ups", static_cast<double>(scale_up_events)},
-      {"wdg.driver.autoscale.scale_downs", static_cast<double>(scale_down_events)},
-      {"wdg.driver.autoscale.workers_retired", static_cast<double>(workers_retired)},
       {"wdg.driver.queue_delay.mean_ns", queue_delay_mean_ns},
       {"wdg.driver.queue_delay.p99_ns", queue_delay_p99_ns},
       {"wdg.driver.scheduler_lag_ns", scheduler_lag_ns},
@@ -107,6 +102,9 @@ WatchdogDriver::WatchdogDriver(Clock& clock, Options options)
     : clock_(clock), options_(std::move(options)) {
   options_.shards = std::clamp(options_.shards, 1, kMaxShards);
   options_.dispatch_batch = std::max(1, options_.dispatch_batch);
+  // A pool of zero workers would queue every batch forever with no deadline
+  // ever starting — checking silently off, not an alarm.
+  options_.executor.workers = std::max(1, options_.executor.workers);
   if (options_.wheel_tick <= 0) {
     options_.wheel_tick = Ms(1);
   }
@@ -701,9 +699,6 @@ void WatchdogDriver::ShardLoop(size_t shard_index) {
           }
         }
       }
-      // One autoscaler evaluation per pass; the same wake cadence that bounds
-      // deadline detection also bounds how fast the pool reacts to load.
-      shard.executor->MaybeScale(now);
     }
     // Work-stealing (pool-internal locks only, never under shard.mu): help a
     // backlogged sibling when this shard's own queue is empty, and advertise
@@ -1085,10 +1080,6 @@ DriverMetricsSnapshot WatchdogDriver::DriverMetrics() const {
     snapshot.workers_abandoned += executor.workers_abandoned();
     snapshot.threads_spawned += executor.threads_spawned();
     snapshot.queue_rejections += executor.rejected_count();
-    snapshot.target_workers += executor.target_workers();
-    snapshot.scale_up_events += executor.scale_up_events();
-    snapshot.scale_down_events += executor.scale_down_events();
-    snapshot.workers_retired += executor.workers_retired();
     snapshot.batches_dispatched += executor.batches_submitted();
     snapshot.skipped_unchanged += view.skipped_unchanged;
     snapshot.batches_stolen += view.batches_stolen;
@@ -1097,7 +1088,6 @@ DriverMetricsSnapshot WatchdogDriver::DriverMetrics() const {
       snapshot.pool_workers == 0
           ? 0.0
           : static_cast<double>(snapshot.busy_workers) / snapshot.pool_workers;
-  snapshot.adaptive_pool = shards_[0]->executor->adaptive();
   snapshot.timeouts = timeouts_total_.load(std::memory_order_relaxed);
   snapshot.crashes = crashes_total_.load(std::memory_order_relaxed);
   {

@@ -187,8 +187,7 @@ TEST(KeyedSignalCheckerTest, MissingDataIsNotReadyNeverHealthy) {
                          StatusCode::kResourceExhausted, {});
   EXPECT_EQ(bound.Check().outcome, CheckOutcome::kContextNotReady);
   // READY context where THIS key was never published: still NotReady — a
-  // signal nobody feeds must not look green (the ResourceSignalDetector
-  // wiring-status rule, applied to the suite).
+  // signal nobody feeds must not look green.
   ctx.Set(TestKey("sst.plumbing.other"), int64_t{1});
   ctx.MarkReady(1);
   EXPECT_EQ(bound.Check().outcome, CheckOutcome::kContextNotReady);

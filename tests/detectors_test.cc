@@ -1,11 +1,10 @@
 // Tests for the baseline detectors: heartbeat crash FD, Panorama-style
-// client observer, watchdogd-style resource signals, API probe.
+// client observer, API probe.
 #include <gtest/gtest.h>
 
 #include "src/detectors/api_probe.h"
 #include "src/detectors/client_observer.h"
 #include "src/detectors/heartbeat.h"
-#include "src/detectors/resource_signal.h"
 
 namespace wdg {
 namespace {
@@ -114,106 +113,6 @@ TEST(ClientObserverTest, OldEvidenceAges0ut) {
   EXPECT_EQ(observer.Verdict(), ObserverVerdict::kUnhealthy);
   RealClock::Instance().SleepFor(Ms(60));
   EXPECT_EQ(observer.Verdict(), ObserverVerdict::kHealthy);  // window slid past
-}
-
-TEST(ResourceSignalTest, AlarmsAfterConsecutiveViolations) {
-  RealClock& clock = RealClock::Instance();
-  MetricsRegistry metrics;
-  ResourceSignalOptions options;
-  options.poll = Ms(5);
-  ResourceSignalDetector detector(clock, metrics, options);
-  SignalRule rule;
-  rule.name = "queue_full";
-  rule.metric = "queue_depth";
-  rule.healthy = [](double v) { return v < 100; };
-  rule.consecutive_needed = 3;
-  detector.AddRule(rule);
-  detector.Start();
-  metrics.GetGauge("queue_depth")->Set(50);
-  clock.SleepFor(Ms(40));
-  EXPECT_TRUE(detector.Alarms().empty());
-  metrics.GetGauge("queue_depth")->Set(500);
-  clock.SleepFor(Ms(60));
-  detector.Stop();
-  ASSERT_FALSE(detector.Alarms().empty());
-  EXPECT_EQ(detector.Alarms()[0].rule, "queue_full");
-  EXPECT_TRUE(detector.FirstAlarmTime().has_value());
-}
-
-TEST(ResourceSignalTest, TransientSpikeDoesNotAlarm) {
-  RealClock& clock = RealClock::Instance();
-  MetricsRegistry metrics;
-  ResourceSignalOptions options;
-  options.poll = Ms(5);
-  ResourceSignalDetector detector(clock, metrics, options);
-  SignalRule rule;
-  rule.name = "spike";
-  rule.metric = "depth";
-  rule.healthy = [](double v) { return v < 100; };
-  rule.consecutive_needed = 5;
-  detector.AddRule(rule);
-  metrics.GetGauge("depth")->Set(500);
-  detector.Start();
-  clock.SleepFor(Ms(12));  // ~2 polls < 5 needed
-  metrics.GetGauge("depth")->Set(10);
-  clock.SleepFor(Ms(30));
-  detector.Stop();
-  EXPECT_TRUE(detector.Alarms().empty());
-}
-
-TEST(ResourceSignalTest, UnpublishedMetricReportsUnwiredNotHealthy) {
-  // A rule watching a metric nobody exports used to read a freshly-created
-  // zero gauge and look permanently green; it must surface as a wiring error.
-  RealClock& clock = RealClock::Instance();
-  MetricsRegistry metrics;
-  ResourceSignalOptions options;
-  options.poll = Ms(5);
-  ResourceSignalDetector detector(clock, metrics, options);
-  SignalRule rule;
-  rule.name = "ghost";
-  rule.metric = "never_published";
-  rule.healthy = [](double v) { return v < 100; };
-  detector.AddRule(rule);
-  detector.Start();
-  clock.SleepFor(Ms(40));
-  EXPECT_TRUE(detector.Alarms().empty());
-  const Status wiring = detector.WiringStatus();
-  EXPECT_EQ(wiring.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(wiring.ToString().find("ghost"), std::string::npos);
-  ASSERT_EQ(detector.UnwiredRules().size(), 1u);
-  EXPECT_EQ(detector.UnwiredRules()[0], "ghost");
-  // The metric appearing later heals the wiring status.
-  metrics.GetGauge("never_published")->Set(5);
-  clock.SleepFor(Ms(40));
-  detector.Stop();
-  EXPECT_TRUE(detector.WiringStatus().ok());
-  EXPECT_TRUE(detector.UnwiredRules().empty());
-}
-
-TEST(ResourceSignalTest, WiredRuleStillAlarmsAlongsideUnwiredOne) {
-  RealClock& clock = RealClock::Instance();
-  MetricsRegistry metrics;
-  ResourceSignalOptions options;
-  options.poll = Ms(5);
-  ResourceSignalDetector detector(clock, metrics, options);
-  SignalRule ghost;
-  ghost.name = "ghost";
-  ghost.metric = "never_published";
-  ghost.healthy = [](double v) { return v < 100; };
-  detector.AddRule(ghost);
-  SignalRule live;
-  live.name = "queue_full";
-  live.metric = "queue_depth";
-  live.healthy = [](double v) { return v < 100; };
-  live.consecutive_needed = 2;
-  detector.AddRule(live);
-  metrics.GetGauge("queue_depth")->Set(500);
-  detector.Start();
-  clock.SleepFor(Ms(50));
-  detector.Stop();
-  ASSERT_FALSE(detector.Alarms().empty());
-  EXPECT_EQ(detector.Alarms()[0].rule, "queue_full");
-  EXPECT_EQ(detector.UnwiredRules(), std::vector<std::string>{"ghost"});
 }
 
 TEST(ApiProbeTest, AlarmsOnPersistentFailure) {

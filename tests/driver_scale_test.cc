@@ -219,6 +219,26 @@ TEST(DriverScaleTest, StopUnderSaturatedQueueJoinsCleanly) {
   }
 }
 
+TEST(DriverScaleTest, ZeroWorkersClampsToOneAndStillChecks) {
+  // A pool of zero would start no threads: batches would queue forever and no
+  // deadline would ever start, so checking would be silently off.
+  RealClock& clock = RealClock::Instance();
+  WatchdogDriver::Options options;
+  options.executor.workers = 0;
+  WatchdogDriver driver(clock, options);
+  driver.AddChecker(std::make_unique<ProbeChecker>(
+      "zero", "scale", [] { return Status::Ok(); }, ScaleChecker()));
+  ASSERT_TRUE(driver.Start().ok());
+  const TimeNs deadline = clock.NowNs() + Sec(5);
+  while (driver.StatsFor("zero").passes < 1 && clock.NowNs() < deadline) {
+    clock.SleepFor(Ms(10));
+  }
+  const DriverMetricsSnapshot metrics = driver.DriverMetrics();
+  EXPECT_TRUE(driver.Stop().ok());
+  EXPECT_GE(driver.StatsFor("zero").passes, 1);
+  EXPECT_EQ(metrics.pool_workers, 1);
+}
+
 // --- fleet-scale scheduling: shards, batches, subscription epochs ---------
 
 TEST(DriverShardingTest, ShardedFleetHonorsAffinityAndBoundsWorkers) {

@@ -64,10 +64,6 @@ TRACKED = [
      "BENCH_driver_scale.json",
      lambda d: _config(d, checkers=256, mode="pooled")["p99_queue_delay_us"],
      "down", 8.0),
-    ("driver_adaptive_p99_queue_delay_us_256",
-     "BENCH_driver_scale.json",
-     lambda d: _config(d, checkers=256, mode="adaptive")["p99_queue_delay_us"],
-     "down", 8.0),
     ("driver_pooled_storm_p99_queue_delay_us_256",
      "BENCH_driver_scale.json",
      lambda d: _config(d, checkers=256, mode="pooled-storm")["p99_queue_delay_us"],

@@ -99,14 +99,17 @@ echo "=== bench trend gate ==="
 # Headline metrics from the committed full-run artifacts; fails the build if
 # one regressed >25% against its best of the last three BENCH_TREND.json
 # entries (WDG_BENCH_TREND_THRESHOLD overrides). --dry-run: CI gates but only
-# a deliberate full bench run appends to the trend.
-python3 tools/bench_trend.py --dry-run
+# a deliberate full bench run appends to the trend. The adaptive-pool row was
+# retired when the executor pool became fixed-size; drop --allow-missing once
+# that metric has left the last three BENCH_TREND.json entries.
+python3 tools/bench_trend.py --dry-run \
+  --allow-missing driver_adaptive_p99_queue_delay_us_256
 run_leg build-ci-asan address "$@"
 # TSan leg: the concurrency suites that hammer the seqlock context cells and
 # batched hook flush (spill-block growth included), plus the pooled
 # scheduler/executor scale suite (abandonment, backpressure, and shutdown
 # races, plus the hook-plane allocation guard), the chaos/soak tier that
-# storms the adaptive autoscaler + deadline budgets with injected faults, and
+# storms the fixed pools + deadline budgets with injected faults, and
 # the signal-suite/fusion tests (FusionDetector::OnFailure runs on scheduler
 # threads; the suite test drives a live driver against a publisher thread).
 run_leg build-ci-tsan thread -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal' "$@"
