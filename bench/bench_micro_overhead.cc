@@ -168,14 +168,16 @@ void BM_FaultSite_NoFault(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultSite_NoFault);
 
-void BM_Crc32_4K(benchmark::State& state) {
-  const std::string block(4096, 'x');
+// CRC32 by buffer size: 64 B is the smallest input the fold kernel takes,
+// 4 KB a block, 81000 B about one SSTable as Index::Get reads it.
+void BM_Crc32(benchmark::State& state) {
+  const std::string block(static_cast<size_t>(state.range(0)), 'x');
   for (auto _ : state) {
     benchmark::DoNotOptimize(wdg::Crc32(block));
   }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Crc32_4K);
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(81000);
 
 // One table read as Index::Get and the index.lookup mimic pay it per table:
 // 150 x 512 B records (~79 KB), key in the middle, zero-latency disk, so the

@@ -11,7 +11,16 @@ constexpr char kScratchRoot[] = "/.wdg_scratch/";
 }
 
 SimDisk::SimDisk(Clock& clock, FaultInjector& injector, DiskOptions options)
-    : clock_(clock), injector_(injector), options_(options), slow_factor_(options.slow_factor) {}
+    : clock_(clock),
+      injector_(injector),
+      options_(options),
+      slow_factor_(options.slow_factor),
+      bytes_read_(metrics_.GetCounter("disk.bytes_read")),
+      bytes_written_(metrics_.GetCounter("disk.bytes_written")) {
+  for (int op = 0; op < kNumOps; ++op) {
+    op_counters_[op] = metrics_.GetCounter(std::string(kOpSites[op]) + ".ops");
+  }
+}
 
 void SimDisk::ChargeLatency(int64_t bytes) const {
   double factor;
@@ -25,13 +34,13 @@ void SimDisk::ChargeLatency(int64_t bytes) const {
   clock_.SleepFor(static_cast<DurationNs>(ns * factor));
 }
 
-Status SimDisk::Gate(const char* op, std::string* payload, bool* dropped) const {
-  metrics_.GetCounter(StrFormat("disk.%s.ops", op))->Increment();
-  return injector_.Act(StrFormat("disk.%s", op), payload, dropped);
+Status SimDisk::Gate(Op op, std::string* payload, bool* dropped) const {
+  op_counters_[op]->Increment();
+  return injector_.Act(kOpSites[op], payload, dropped);
 }
 
 Status SimDisk::Create(const std::string& path) {
-  WDG_RETURN_IF_ERROR(Gate("create", nullptr, nullptr));
+  WDG_RETURN_IF_ERROR(Gate(kCreate, nullptr, nullptr));
   ChargeLatency(0);
   std::lock_guard<std::mutex> lock(mu_);
   if (files_.count(path) > 0) {
@@ -44,7 +53,7 @@ Status SimDisk::Create(const std::string& path) {
 Status SimDisk::Write(const std::string& path, int64_t offset, std::string_view data) {
   std::string payload(data);
   bool dropped = false;
-  WDG_RETURN_IF_ERROR(Gate("write", &payload, &dropped));
+  WDG_RETURN_IF_ERROR(Gate(kWrite, &payload, &dropped));
   ChargeLatency(static_cast<int64_t>(data.size()));
   if (dropped) {
     return Status::Ok();  // silent lost write: success reported, nothing stored
@@ -65,14 +74,14 @@ Status SimDisk::Write(const std::string& path, int64_t offset, std::string_view 
   std::copy(payload.begin(), payload.end(),
             it->second.data.begin() + static_cast<ptrdiff_t>(offset));
   used_bytes_ += grow;
-  metrics_.GetCounter("disk.bytes_written")->Increment(static_cast<int64_t>(payload.size()));
+  bytes_written_->Increment(static_cast<int64_t>(payload.size()));
   return Status::Ok();
 }
 
 Status SimDisk::Append(const std::string& path, std::string_view data) {
   std::string payload(data);
   bool dropped = false;
-  WDG_RETURN_IF_ERROR(Gate("append", &payload, &dropped));
+  WDG_RETURN_IF_ERROR(Gate(kAppend, &payload, &dropped));
   ChargeLatency(static_cast<int64_t>(data.size()));
   if (dropped) {
     return Status::Ok();
@@ -87,12 +96,12 @@ Status SimDisk::Append(const std::string& path, std::string_view data) {
   }
   it->second.data += payload;
   used_bytes_ += static_cast<int64_t>(payload.size());
-  metrics_.GetCounter("disk.bytes_written")->Increment(static_cast<int64_t>(payload.size()));
+  bytes_written_->Increment(static_cast<int64_t>(payload.size()));
   return Status::Ok();
 }
 
 Result<std::string> SimDisk::Read(const std::string& path, int64_t offset, int64_t length) const {
-  WDG_RETURN_IF_ERROR(Gate("read", nullptr, nullptr));
+  WDG_RETURN_IF_ERROR(Gate(kRead, nullptr, nullptr));
   ChargeLatency(length);
   std::string out;
   {
@@ -118,7 +127,7 @@ Result<std::string> SimDisk::Read(const std::string& path, int64_t offset, int64
       }
     }
   }
-  metrics_.GetCounter("disk.bytes_read")->Increment(static_cast<int64_t>(out.size()));
+  bytes_read_->Increment(static_cast<int64_t>(out.size()));
   return out;
 }
 
@@ -136,14 +145,14 @@ Result<std::string> SimDisk::ReadAll(const std::string& path) const {
 }
 
 Status SimDisk::Fsync(const std::string& path) {
-  WDG_RETURN_IF_ERROR(Gate("fsync", nullptr, nullptr));
+  WDG_RETURN_IF_ERROR(Gate(kFsync, nullptr, nullptr));
   ChargeLatency(4096);  // flush cost
   std::lock_guard<std::mutex> lock(mu_);
   return files_.count(path) > 0 ? Status::Ok() : NotFoundError(path);
 }
 
 Status SimDisk::Delete(const std::string& path) {
-  WDG_RETURN_IF_ERROR(Gate("delete", nullptr, nullptr));
+  WDG_RETURN_IF_ERROR(Gate(kDelete, nullptr, nullptr));
   ChargeLatency(0);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = files_.find(path);
@@ -156,7 +165,7 @@ Status SimDisk::Delete(const std::string& path) {
 }
 
 Status SimDisk::Rename(const std::string& from, const std::string& to) {
-  WDG_RETURN_IF_ERROR(Gate("rename", nullptr, nullptr));
+  WDG_RETURN_IF_ERROR(Gate(kRename, nullptr, nullptr));
   ChargeLatency(0);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = files_.find(from);
@@ -184,7 +193,7 @@ Result<int64_t> SimDisk::Size(const std::string& path) const {
 
 std::vector<std::string> SimDisk::List(const std::string& prefix) const {
   // List has no error channel; injected hangs/delays still apply.
-  (void)Gate("list", nullptr, nullptr);
+  (void)Gate(kList, nullptr, nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
   for (const auto& [path, _] : files_) {

@@ -9,6 +9,7 @@
 // so campaigns can make exactly one operation class misbehave.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -81,10 +82,17 @@ class SimDisk {
     std::vector<BadRange> bad_ranges;
   };
 
+  // One per fault site listed above, in that order; each also counts its
+  // calls in "<site>.ops".
+  enum Op { kCreate, kWrite, kAppend, kRead, kFsync, kDelete, kRename, kList, kNumOps };
+  static constexpr std::array<std::string_view, kNumOps> kOpSites = {
+      "disk.create", "disk.write",  "disk.append", "disk.read",
+      "disk.fsync",  "disk.delete", "disk.rename", "disk.list"};
+
   // Sleeps for the modeled cost of touching `bytes` bytes.
   void ChargeLatency(int64_t bytes) const;
   // Fault gate shared by all ops; mutates payload on corruption outcomes.
-  Status Gate(const char* op, std::string* payload, bool* dropped) const;
+  Status Gate(Op op, std::string* payload, bool* dropped) const;
 
   Clock& clock_;
   FaultInjector& injector_;
@@ -94,6 +102,10 @@ class SimDisk {
   int64_t used_bytes_ = 0;
   double slow_factor_;
   mutable MetricsRegistry metrics_;
+  // Looked up once: the per-op path builds no names.
+  std::array<Counter*, kNumOps> op_counters_{};
+  Counter* bytes_read_;
+  Counter* bytes_written_;
 };
 
 }  // namespace wdg

@@ -117,7 +117,8 @@ TEST(ChecksumTest, DetectsSingleBitFlip) {
   EXPECT_NE(before, Crc32(data));
 }
 
-// The plain byte-at-a-time table CRC: the reference the sliced one must match.
+// The plain byte-at-a-time table CRC: the reference the sliced loop and the
+// fold kernel must match.
 uint32_t BytewiseCrc32Extend(uint32_t crc, std::string_view data) {
   uint32_t table[256];
   for (uint32_t i = 0; i < 256; ++i) {
@@ -143,13 +144,18 @@ std::string RandomBytes(size_t size, uint64_t seed) {
   return out;
 }
 
+// Lengths 0-300 cover the sliced-only path (< 64 bytes), the fold kernel's
+// 64-byte threshold and every 1-15 byte tail it leaves to the sliced loop;
+// offsets 0-15 cover every alignment of its 16-byte loads.
 TEST(ChecksumTest, MatchesBytewiseAtEveryLengthAndOffset) {
-  const std::string buffer = RandomBytes(64 + 8, 1);
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t length = 0; length <= 64; ++length) {
-      const std::string_view data = std::string_view(buffer).substr(offset, length);
-      EXPECT_EQ(Crc32(data), BytewiseCrc32Extend(0, data))
-          << "offset " << offset << " length " << length;
+  const std::string buffer = RandomBytes(300 + 16, 1);
+  for (const uint32_t seed : {0u, 0x9e3779b9u}) {
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t length = 0; length <= 300; ++length) {
+        const std::string_view data = std::string_view(buffer).substr(offset, length);
+        EXPECT_EQ(Crc32Extend(seed, data), BytewiseCrc32Extend(seed, data))
+            << "seed " << seed << " offset " << offset << " length " << length;
+      }
     }
   }
 }
@@ -159,8 +165,15 @@ TEST(ChecksumTest, MatchesBytewiseOnTableSizedBuffer) {
   EXPECT_EQ(Crc32(buffer), BytewiseCrc32Extend(0, buffer));
 }
 
+TEST(ChecksumTest, MatchesBytewiseOnMegabyteBuffer) {
+  const std::string buffer = RandomBytes(1 << 20, 4);
+  EXPECT_EQ(Crc32(buffer), BytewiseCrc32Extend(0, buffer));
+}
+
+// 300 bytes: for most splits both halves are long enough for the fold kernel,
+// so its output must chain into a second call exactly like the sliced CRC's.
 TEST(ChecksumTest, ExtendMatchesBytewiseAtEverySplit) {
-  const std::string data = RandomBytes(40, 3);
+  const std::string data = RandomBytes(300, 3);
   const uint32_t whole = BytewiseCrc32Extend(0, data);
   for (size_t split = 0; split <= data.size(); ++split) {
     const std::string_view view(data);

@@ -184,14 +184,21 @@ TEST_P(SsTableIntegrityProperty, RoundtripAndAnyFlipDetected) {
     EXPECT_EQ(loaded->at(key).tombstone, entry.tombstone);
   }
 
-  // Property 2: flipping any single random byte makes validation fail.
+  // Property 2: flipping any single random byte makes every reader return
+  // CORRUPTION, as sstable.h promises for all three.
   const auto size = disk.Size("/t");
   ASSERT_TRUE(size.ok());
+  const std::string probe_key = entries.front().first;
   for (int trial = 0; trial < 5; ++trial) {
     const int64_t at = rng.Uniform(0, *size - 1);
     disk.MarkBadRange("/t", at, 1);
-    EXPECT_FALSE(kvs::SsTable::Validate(disk, "/t").ok())
-        << "flip at offset " << at << " undetected";
+    EXPECT_EQ(kvs::SsTable::Validate(disk, "/t").code(), StatusCode::kCorruption)
+        << "Validate: flip at offset " << at << " undetected";
+    EXPECT_EQ(kvs::SsTable::Load(disk, "/t").status().code(), StatusCode::kCorruption)
+        << "Load: flip at offset " << at << " undetected";
+    EXPECT_EQ(kvs::SsTable::Lookup(disk, "/t", probe_key).status().code(),
+              StatusCode::kCorruption)
+        << "Lookup: flip at offset " << at << " undetected";
     disk.ClearBadRanges();
     EXPECT_TRUE(kvs::SsTable::Validate(disk, "/t").ok());
   }
@@ -201,14 +208,30 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SsTableIntegrityProperty, ::testing::Range<uint6
 
 // ------------------------------------------------------------ CRC detection
 
+// A 4 KB buffer, long enough for the fold kernel: bits 0-23 flip in the first
+// 64 bytes (the four lanes the kernel starts from), 24-39 in the middle 16
+// bytes and 40-63 in the last 15 bytes (the final fold and reduction).
 class CrcFlipProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(CrcFlipProperty, SingleBitFlipAlwaysDetected) {
-  std::string data = "The quick brown fox jumps over the lazy dog 0123456789";
+  constexpr size_t kSize = 4096;
+  Rng rng(42);
+  std::string data(kSize, '\0');
+  for (char& ch : data) {
+    ch = static_cast<char>(rng.Uniform(0, 255));
+  }
   const uint32_t clean = Crc32(data);
   const int bit = GetParam();
-  data[static_cast<size_t>(bit / 8) % data.size()] ^= static_cast<char>(1 << (bit % 8));
-  EXPECT_NE(Crc32(data), clean);
+  size_t at = 0;
+  if (bit < 24) {
+    at = static_cast<size_t>(bit) * 64 / 24;
+  } else if (bit < 40) {
+    at = kSize / 2 - 8 + static_cast<size_t>(bit - 24);
+  } else {
+    at = kSize - 15 + static_cast<size_t>(bit - 40) % 15;
+  }
+  data[at] ^= static_cast<char>(1 << (bit % 8));
+  EXPECT_NE(Crc32(data), clean) << "byte " << at << " bit " << bit % 8;
 }
 
 INSTANTIATE_TEST_SUITE_P(Bits, CrcFlipProperty, ::testing::Range(0, 64));

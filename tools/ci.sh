@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# CI gate: build + ctest three times — plain (warnings are errors), under
-# address sanitizer, and a thread-sanitizer leg focused on the context/hook
-# synchronization hot path — so the wdg_lint static checks and both
-# sanitizers run on every PR.
+# CI gate: build + ctest four times — plain (warnings are errors), under
+# address sanitizer, a thread-sanitizer leg focused on the context/hook
+# synchronization hot path, and an undefined-behaviour leg over the
+# byte-level code — so the wdg_lint static checks and all three sanitizers
+# run on every PR.
 #
 #   tools/ci.sh [extra ctest args...]
 #
-# Build trees land in build-ci/, build-ci-asan/, and build-ci-tsan/ next to
-# the source tree.
+# Build trees land in build-ci/, build-ci-asan/, build-ci-tsan/, and
+# build-ci-ubsan/ next to the source tree.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -113,5 +114,11 @@ run_leg build-ci-asan address "$@"
 # the signal-suite/fusion tests (FusionDetector::OnFailure runs on scheduler
 # threads; the suite test drives a live driver against a publisher thread).
 run_leg build-ci-tsan thread -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal' "$@"
+# UBSan leg: the byte-level code (CRC fold kernel and sliced tail, SSTable
+# record walker, WAL framing, block store) and the suites that feed it
+# adversarial bytes. halt_on_error turns the first report into a failing test
+# instead of a log line.
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  run_leg build-ci-ubsan undefined -R 'common_test|property_test|kvs_test|sim_test|minihdfs_test' "$@"
 
-echo "ci: all three legs green"
+echo "ci: all four legs green"
