@@ -255,8 +255,7 @@ ModeResult RunStorm(int checkers, wdg::DurationNs duration) {
   for (int i = 0; i < hangs; ++i) {
     wdg::CheckerOptions checker;
     checker.interval = kInterval;
-    checker.timeout = wdg::Ms(60);  // static deadline so abandonment is quick
-    checker.adaptive_deadline = false;
+    checker.timeout = wdg::Ms(60);  // short deadline so abandonment is quick
     checker.initial_delay = wdg::Ms(i % 50);
     const std::string site = wdg::StrFormat("bench.hang.%d", i);
     driver.AddChecker(std::make_unique<wdg::MimicChecker>(

@@ -34,8 +34,8 @@ GenerationReport Generate(const Module& module, wdg::HookSet& hooks,
   GenerationReport report = Analyze(module, options.reducer);
 
   // Price each checker statically; the deadline bound becomes a per-checker
-  // prior the driver uses until its latency histogram warms up. A prior can
-  // only tighten the configured timeout, never loosen it.
+  // prior the driver uses as its hang deadline. A prior can only tighten the
+  // configured timeout, never loosen it.
   std::map<std::string, wdg::DurationNs> priors;
   if (options.cost_prior.enabled) {
     for (const CheckerCostEstimate& estimate :

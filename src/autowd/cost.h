@@ -1,11 +1,9 @@
 // Static checker cost estimates (cost.static-estimate) and the deadline
 // priors they seed.
 //
-// The driver's histogram-informed deadline budgets (docs/DRIVER.md) need
-// min_samples completions before InferDeadlineBudget trusts a checker's own
-// latency tail; until then every checker falls back to the one global static
-// timeout. The interprocedural cost model closes that cold-start gap: each
-// reduced checker's ops are priced twice —
+// Without a prior every checker's hang deadline is the one global static
+// timeout (docs/DRIVER.md). The interprocedural cost model gives each checker
+// its own: each reduced checker's ops are priced twice —
 //
 //   run_cost_ns       Σ CostModel::UnitNs(kind): the typical healthy-path
 //                     cost of one check, for reports and cost-aware selection;
@@ -33,8 +31,7 @@ namespace awd {
 
 // How deadline priors are derived from the static bound. Defaults leave
 // generous slack: a prior only ever declares a checker hung after 4× the
-// worst legitimate run, never under 200 ms, never over the 2 s ceiling the
-// adaptive budgets also use.
+// worst legitimate run, never under 200 ms, never over a 2 s ceiling.
 struct CostPriorOptions {
   bool enabled = true;
   double multiplier = 4.0;

@@ -24,19 +24,6 @@ bool LeakSlopeState::Observe(int64_t value) {
   return value - baseline_ >= min_growth_;
 }
 
-bool ThresholdState::Observe(int64_t value) {
-  const bool violating = fire_above_ ? (value > limit_) : (value < limit_);
-  if (!violating) {
-    count_ = 0;
-    return false;
-  }
-  if (++count_ >= consecutive_) {
-    count_ = 0;  // re-fire only after another full streak
-    return true;
-  }
-  return false;
-}
-
 bool JitterState::Observe(TimeNs now, int64_t beat) {
   if (!seen_ || beat != last_beat_) {
     seen_ = true;
@@ -107,10 +94,11 @@ ThresholdChecker::ThresholdChecker(std::string name, std::string component,
     : KeyedSignalChecker(std::move(name), std::move(component), clock, context,
                          key, options),
       indicator_(std::move(indicator)), limit_(limit), fire_above_(fire_above),
-      ftype_(ftype), code_(code), state_(limit, consecutive, fire_above) {}
+      ftype_(ftype), code_(code), violations_(consecutive) {}
 
 CheckResult ThresholdChecker::OnSample(int64_t value, TimeNs /*now*/) {
-  if (!state_.Observe(value)) {
+  const bool violating = fire_above_ ? (value > limit_) : (value < limit_);
+  if (!violations_.Observe(!violating)) {
     return CheckResult::Pass();
   }
   return CheckResult::Fail(MakeSignature(

@@ -57,26 +57,6 @@ class LeakSlopeState {
   int64_t last_ = 0;
 };
 
-// Fires after `consecutive` samples in a row beyond `limit` (above when
-// fire_above, below otherwise). The counter resets on every fire, so a
-// persistent violation re-fires every `consecutive` samples instead of
-// continuously — again dedup-shaped on purpose.
-class ThresholdState {
- public:
-  ThresholdState(int64_t limit, int consecutive, bool fire_above)
-      : limit_(limit), consecutive_(consecutive), fire_above_(fire_above) {}
-
-  bool Observe(int64_t value);
-
-  int count() const { return count_; }
-
- private:
-  int64_t limit_;
-  int consecutive_;
-  bool fire_above_;
-  int count_ = 0;
-};
-
 struct JitterConfig {
   DurationNs max_gap = Ms(300);  // beat older than this is stale
   DurationNs confirm = Ms(50);   // staleness must persist this long to fire
@@ -145,7 +125,10 @@ class LeakSlopeChecker : public KeyedSignalChecker {
   LeakSlopeState state_;
 };
 
-// queue-depth / disk-latency / thread-count flavor: debounced threshold.
+// queue-depth / disk-latency / thread-count flavor: fires after `consecutive`
+// samples in a row beyond `limit` (above when fire_above, below otherwise),
+// re-firing every `consecutive` samples while the violation persists — again
+// dedup-shaped on purpose (see Debounce).
 class ThresholdChecker : public KeyedSignalChecker {
  public:
   ThresholdChecker(std::string name, std::string component, Clock& clock,
@@ -163,7 +146,7 @@ class ThresholdChecker : public KeyedSignalChecker {
   bool fire_above_;
   FailureType ftype_;
   StatusCode code_;
-  ThresholdState state_;
+  Debounce violations_;
 };
 
 // kick-interval jitter flavor: JitterState over a beat key. Registered

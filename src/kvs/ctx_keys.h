@@ -3,7 +3,7 @@
 // Each accessor interns its key once (function-local static) and returns the
 // process-wide handle, so hook-site writes are indexed slot stores — see
 // docs/CONTEXT_API.md. Key names match the v1 string keys exactly, so
-// legacy readers (`Get<T>("name")`, recovery ParseDump paths) keep working.
+// name-keyed readers (`Get<T>("name")`) keep working.
 #pragma once
 
 #include <string>

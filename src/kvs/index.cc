@@ -18,11 +18,6 @@ void Index::ReplaceTables(const std::vector<std::string>& old_paths,
   tables_.insert(tables_.begin(), merged_path);  // merged data is oldest
 }
 
-void Index::RemoveTable(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::erase(tables_, path);
-}
-
 std::vector<std::string> Index::Tables() const {
   std::lock_guard<std::mutex> lock(mu_);
   return tables_;

@@ -23,8 +23,6 @@ class Index {
   void AddTable(const std::string& path);
   // Compaction: atomically swap `old_paths` for `merged_path`.
   void ReplaceTables(const std::vector<std::string>& old_paths, const std::string& merged_path);
-  // Drops one table from the read path (quarantine recovery).
-  void RemoveTable(const std::string& path);
   std::vector<std::string> Tables() const;
 
   // nullopt == key absent (or deleted).

@@ -60,22 +60,6 @@ wdg::Status PartitionManager::ValidateAll() const {
   return wdg::Status::Ok();
 }
 
-wdg::Result<std::string> PartitionManager::Quarantine(const std::string& path) {
-  const std::string quarantine_path = path + ".quarantine";
-  WDG_RETURN_IF_ERROR(disk_.Rename(path, quarantine_path));
-  Unregister(path);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++quarantined_;
-  }
-  return quarantine_path;
-}
-
-int64_t PartitionManager::quarantined_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return quarantined_;
-}
-
 wdg::Status PartitionManager::CheckRangesSorted() const {
   const auto partitions = Partitions();
   for (size_t i = 1; i < partitions.size(); ++i) {

@@ -40,17 +40,10 @@ class PartitionManager {
   // The §3.3 correctness property: key ranges sorted in ascending order.
   wdg::Status CheckRangesSorted() const;
 
-  // Cheap recovery (§5.2): move a corrupted partition aside (renamed with a
-  // ".quarantine" suffix) and unregister it, restoring watchdog health
-  // without a full restart. Returns the quarantine path.
-  wdg::Result<std::string> Quarantine(const std::string& path);
-  int64_t quarantined_count() const;
-
  private:
   wdg::SimDisk& disk_;
   mutable std::mutex mu_;
   std::vector<PartitionInfo> partitions_;
-  int64_t quarantined_ = 0;
 };
 
 }  // namespace kvs

@@ -24,11 +24,6 @@ CheckerBuilder& CheckerBuilder::InitialDelay(DurationNs delay) {
   return *this;
 }
 
-CheckerBuilder& CheckerBuilder::AdaptiveDeadline(bool enabled) {
-  adaptive_deadline_ = enabled;
-  return *this;
-}
-
 CheckerBuilder& CheckerBuilder::DeadlinePrior(DurationNs prior) {
   deadline_prior_ = prior;
   return *this;
@@ -171,8 +166,8 @@ Result<std::unique_ptr<Checker>> CheckerBuilder::Build() {
                       ? "probe"
                       : (body_ == Body::kSignal ? "signal" : "custom")));
   }
-  CheckerOptions options{interval_, deadline_, initial_delay_, adaptive_deadline_,
-                         deadline_prior_, shard_affinity_};
+  CheckerOptions options{interval_, deadline_, initial_delay_, deadline_prior_,
+                         shard_affinity_};
   // Resolve the (optional) context once, for any body kind.
   CheckContext* context = context_;
   if (context_factory_) {

@@ -47,13 +47,9 @@ class CheckerBuilder {
   // Delay before the first run after Start(); staggers large fleets so they
   // don't all hit the executor queue in the same instant. Must be >= 0.
   CheckerBuilder& InitialDelay(DurationNs delay);
-  // Opt out of (or back into) histogram-derived hang deadlines; with `false`
-  // the driver always uses the static Deadline() even when its adaptive
-  // deadline budgets are enabled. Defaults to opted in.
-  CheckerBuilder& AdaptiveDeadline(bool enabled);
   // Static-analysis deadline prior (CheckerOptions::deadline_prior): used
-  // instead of the global Deadline() until the driver's histogram budget
-  // warms up. Must be >= 0; capped at Deadline() by the driver. 0 disables.
+  // instead of the global Deadline(). Must be >= 0; capped at Deadline() by
+  // the driver. 0 disables.
   CheckerBuilder& DeadlinePrior(DurationNs prior);
   // Consecutive violations required before alarming (probe/signal only).
   CheckerBuilder& Debounce(int consecutive_needed);
@@ -128,7 +124,6 @@ class CheckerBuilder {
   DurationNs interval_ = Ms(100);
   DurationNs deadline_ = Ms(400);
   DurationNs initial_delay_ = 0;
-  bool adaptive_deadline_ = true;
   DurationNs deadline_prior_ = 0;
   int debounce_ = 1;
   bool debounce_set_ = false;

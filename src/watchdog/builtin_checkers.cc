@@ -9,14 +9,9 @@ CheckResult ProbeChecker::Check() {
   loc.component = component();  // probes cannot see deeper than the API
   SetCurrentOp(loc);
   const Status status = probe_();
-  if (status.ok()) {
-    consecutive_failures_ = 0;
-    return CheckResult::Pass();
+  if (!failures_.Observe(status.ok())) {
+    return CheckResult::Pass();  // healthy, or a single slow/blipped response
   }
-  if (++consecutive_failures_ < consecutive_needed_) {
-    return CheckResult::Pass();  // debounce a single slow/blipped response
-  }
-  consecutive_failures_ = 0;
   // A persistent probe failure is client-visible by construction → "validated".
   FailureSignature sig = MakeSignature(
       status.code() == StatusCode::kTimeout ? FailureType::kLivenessTimeout
@@ -29,15 +24,9 @@ CheckResult ProbeChecker::Check() {
 
 CheckResult SignalChecker::Check() {
   const double value = sample_();
-  if (healthy_(value)) {
-    violations_ = 0;
+  if (!violations_.Observe(healthy_(value))) {
     return CheckResult::Pass();
   }
-  ++violations_;
-  if (violations_ < consecutive_needed_) {
-    return CheckResult::Pass();
-  }
-  violations_ = 0;
   SourceLocation loc;
   loc.component = component();
   return CheckResult::Fail(MakeSignature(
@@ -87,53 +76,6 @@ CheckResult SleepDriftChecker::Check() {
                   static_cast<long long>(observed / kNsPerMs))));
   }
   return CheckResult::Pass();
-}
-
-DriverHealthChecker::DriverHealthChecker(std::string name, MetricsFn metrics,
-                                         Thresholds thresholds, Options options)
-    : Checker(std::move(name), "wdg.driver", CheckerType::kSignal, options),
-      metrics_(std::move(metrics)), thresholds_(thresholds) {}
-
-CheckResult DriverHealthChecker::Check() {
-  const DriverMetricsSnapshot m = metrics_();
-  if (!have_baseline_) {
-    // First sample only anchors the rejection counter: pre-existing
-    // rejections happened before this checker was watching.
-    have_baseline_ = true;
-    last_rejections_ = m.queue_rejections;
-    return CheckResult::Pass();
-  }
-  const int64_t rejection_growth = m.queue_rejections - last_rejections_;
-  last_rejections_ = m.queue_rejections;
-
-  std::string what;
-  if (rejection_growth >= thresholds_.queue_rejection_growth) {
-    what = StrFormat("queue shed %lld check(s) since last sample (total %lld)",
-                     static_cast<long long>(rejection_growth),
-                     static_cast<long long>(m.queue_rejections));
-  } else if (m.scheduler_lag_ns > thresholds_.scheduler_lag_ns) {
-    what = StrFormat("scheduler lag %.1f ms exceeds %.1f ms",
-                     m.scheduler_lag_ns / kNsPerMs,
-                     thresholds_.scheduler_lag_ns / kNsPerMs);
-  } else if (m.queue_delay_p99_ns > thresholds_.queue_delay_p99_ns) {
-    what = StrFormat("p99 queue delay %.1f ms exceeds %.1f ms",
-                     m.queue_delay_p99_ns / kNsPerMs,
-                     thresholds_.queue_delay_p99_ns / kNsPerMs);
-  }
-  if (what.empty()) {
-    violations_ = 0;
-    return CheckResult::Pass();
-  }
-  if (++violations_ < thresholds_.consecutive_needed) {
-    return CheckResult::Pass();
-  }
-  violations_ = 0;
-  SourceLocation loc;
-  loc.component = component();
-  loc.function = "DriverHealth";
-  return CheckResult::Fail(MakeSignature(FailureType::kSafetyViolation, loc,
-                                         StatusCode::kResourceExhausted,
-                                         "watchdog driver unhealthy: " + what));
 }
 
 }  // namespace wdg

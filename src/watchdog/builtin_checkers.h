@@ -17,7 +17,6 @@
 
 #include "src/fault/fault_injector.h"
 #include "src/watchdog/checker.h"
-#include "src/watchdog/driver.h"
 
 namespace wdg {
 
@@ -31,14 +30,13 @@ class ProbeChecker : public Checker {
   ProbeChecker(std::string name, std::string component, ProbeFn probe, Options options = {},
                int consecutive_needed = 1)
       : Checker(std::move(name), std::move(component), CheckerType::kProbe, options),
-        probe_(std::move(probe)), consecutive_needed_(consecutive_needed) {}
+        probe_(std::move(probe)), failures_(consecutive_needed) {}
 
   CheckResult Check() override;
 
  private:
   ProbeFn probe_;
-  int consecutive_needed_;
-  int consecutive_failures_ = 0;  // driver serializes executions per checker
+  Debounce failures_;
 };
 
 // Signal: sample a numeric indicator; fail after `consecutive_needed`
@@ -54,7 +52,7 @@ class SignalChecker : public Checker {
                 Options options = {})
       : Checker(std::move(name), std::move(component), CheckerType::kSignal, options),
         indicator_name_(std::move(indicator_name)), sample_(std::move(sample)),
-        healthy_(std::move(healthy)), consecutive_needed_(consecutive_needed) {}
+        healthy_(std::move(healthy)), violations_(consecutive_needed) {}
 
   CheckResult Check() override;
 
@@ -62,8 +60,7 @@ class SignalChecker : public Checker {
   std::string indicator_name_;
   SampleFn sample_;
   PredicateFn healthy_;
-  int consecutive_needed_;
-  int violations_ = 0;  // touched only from driver executions (serialized per checker)
+  Debounce violations_;
 };
 
 // Mimic: executes a check body against a synchronized context. The body is
@@ -117,50 +114,6 @@ class SleepDriftChecker : public Checker {
   DurationNs expected_sleep_;
   double drift_factor_;
   std::atomic<DurationNs> last_observed_{0};
-};
-
-// Watchdog-on-the-watchdog: a signal checker over the driver's own metrics
-// (ROADMAP follow-up to the PR 3 observability work). The checker family is
-// kSignal — it samples gauges and debounces — but it watches the monitor
-// itself: sustained `queue_rejections` growth means checks are being shed
-// (coverage silently shrinking), and a scheduler-lag or queue-delay gauge
-// past threshold means liveness deadlines are no longer trustworthy.
-//
-// Metrics arrive through a sampling callback rather than a WatchdogDriver*
-// so the checker can watch a *different* driver than the one executing it
-// (the honest deployment: a tiny secondary driver watching the primary) and
-// so tests can script pathological sequences.
-class DriverHealthChecker : public Checker {
- public:
-  using MetricsFn = std::function<DriverMetricsSnapshot()>;
-
-  struct Thresholds {
-    // Cumulative rejections growth (between consecutive samples) that counts
-    // as a violation: any shedding at all is suspicious by default.
-    int64_t queue_rejection_growth = 1;
-    // Gauges sampled as-is; lag past this means the scheduler thread missed
-    // its planned wake by enough to void liveness-deadline accounting.
-    double scheduler_lag_ns = 50.0 * kNsPerMs;
-    double queue_delay_p99_ns = 100.0 * kNsPerMs;
-    // Debounce (Table 2 signal-checker accuracy weakness): a single loaded
-    // sample is normal; alarm on this many consecutive unhealthy samples.
-    int consecutive_needed = 2;
-  };
-
-  DriverHealthChecker(std::string name, MetricsFn metrics, Thresholds thresholds,
-                      Options options = {});
-  DriverHealthChecker(std::string name, MetricsFn metrics)
-      : DriverHealthChecker(std::move(name), std::move(metrics), Thresholds()) {}
-
-  CheckResult Check() override;
-
- private:
-  MetricsFn metrics_;
-  Thresholds thresholds_;
-  // Driver executions of one checker are serialized, so plain members.
-  bool have_baseline_ = false;
-  int64_t last_rejections_ = 0;
-  int violations_ = 0;
 };
 
 }  // namespace wdg

@@ -47,16 +47,10 @@ struct CheckerOptions {
   DurationNs interval = Ms(100);  // how often the driver schedules this checker
   DurationNs timeout = Ms(400);   // execution deadline; a miss is a liveness signature
   DurationNs initial_delay = 0;   // stagger the first run after Start()
-  // Opt this checker into histogram-derived hang deadlines when the driver's
-  // deadline budgets are enabled (WatchdogDriverOptions::deadline_budget).
-  // Set false to pin the static `timeout` — e.g. a body with a legitimate
-  // rare slow path its latency histogram has not seen yet.
-  bool adaptive_deadline = true;
   // Static-analysis deadline prior (0 = none): a per-checker hang deadline
-  // derived from the interprocedural cost model before the driver's latency
-  // histogram has min_samples completions. Used instead of the global static
-  // `timeout` fallback until the adaptive budget warms up; never exceeds
-  // `timeout` (the generator clamps it), so it only ever tightens detection.
+  // derived from the interprocedural cost model. Used instead of the global
+  // static `timeout`; never exceeds `timeout` (the generator clamps it and
+  // the driver takes the min), so it only ever tightens detection.
   DurationNs deadline_prior = 0;
   // Sharded drivers (WatchdogDriverOptions::shards > 1): pin this checker to
   // shard `shard_affinity % shards`, e.g. to co-locate checkers that share a
@@ -118,6 +112,33 @@ class Checker {
   std::vector<uint32_t> subscription_slots_;
 
   mutable std::atomic<OpState*> op_state_{nullptr};
+};
+
+// The debounce of Table 2's signal and probe checkers: one unhealthy sample
+// is normal under load, so fire only after `needed` unhealthy samples in a
+// row. A healthy sample resets the streak, and so does every fire, so a
+// persistent violation re-fires every `needed` samples rather than
+// continuously. Plain members: the driver serializes a checker's runs.
+class Debounce {
+ public:
+  explicit Debounce(int needed) : needed_(needed) {}
+
+  // True when this sample completes a streak of `needed` unhealthy ones.
+  bool Observe(bool healthy) {
+    if (healthy) {
+      count_ = 0;
+      return false;
+    }
+    if (++count_ < needed_) {
+      return false;
+    }
+    count_ = 0;
+    return true;
+  }
+
+ private:
+  int needed_;
+  int count_ = 0;
 };
 
 }  // namespace wdg

@@ -43,14 +43,6 @@ const CtxValue& CtxSnapshot::at(std::string_view name) const {
   return it->second;
 }
 
-std::map<std::string, CtxValue> CtxSnapshot::ToMap() const {
-  std::map<std::string, CtxValue> out;
-  for (const Entry& entry : entries_) {
-    out.emplace(*entry.first, entry.second);
-  }
-  return out;
-}
-
 const char* CtxTypeName(CtxType type) {
   switch (type) {
     case CtxType::kInt:
@@ -652,8 +644,8 @@ CheckContext::ReadStats CheckContext::read_stats() const {
 
 namespace {
 
-// v2 dump tag for a value ("i:" / "d:" / "b:" / "s:"), so ParseDump restores
-// the exact type — an untagged "1234" can only be guessed at by shape.
+// Dump tag for a value ("i:" / "d:" / "b:" / "s:"), so a reader of a failure
+// signature sees the exact type — an untagged "1234" is ambiguous.
 char DumpTag(const CtxValue& value) {
   if (std::holds_alternative<int64_t>(value)) {
     return 'i';
@@ -665,23 +657,6 @@ char DumpTag(const CtxValue& value) {
     return 'b';
   }
   return 's';
-}
-
-// Legacy (untagged) value recovery by shape: bools, ints, doubles, strings.
-CtxValue ParseUntagged(const std::string& text) {
-  if (text == "true" || text == "false") {
-    return text == "true";
-  }
-  char* end = nullptr;
-  const long long as_int = std::strtoll(text.c_str(), &end, 10);
-  if (end != nullptr && *end == '\0' && !text.empty()) {
-    return static_cast<int64_t>(as_int);
-  }
-  const double as_double = std::strtod(text.c_str(), &end);
-  if (end != nullptr && *end == '\0' && !text.empty()) {
-    return as_double;
-  }
-  return text;
 }
 
 }  // namespace
@@ -713,54 +688,6 @@ std::string CheckContext::Dump() const {
   }
   out += "}";
   return out;
-}
-
-std::map<std::string, CtxValue> CheckContext::ParseDump(const std::string& dump) {
-  std::map<std::string, CtxValue> values;
-  std::string body = dump;
-  if (body.size() >= 2 && body.front() == '{' && body.back() == '}') {
-    body = body.substr(1, body.size() - 2);
-  }
-  for (const std::string& entry : StrSplit(body, ',')) {
-    const std::string_view trimmed = StrTrim(entry);
-    const size_t eq = trimmed.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      continue;
-    }
-    const std::string key(trimmed.substr(0, eq));
-    const std::string text(trimmed.substr(eq + 1));
-    if (text.size() >= 2 && text[1] == ':' &&
-        (text[0] == 'i' || text[0] == 'd' || text[0] == 'b' || text[0] == 's')) {
-      const std::string payload = text.substr(2);
-      switch (text[0]) {
-        case 'i':
-          values[key] = static_cast<int64_t>(std::strtoll(payload.c_str(), nullptr, 10));
-          break;
-        case 'd':
-          values[key] = std::strtod(payload.c_str(), nullptr);
-          break;
-        case 'b':
-          values[key] = payload == "true";
-          break;
-        default:
-          values[key] = payload;  // verbatim, even if it looks numeric
-          break;
-      }
-      continue;
-    }
-    values[key] = ParseUntagged(text);
-  }
-  return values;
-}
-
-void CheckContext::Restore(const std::map<std::string, CtxValue>& values, TimeNs now) {
-  // Dump text carries no static type information, so restored keys intern as
-  // kAny and stage through the untyped slot path. This is the only
-  // string-keyed write left in the tree; live code uses ContextKey<T>.
-  for (const auto& [key, value] : values) {
-    StageWrite(KeyRegistry::Instance().Intern(key, CtxType::kAny), value);
-  }
-  MarkReady(now);
 }
 
 // --------------------------------------------------------------- HookSet

@@ -61,7 +61,7 @@ using CtxValue = std::variant<int64_t, double, bool, std::string>;
 std::string CtxValueToString(const CtxValue& value);
 
 // Declared value type of a context key. kAny keys carry whole CtxValues
-// (untyped: AutoWatchdog-generated checkers, dump/restore, the legacy shim).
+// (untyped: AutoWatchdog-generated checkers).
 enum class CtxType : uint8_t { kInt, kDouble, kBool, kString, kAny };
 
 const char* CtxTypeName(CtxType type);
@@ -119,8 +119,8 @@ class KeyRegistry {
   static KeyRegistry& Instance();
 
   // Interns `name`, returning its stable slot. The first registration with a
-  // concrete type fixes the declared type; later kAny interns (the legacy
-  // shim) never widen or override it.
+  // concrete type fixes the declared type; later kAny interns never widen or
+  // override it.
   uint32_t Intern(std::string_view name, CtxType type);
   // Slot for an already-interned name, or nullopt (lookups never register).
   std::optional<uint32_t> Find(std::string_view name) const;
@@ -189,9 +189,6 @@ class CtxSnapshot {
     }
     return internal::ExtractTyped<T>(it->second);
   }
-  // Deep copy into the owning-map shape used by serialization (Restore,
-  // failure-signature persistence). Off the hot path by design.
-  std::map<std::string, CtxValue> ToMap() const;
 
  private:
   friend class CheckContext;
@@ -296,9 +293,8 @@ class CheckContext {
   }
   // The v1 string-keyed Set(const std::string&, CtxValue) shim is gone:
   // every producer interns a ContextKey<T> once instead of paying a registry
-  // lookup per write. The untyped slot path survives only inside Restore()
-  // for Dump/ParseDump round trips; wdg-lint's api.deprecated-accessor rule
-  // keeps the shim from reappearing in generated checkers.
+  // lookup per write; wdg-lint's api.deprecated-accessor rule keeps the shim
+  // from reappearing in generated checkers.
 
   // Publishes the calling thread's staged batch, then bumps the epoch and
   // marks the context READY. Every cell of the batch is claimed before any
@@ -333,7 +329,7 @@ class CheckContext {
   std::optional<T> Get(const ContextKey<T>& key) const {
     return Extract<T>(ReadSlot(key.slot()));
   }
-  // Typed read through a name (cold paths: executors, invariant miners).
+  // Typed read through a name (cold paths: generated op executors).
   // The registry probe is lock-free too.
   template <typename T>
   std::optional<T> Get(std::string_view name) const {
@@ -360,16 +356,6 @@ class CheckContext {
   ConsistentSnapshot SnapshotConsistent() const;
   CtxSnapshot Snapshot() const;
   std::string Dump() const;
-
-  // Parses a Dump() string back into values. Understands both the v2 format
-  // (values carry a type tag, "entries=i:16") and the legacy untagged format
-  // (ints/doubles/bools recovered by shape — which mis-typed strings that
-  // look numeric; the tag exists so "1234" survives the round trip). The
-  // §5.2 failure-reproduction path.
-  static std::map<std::string, CtxValue> ParseDump(const std::string& dump);
-  // Bulk-install parsed values and mark ready: the values stage into the
-  // calling thread's batch and publish as one atomic batch.
-  void Restore(const std::map<std::string, CtxValue>& values, TimeNs now);
 
   // Entries this thread has staged for this context but not yet flushed.
   size_t pending_batch_size() const;

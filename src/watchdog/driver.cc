@@ -15,10 +15,6 @@ namespace {
 // Retry delay after the executor queue rejected a submission (backpressure),
 // and after a cancelled batch sibling is pulled back for re-dispatch.
 constexpr DurationNs kBackpressureRetry = Ms(2);
-// Completions between budget refreshes for one checker. The inference scans
-// the latency reservoir (Percentile), so it runs every few reaps, not every
-// reap; deadlines still track the tail within a handful of intervals.
-constexpr int64_t kBudgetRefreshRuns = 16;
 constexpr int kMaxShards = 64;
 
 bool CasState(Execution& exec, ExecState from, ExecState to) {
@@ -28,18 +24,6 @@ bool CasState(Execution& exec, ExecState from, ExecState to) {
                                             std::memory_order_acquire);
 }
 }  // namespace
-
-DurationNs InferDeadlineBudget(const Histogram& hist,
-                               const DeadlineBudgetOptions& options,
-                               DurationNs fallback) {
-  if (!options.enabled || hist.count() < options.min_samples) {
-    return fallback;
-  }
-  double budget = hist.Percentile(99) * options.tail_multiplier;
-  budget = std::max(budget, static_cast<double>(options.floor));
-  budget = std::min(budget, static_cast<double>(options.ceiling));
-  return static_cast<DurationNs>(budget);
-}
 
 std::map<std::string, double> DriverMetricsSnapshot::ToMap() const {
   std::map<std::string, double> map = {
@@ -315,7 +299,7 @@ Status WatchdogDriver::Stop() {
     probes.swap(probe_drain_);
   }
   probes.clear();  // JoiningThread dtor joins
-  if (supervision_.client != nullptr && supervision_.unsubscribe_on_stop) {
+  if (supervision_.client != nullptr) {
     // Clean departure: a voluntary Stop must never walk the escalation
     // ladder. Errors are tolerated — the supervisor may already be gone.
     (void)supervision_.client->Unsubscribe(supervision_.handshake_timeout);
@@ -376,27 +360,11 @@ void WatchdogDriver::LaunchBatchLocked(Shard& shard, const std::vector<size_t>& 
 }
 
 DurationNs WatchdogDriver::SlotDeadlineLocked(const Slot& slot) const {
-  if (slot.deadline_budget > 0) {
-    return slot.deadline_budget;
-  }
-  // No histogram-derived budget yet: prefer the static-analysis prior over
-  // the global timeout, so cold-start deadlines are already per-checker. The
-  // prior is generated ≤ timeout; min() keeps that invariant even for
-  // hand-built options.
+  // The static-analysis prior is generated ≤ timeout; min() keeps that
+  // invariant even for hand-built options.
   const CheckerOptions& opts = slot.checker->options();
   return opts.deadline_prior > 0 ? std::min(opts.deadline_prior, opts.timeout)
                                  : opts.timeout;
-}
-
-void WatchdogDriver::RefreshBudgetLocked(Slot& slot) {
-  if (!options_.deadline_budget.enabled ||
-      !slot.checker->options().adaptive_deadline || slot.latency_hist == nullptr) {
-    return;
-  }
-  const DurationNs inferred = InferDeadlineBudget(
-      *slot.latency_hist, options_.deadline_budget, slot.checker->options().timeout);
-  slot.deadline_budget =
-      inferred == slot.checker->options().timeout ? 0 : inferred;
 }
 
 void WatchdogDriver::EmitLivenessSignature(Slot& slot, DurationNs deadline,
@@ -497,8 +465,7 @@ void WatchdogDriver::ReapLocked(Shard& shard, Slot& slot, size_t slot_index, Tim
 
   if (!done) {
     // Still running: enforce the deadline, counted from dispatch (queue wait
-    // is backpressure, not a hang — it has its own histogram). The deadline is
-    // the slot's inferred budget once its latency histogram has warmed up.
+    // is backpressure, not a hang — it has its own histogram).
     const DurationNs deadline = SlotDeadlineLocked(slot);
     const TimeNs dispatched = exec.dispatch_time.load(std::memory_order_acquire);
     if (dispatched == 0 || now - dispatched < deadline) {
@@ -543,9 +510,6 @@ void WatchdogDriver::ReapLocked(Shard& shard, Slot& slot, size_t slot_index, Tim
   slot.stats.total_queue_delay += dispatched - exec.enqueue_time;
   if (slot.latency_hist != nullptr) {
     slot.latency_hist->Record(static_cast<double>(latency));
-  }
-  if (slot.stats.runs % kBudgetRefreshRuns == 0) {
-    RefreshBudgetLocked(slot);
   }
   shard.executor->ReleaseExecution(exec);
   slot.running = nullptr;
@@ -709,7 +673,7 @@ void WatchdogDriver::ShardLoop(size_t shard_index) {
     // sibling schedulers over it — buys no latency and costs a cross-core
     // bounce; on a loaded one-core box those spurious wakes alone were worth
     // ~10x on the 10k fleet's p99 queue delay.
-    if (options_.work_stealing && shards_.size() > 1) {
+    if (shards_.size() > 1) {
       const size_t own_depth = shard.executor->queue_depth_hint();
       if (own_depth == 0) {
         shard.backlog_advertised = false;
@@ -1105,7 +1069,7 @@ DriverMetricsSnapshot WatchdogDriver::DriverMetrics() const {
         const Slot& slot = slots_[slot_index];
         snapshot.checker_deadline_ns[slot.checker->name()] =
             static_cast<double>(SlotDeadlineLocked(slot));
-        if (slot.deadline_budget == 0 && slot.checker->options().deadline_prior > 0) {
+        if (slot.checker->options().deadline_prior > 0) {
           ++snapshot.deadline_priors_active;
         }
       }

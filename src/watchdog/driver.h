@@ -103,29 +103,6 @@ struct CheckerStats {
   DurationNs total_queue_delay = 0;  // enqueue → dispatch
 };
 
-// Per-checker hang-deadline inference (docs/DRIVER.md). When enabled, the
-// driver derives each checker's deadline from its own latency histogram —
-// clamp(p99 × tail_multiplier, floor, ceiling) — instead of using one global
-// timeout, so a 50 µs mimic is declared hung in milliseconds while a slow
-// end-to-end probe keeps its headroom. A checker whose histogram has fewer
-// than min_samples observations (or that set adaptive_deadline = false) keeps
-// its static CheckerOptions::timeout. Abandon/suspend/drain semantics are
-// unchanged: only the deadline *value* adapts.
-struct DeadlineBudgetOptions {
-  bool enabled = false;
-  double tail_multiplier = 4.0;
-  DurationNs floor = Ms(20);
-  DurationNs ceiling = Sec(2);
-  int64_t min_samples = 8;
-};
-
-// Pure inference rule, exposed for property testing: clamp(p99 × multiplier,
-// floor, ceiling); `fallback` (the checker's static timeout) when disabled or
-// under-sampled. Monotone in the histogram tail between the clamps.
-DurationNs InferDeadlineBudget(const Histogram& hist,
-                               const DeadlineBudgetOptions& options,
-                               DurationNs fallback);
-
 // Snapshot of the driver's self-observability metrics. Signal checkers can
 // sample these to watch the watchdog itself (e.g. alarm on queue delay).
 // With a sharded driver the scalar fields aggregate across shards (sums;
@@ -187,13 +164,13 @@ struct DriverMetricsSnapshot {
   };
   std::vector<ShardView> shard_views;
 
-  // Effective per-checker hang deadlines (ns). Before any histogram-derived
-  // budget takes over this is the checker's static-analysis deadline prior
-  // when one was generated, else its static timeout. Empty when the driver
-  // runs with per_checker_metrics = false (100k-checker fleets).
+  // Effective per-checker hang deadlines (ns): the checker's static-analysis
+  // deadline prior when one was generated, else its static timeout. Empty
+  // when the driver runs with per_checker_metrics = false (100k-checker
+  // fleets).
   std::map<std::string, double> checker_deadline_ns;
-  // Checkers whose effective deadline currently comes from a static-analysis
-  // prior (deadline_prior set, histogram budget not yet active).
+  // Checkers whose effective deadline comes from a static-analysis prior
+  // (deadline_prior set).
   int64_t deadline_priors_active = 0;
 
   // Flattened view for dashboards / table code that wants name→value.
@@ -219,9 +196,6 @@ struct DriverSupervision {
   // bounds). Must comfortably exceed kick_interval plus max_sleep.
   DurationNs kick_deadline = Ms(150);
   DurationNs handshake_timeout = Ms(500);
-  // Send a clean unsubscribe at Stop() so a voluntary shutdown never walks
-  // the escalation ladder.
-  bool unsubscribe_on_stop = true;
 };
 
 // Driver configuration.
@@ -235,9 +209,6 @@ struct WatchdogDriverOptions {
   // capacity. With shards > 1 every shard gets its own pool with this
   // configuration, so total workers = shards × workers.
   CheckerExecutorOptions executor;
-  // Histogram-informed per-checker hang deadlines (off by default: every
-  // checker keeps its static CheckerOptions::timeout).
-  DeadlineBudgetOptions deadline_budget;
   // Metrics registry to export driver observability into; the driver owns a
   // private registry when null.
   MetricsRegistry* metrics = nullptr;
@@ -271,12 +242,6 @@ struct WatchdogDriverOptions {
   // default; 10⁵-checker fleets turn it off (the shared queue-delay and
   // aggregate counters remain).
   bool per_checker_metrics = true;
-  // Work-stealing between shard executor pools (shards > 1 only): a shard
-  // whose pool queue is empty and has idle workers steals whole queued
-  // batches from the most-backlogged sibling's queue, re-routing the batch's
-  // abandon path so hang isolation stays exactly-once on whichever pool runs
-  // it (docs/DRIVER.md, "Work-stealing between shards").
-  bool work_stealing = true;
 };
 
 class WatchdogDriver {
@@ -377,9 +342,6 @@ class WatchdogDriver {
     uint16_t shard = 0;      // fixed at registration
     bool enabled = true;
     bool sub_armed = false;
-    // Histogram-derived hang deadline; 0 until the budget inference has enough
-    // samples, meaning "use the checker's static timeout".
-    DurationNs deadline_budget = 0;
     Histogram* latency_hist = nullptr;  // wdg.driver.checker.<name>.latency_ns
     std::unique_ptr<Checker> checker;
     std::vector<Execution*> drain;  // abandoned, still executing (slab-owned)
@@ -459,16 +421,12 @@ class WatchdogDriver {
   bool RunValidationProbe();
   void EmitLivenessSignature(Slot& slot, DurationNs deadline,
                              std::vector<PendingFailure>& pending);
-  // The hang deadline currently in force for a slot: its inferred budget, or
-  // the checker's static timeout while the budget is cold / opted out.
+  // The hang deadline in force for a slot: the checker's static-analysis
+  // prior when it has one (capped at its timeout), else its static timeout.
   DurationNs SlotDeadlineLocked(const Slot& slot) const;
   // Supervised-mode heartbeat, run once per shard-0 pass (no locks held):
   // kicks wdogd when due and the all-shards liveness proof holds.
   void MaybeKickSupervisor(TimeNs now);
-  // Refreshes the slot's inferred budget from its latency histogram (shard.mu
-  // held; called every few completions so the Percentile scan stays off the
-  // per-run hot path).
-  void RefreshBudgetLocked(Slot& slot);
   // Shard assignment for a checker about to be registered.
   int ShardFor(const Checker& checker) const;
   // Slot index for a name, under reg_mu_; nullopt when unknown.

@@ -7,7 +7,6 @@
 
 #include "src/common/checksum.h"
 #include "src/common/clock.h"
-#include "src/common/config.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/result.h"
@@ -180,23 +179,6 @@ TEST(ChecksumTest, ExtendMatchesBytewiseAtEverySplit) {
     EXPECT_EQ(Crc32Extend(Crc32(view.substr(0, split)), view.substr(split)), whole)
         << "split at " << split;
   }
-}
-
-TEST(ConfigTest, TypedAccessorsAndDefaults) {
-  ConfigStore config;
-  config.ParseInline("threads=4, ratio=0.5, verbose=true, name=kvs");
-  EXPECT_EQ(config.GetInt("threads"), 4);
-  EXPECT_DOUBLE_EQ(config.GetDouble("ratio"), 0.5);
-  EXPECT_TRUE(config.GetBool("verbose"));
-  EXPECT_EQ(config.GetString("name"), "kvs");
-  EXPECT_EQ(config.GetInt("missing", 9), 9);
-  EXPECT_FALSE(config.Has("missing"));
-}
-
-TEST(ConfigTest, BareKeyIsTrue) {
-  ConfigStore config;
-  config.ParseInline("fast");
-  EXPECT_TRUE(config.GetBool("fast"));
 }
 
 TEST(MetricsTest, CounterAndGauge) {

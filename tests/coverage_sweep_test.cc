@@ -1,45 +1,19 @@
-// Coverage sweep: exercises surfaces the focused suites don't — failure-log
-// durability under disk faults, workload generator end-to-end, partition
-// quarantine edge cases, SimNet healing, WDT stage names, multi-follower
+// Coverage sweep: exercises surfaces the focused suites don't — workload
+// generator end-to-end, SimNet healing, WDT stage names, multi-follower
 // replication.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "src/common/config.h"
 #include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/eval/workload.h"
 #include "src/kvs/client.h"
 #include "src/kvs/server.h"
-#include "src/watchdog/failure_log.h"
 #include "src/supervisor/watchdog_timer.h"
 
 namespace wdg {
 namespace {
-
-TEST(FailureLogFaultTest, WriteErrorsCountedNotThrown) {
-  RealClock& clock = RealClock::Instance();
-  FaultInjector injector(clock);
-  SimDisk disk(clock, injector, DiskOptions{.base_latency = 0, .per_kb_latency = 0});
-  FailureLog log(disk, "/wdg/failures.log");
-
-  FaultSpec broken;
-  broken.id = "log-disk";
-  broken.site_pattern = "disk.append";
-  broken.kind = FaultKind::kError;
-  injector.Inject(broken);
-
-  FailureSignature sig;
-  sig.checker_name = "c";
-  log.OnFailure(sig);  // must not throw into the driver
-  EXPECT_GE(log.write_errors(), 1);
-  injector.ClearAll();
-  log.OnFailure(sig);
-  const auto records = log.Load();
-  ASSERT_TRUE(records.ok());
-  EXPECT_EQ(records->size(), 1u);  // only the post-recovery record landed
-}
 
 TEST(WatchdogTimerTest, FiredStageNamesRecorded) {
   RealClock& clock = RealClock::Instance();
@@ -115,24 +89,6 @@ TEST_F(KvsSweepFixture, WorkloadGeneratorDrivesANodeEndToEnd) {
   node.Stop();
 }
 
-TEST_F(KvsSweepFixture, QuarantineOfUnknownPartitionFails) {
-  kvs::Memtable memtable;
-  kvs::PartitionManager partitions(disk_);
-  EXPECT_FALSE(partitions.Quarantine("/sst/ghost").ok());
-  EXPECT_EQ(partitions.quarantined_count(), 0);
-}
-
-TEST_F(KvsSweepFixture, IndexRemoveTableDropsFromReads) {
-  kvs::Memtable memtable;
-  kvs::Index index(disk_, memtable);
-  ASSERT_TRUE(kvs::SsTable::Write(disk_, "/t1", {{"k", {"v", false}}}).ok());
-  index.AddTable("/t1");
-  EXPECT_TRUE(index.Get("k")->has_value());
-  index.RemoveTable("/t1");
-  EXPECT_FALSE(index.Get("k")->has_value());
-  EXPECT_TRUE(index.Tables().empty());
-}
-
 TEST_F(KvsSweepFixture, TwoFollowersBothConverge) {
   kvs::KvsOptions f1_options;
   f1_options.node_id = "kvs2";
@@ -166,15 +122,6 @@ TEST_F(KvsSweepFixture, TwoFollowersBothConverge) {
   leader.Stop();
   f1.Stop();
   f2.Stop();
-}
-
-TEST(ConfigSweepTest, OverwriteAndWhitespaceHandling) {
-  ConfigStore config;
-  config.ParseInline(" a = 1 ,a=2,  b = x y ");
-  EXPECT_EQ(config.GetInt("a"), 2);       // last write wins
-  EXPECT_EQ(config.GetString("b"), "x y");
-  config.Set("a", "3");
-  EXPECT_EQ(config.GetInt("a"), 3);
 }
 
 TEST(LoggingSweepTest, LevelGateIsCheap) {

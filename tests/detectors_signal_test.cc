@@ -1,7 +1,7 @@
 // Property tests for the signal-checker suite and the fusion detector.
 //
 // The suite's detection logic is deliberately exposed as pure state machines
-// (LeakSlopeState / ThresholdState / JitterState) so these tests can drive
+// (LeakSlopeState / Debounce / JitterState) so these tests can drive
 // them with seeded synthetic series — leak ramps, plateaus, sawtooth churn,
 // steady-state noise — and prove the fire/no-fire boundaries without a driver
 // in the loop. The second half covers the checker plumbing (NotReady rather
@@ -88,47 +88,44 @@ TEST(LeakSlopeStateTest, VariableStepRampStillFires) {
   EXPECT_TRUE(fired);
 }
 
-// --- ThresholdState ---------------------------------------------------------
+// --- Debounce ---------------------------------------------------------------
 
-TEST(ThresholdStateTest, FiresAfterConsecutiveViolations) {
-  ThresholdState state(8, 3, /*fire_above=*/true);
-  EXPECT_FALSE(state.Observe(12));
-  EXPECT_FALSE(state.Observe(12));
-  EXPECT_TRUE(state.Observe(12));  // third in a row
+TEST(DebounceTest, FiresAfterConsecutiveViolations) {
+  Debounce debounce(3);
+  EXPECT_FALSE(debounce.Observe(false));
+  EXPECT_FALSE(debounce.Observe(false));
+  EXPECT_TRUE(debounce.Observe(false));  // third in a row
 }
 
-TEST(ThresholdStateTest, HealthySampleResetsTheStreak) {
-  ThresholdState state(8, 3, /*fire_above=*/true);
-  EXPECT_FALSE(state.Observe(12));
-  EXPECT_FALSE(state.Observe(12));
-  EXPECT_FALSE(state.Observe(3));   // back under the limit
-  EXPECT_FALSE(state.Observe(12));  // streak restarts
-  EXPECT_FALSE(state.Observe(12));
-  EXPECT_TRUE(state.Observe(12));
+TEST(DebounceTest, HealthySampleResetsTheStreak) {
+  Debounce debounce(3);
+  EXPECT_FALSE(debounce.Observe(false));
+  EXPECT_FALSE(debounce.Observe(false));
+  EXPECT_FALSE(debounce.Observe(true));  // back to healthy
+  EXPECT_FALSE(debounce.Observe(false));  // streak restarts
+  EXPECT_FALSE(debounce.Observe(false));
+  EXPECT_TRUE(debounce.Observe(false));
 }
 
-TEST(ThresholdStateTest, PersistentViolationRefiresPerStreak) {
-  ThresholdState state(8, 3, /*fire_above=*/true);
+TEST(DebounceTest, PersistentViolationRefiresPerStreak) {
+  Debounce debounce(3);
   int fires = 0;
   for (int i = 0; i < 12; ++i) {
-    fires += state.Observe(100) ? 1 : 0;
+    fires += debounce.Observe(false) ? 1 : 0;
   }
   EXPECT_EQ(fires, 4);  // every 3rd sample, not continuously
 }
 
-TEST(ThresholdStateTest, BelowModeCatchesThreadDeath) {
-  // live-loop count dropping under the minimum (fire_above=false).
-  ThresholdState state(5, 2, /*fire_above=*/false);
-  EXPECT_FALSE(state.Observe(5));  // at the limit is healthy
-  EXPECT_FALSE(state.Observe(4));
-  EXPECT_TRUE(state.Observe(4));
-}
-
-TEST(ThresholdStateTest, SeededNoiseUnderLimitNeverFires) {
+TEST(DebounceTest, SeededBurstsShorterThanTheStreakNeverFire) {
+  // Load noise: unhealthy blips of 0-2 samples between healthy ones.
   Rng rng(23);
-  ThresholdState state(8, 3, /*fire_above=*/true);
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_FALSE(state.Observe(rng.Uniform(0, 8)));  // never ABOVE 8
+  Debounce debounce(3);
+  for (int burst = 0; burst < 2000; ++burst) {
+    const int64_t length = rng.Uniform(0, 2);
+    for (int64_t i = 0; i < length; ++i) {
+      ASSERT_FALSE(debounce.Observe(false)) << "burst " << burst;
+    }
+    ASSERT_FALSE(debounce.Observe(true));
   }
 }
 
@@ -218,6 +215,25 @@ TEST(KeyedSignalCheckerTest, LeakFailureCarriesComponentPinpoint) {
   EXPECT_EQ(result.signature.code, StatusCode::kResourceExhausted);
   EXPECT_EQ(result.signature.location.component, "kvs.compaction");
   EXPECT_EQ(result.signature.location.Level(), LocalizationLevel::kComponent);
+}
+
+TEST(ThresholdCheckerTest, BelowModeCatchesThreadDeath) {
+  // live-loop count dropping under the minimum (fire_above=false).
+  RealClock& clock = RealClock::Instance();
+  const auto key = TestKey("sst.plumbing.k3");
+  CheckContext ctx("sst_threads_ctx");
+  ThresholdChecker checker("sst_threads", "kvs", clock, &ctx, key, "live threads",
+                           5, 2, /*fire_above=*/false, FailureType::kLivenessTimeout,
+                           StatusCode::kUnavailable, {});
+  int64_t seq = 0;
+  const auto sample = [&](int64_t live) {
+    ctx.Set(key, live);
+    ctx.MarkReady(++seq);
+    return checker.Check().outcome;
+  };
+  EXPECT_EQ(sample(5), CheckOutcome::kPass);  // at the limit is healthy
+  EXPECT_EQ(sample(4), CheckOutcome::kPass);
+  EXPECT_EQ(sample(4), CheckOutcome::kFail);
 }
 
 // --- suite on a live driver -------------------------------------------------

@@ -1,6 +1,6 @@
 // Chaos/soak tier for the sharded driver: seeded randomized FaultPlan storms
 // (hangs, delays, busy loops) against a ~100-checker fleet on fixed-size
-// executor pools with adaptive deadline budgets, with random fleet churn
+// executor pools with per-checker static deadlines, with random fleet churn
 // layered on top. The point is to prove hang isolation holds under
 // adversarial load:
 //
@@ -8,7 +8,8 @@
 //     suspends until its drained execution completes, so a long fault window
 //     never double-counts);
 //   - CHECKER_CRASH and LIVENESS_TIMEOUT signatures still surface through the
-//     storm — deadline budgets must not cost detection;
+//     storm — short per-checker deadlines catch hangs, long ones absorb
+//     delays;
 //   - after the faults clear, every pool is back at its fixed size and the
 //     thread count is exact: the initial workers plus one respawn per
 //     abandonment; queue delay stayed bounded;
@@ -28,9 +29,9 @@
 #include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/fault/fault_injector.h"
-#include "src/fault/fault_plan.h"
 #include "src/watchdog/builtin_checkers.h"
 #include "src/watchdog/driver.h"
+#include "tests/support/fault_plan.h"
 
 namespace wdg {
 namespace {
@@ -55,25 +56,15 @@ WatchdogDriver::Options ChaosOptions() {
   options.dispatch_batch = 4;
   options.executor.workers = kWorkers;
   options.executor.queue_capacity = 512;
-  // Budgets on: fast checkers earn short hang deadlines (the floor) instead
-  // of waiting out a long static timeout. The floor is generous enough that
-  // a healthy trivial body never trips it, even under TSan slowdown.
-  options.deadline_budget.enabled = true;
-  options.deadline_budget.tail_multiplier = 6.0;
-  options.deadline_budget.floor = Ms(60);
-  options.deadline_budget.ceiling = Ms(600);
-  options.deadline_budget.min_samples = 8;
   return options;
 }
 
 CheckerOptions FleetChecker(DurationNs interval, DurationNs timeout,
-                            DurationNs initial_delay,
-                            bool adaptive_deadline = true) {
+                            DurationNs initial_delay) {
   CheckerOptions options;
   options.interval = interval;
   options.timeout = timeout;
   options.initial_delay = initial_delay;
-  options.adaptive_deadline = adaptive_deadline;
   return options;
 }
 
@@ -100,13 +91,11 @@ TEST(DriverChaosTest, SeededFaultStormConvergesAndIsolates) {
   for (int i = 0; i < kProbes; ++i) {
     std::string name = StrFormat("probe%02d", i);
     probe_names.push_back(name);
-    // Probes pin their static deadline (the documented opt-out) so a TSan
-    // scheduling stall can never fake a timeout and skew the exactly-once
-    // abandonment accounting below.
+    // Probes keep a long deadline so a TSan scheduling stall can never fake
+    // a timeout and skew the exactly-once abandonment accounting below.
     driver.AddChecker(std::make_unique<ProbeChecker>(
         name, "chaos.fleet", [] { return Status::Ok(); },
-        FleetChecker(Ms(40), Ms(400), Ms(rng.Uniform(0, 40)),
-                     /*adaptive_deadline=*/false)));
+        FleetChecker(Ms(40), Ms(400), Ms(rng.Uniform(0, 40)))));
   }
   std::vector<std::string> hang_names;
   for (int i = 0; i < kHangs; ++i) {
@@ -119,8 +108,9 @@ TEST(DriverChaosTest, SeededFaultStormConvergesAndIsolates) {
           (void)injector.Act(site);
           return CheckResult::Pass();
         },
-        // Short static timeout: a hang must be declared (and abandoned) well
-        // inside its fault window even before the latency budget warms up.
+        // Short timeout: a hang must be declared (and abandoned) well inside
+        // its fault window. Generous enough that a healthy trivial body never
+        // trips it, even under TSan slowdown.
         FleetChecker(Ms(25), Ms(60), Ms(rng.Uniform(0, 25)))));
   }
   for (int i = 0; i < kDelays; ++i) {
@@ -246,7 +236,7 @@ TEST(DriverChaosTest, SeededFaultStormConvergesAndIsolates) {
   for (const std::string& name : busy_names) {
     EXPECT_EQ(driver.StatsFor(name).timeouts, 1) << name;
   }
-  // Delay faults stayed under every inferred budget: latency, not a hang.
+  // Delay faults stayed under their checkers' deadlines: latency, not a hang.
   for (int i = 0; i < kDelays; ++i) {
     EXPECT_EQ(driver.StatsFor(StrFormat("delay%d", i)).timeouts, 0);
   }

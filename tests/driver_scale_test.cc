@@ -19,7 +19,6 @@
 
 #include "src/common/clock.h"
 #include "src/common/metrics.h"
-#include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/fault/fault_injector.h"
 #include "src/watchdog/builder.h"
@@ -70,19 +69,6 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 
 namespace wdg {
 namespace {
-
-// Polls until `name` has at least `runs` completed runs; false on timeout.
-bool WaitForStat(WatchdogDriver& driver, Clock& clock, const std::string& name,
-                 int64_t runs, DurationNs timeout = Sec(10)) {
-  const TimeNs deadline = clock.NowNs() + timeout;
-  while (clock.NowNs() < deadline) {
-    if (driver.StatsFor(name).runs >= runs) {
-      return true;
-    }
-    clock.SleepFor(Ms(10));
-  }
-  return false;
-}
 
 CheckerOptions ScaleChecker(DurationNs initial_delay = 0) {
   CheckerOptions options;
@@ -562,7 +548,6 @@ TEST(DriverShardingTest, StolenBatchHangAbandonsOnceOnTheStealingShard) {
   options.executor.workers = 1;
   options.dispatch_batch = 4;
   options.max_sleep = Ms(20);  // the idle thief polls for steals frequently
-  options.work_stealing = true;
   // Releasing the plug here (not only at the end of the test body) keeps an
   // early ASSERT exit from wedging Stop() on the never-returning plug.
   std::atomic<bool> plug_started{false};
@@ -807,128 +792,6 @@ TEST(DriverScaleTest, SteadyStateHookPlaneIsAllocationFree) {
   EXPECT_EQ(*ctx.Get(kLong),
             std::string(200, static_cast<char>('a' + (2 * kRounds - 1) % 26)));
   EXPECT_EQ(site.fired_count(), 8 * kRounds);
-}
-
-// --- deadline-budget inference properties ---------------------------------
-// InferDeadlineBudget is the pure rule behind per-checker hang deadlines:
-// clamp(p99 x multiplier, floor, ceiling), falling back to the checker's
-// static timeout when disabled or under-sampled. These pin the properties the
-// driver relies on rather than specific numbers.
-
-DeadlineBudgetOptions BudgetOptions() {
-  DeadlineBudgetOptions options;
-  options.enabled = true;
-  options.tail_multiplier = 4.0;
-  options.floor = Ms(20);
-  options.ceiling = Sec(2);
-  options.min_samples = 8;
-  return options;
-}
-
-TEST(DeadlineBudgetTest, EmptyHistogramFallsBackToTheDefault) {
-  Histogram hist;
-  EXPECT_EQ(InferDeadlineBudget(hist, BudgetOptions(), Ms(400)), Ms(400));
-}
-
-TEST(DeadlineBudgetTest, UndersampledOrDisabledFallsBackToTheDefault) {
-  DeadlineBudgetOptions options = BudgetOptions();
-  Histogram hist;
-  for (int i = 0; i < options.min_samples - 1; ++i) {
-    hist.Record(static_cast<double>(Ms(50)));
-  }
-  EXPECT_EQ(InferDeadlineBudget(hist, options, Ms(400)), Ms(400));
-
-  hist.Record(static_cast<double>(Ms(50)));  // now at min_samples
-  EXPECT_NE(InferDeadlineBudget(hist, options, Ms(400)), Ms(400));
-  options.enabled = false;
-  EXPECT_EQ(InferDeadlineBudget(hist, options, Ms(400)), Ms(400));
-}
-
-TEST(DeadlineBudgetTest, BudgetsAreMonotoneInTheHistogramTail) {
-  const DeadlineBudgetOptions options = BudgetOptions();
-  Rng rng(0xb0d9e7);
-  for (int trial = 0; trial < 50; ++trial) {
-    Histogram base;
-    Histogram stretched;
-    const double stretch = 1.0 + rng.NextDouble() * 9.0;  // tail x1..x10
-    const int samples = static_cast<int>(rng.Uniform(options.min_samples, 512));
-    for (int i = 0; i < samples; ++i) {
-      const double latency = static_cast<double>(rng.Uniform(Ms(1), Ms(200)));
-      base.Record(latency);
-      stretched.Record(latency * stretch);
-    }
-    const DurationNs lo = InferDeadlineBudget(base, options, Ms(400));
-    const DurationNs hi = InferDeadlineBudget(stretched, options, Ms(400));
-    EXPECT_GE(hi, lo) << "stretch " << stretch << " trial " << trial;
-  }
-}
-
-TEST(DeadlineBudgetTest, BudgetsClampToFloorAndCeiling) {
-  const DeadlineBudgetOptions options = BudgetOptions();
-  Histogram tiny;   // microsecond checker: p99 x k is far below the floor
-  Histogram huge;   // pathological tail: p99 x k is far above the ceiling
-  for (int i = 0; i < 64; ++i) {
-    tiny.Record(1000.0);                             // 1 us
-    huge.Record(static_cast<double>(Sec(30)));
-  }
-  EXPECT_EQ(InferDeadlineBudget(tiny, options, Sec(10)), options.floor);
-  EXPECT_EQ(InferDeadlineBudget(huge, options, Ms(1)), options.ceiling);
-  // And between the clamps the rule is exactly p99 x multiplier.
-  Histogram mid;
-  for (int i = 0; i < 64; ++i) {
-    mid.Record(static_cast<double>(Ms(50)));
-  }
-  EXPECT_EQ(InferDeadlineBudget(mid, options, Sec(10)),
-            static_cast<DurationNs>(Ms(50) * options.tail_multiplier));
-}
-
-// Integration: a warmed budget replaces a huge static timeout, so a hang in a
-// normally-fast checker is declared in milliseconds, not after the global
-// deadline. Abandon/suspend/drain semantics are the same as the fixed path.
-TEST(DeadlineBudgetTest, WarmedBudgetDetectsHangsFasterThanStaticTimeout) {
-  RealClock& clock = RealClock::Instance();
-  FaultInjector injector(clock);
-
-  WatchdogDriver::Options options;
-  options.executor.workers = 2;
-  options.deadline_budget.enabled = true;
-  options.deadline_budget.floor = Ms(40);
-  options.deadline_budget.min_samples = 8;
-  options.release_on_stop = [&injector] { injector.ClearAll(); };
-  WatchdogDriver driver(clock, options);
-
-  CheckerOptions fast;
-  fast.interval = Ms(10);
-  fast.timeout = Sec(30);  // absurd static deadline the budget must replace
-  driver.AddChecker(std::make_unique<MimicChecker>(
-      "fast", "budget", nullptr,
-      [&injector](const CheckContext&, MimicChecker&) {
-        (void)injector.Act("budget.op");
-        return CheckResult::Pass();
-      },
-      fast));
-  ASSERT_TRUE(driver.Start().ok());
-
-  // Warm the latency histogram past min_samples and a refresh boundary.
-  ASSERT_TRUE(WaitForStat(driver, clock, "fast", 24));
-  const DriverMetricsSnapshot warmed = driver.DriverMetrics();
-  ASSERT_LT(warmed.checker_deadline_ns.at("fast"), static_cast<double>(Sec(1)));
-
-  FaultSpec hang;
-  hang.id = "stuck";
-  hang.site_pattern = "budget.op";
-  hang.kind = FaultKind::kHang;
-  injector.Inject(hang);
-  // Detection must arrive on the budget's timescale; 5 s of grace is ~100x
-  // the inferred deadline yet a fraction of the 30 s static timeout.
-  EXPECT_TRUE(driver.WaitForFailure(Sec(5), [](const FailureSignature& sig) {
-    return sig.type == FailureType::kLivenessTimeout && sig.checker_name == "fast";
-  }));
-  const DriverMetricsSnapshot metrics = driver.DriverMetrics();
-  EXPECT_EQ(metrics.workers_abandoned, 1);
-  EXPECT_EQ(metrics.timeouts, 1);
-  EXPECT_TRUE(driver.Stop().ok());
-  EXPECT_EQ(injector.parked_thread_count(), 0);
 }
 
 }  // namespace

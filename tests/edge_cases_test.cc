@@ -13,8 +13,8 @@
 #include "src/minizk/ir_model.h"
 #include "src/minizk/server.h"
 #include "src/minizk/zk_types.h"
-#include "src/fault/fault_plan.h"
 #include "src/watchdog/builtin_checkers.h"
+#include "tests/support/fault_plan.h"
 
 namespace {
 

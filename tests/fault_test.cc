@@ -6,7 +6,7 @@
 
 #include "src/common/clock.h"
 #include "src/fault/fault_injector.h"
-#include "src/fault/fault_plan.h"
+#include "tests/support/fault_plan.h"
 
 namespace wdg {
 namespace {

@@ -1,4 +1,4 @@
-#include "src/fault/fault_plan.h"
+#include "tests/support/fault_plan.h"
 
 #include <algorithm>
 

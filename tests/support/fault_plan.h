@@ -1,4 +1,4 @@
-// Timed fault schedules for eval campaigns: inject at T1, remove at T2, ...
+// Timed fault schedules for tests: inject at T1, remove at T2, ...
 #pragma once
 
 #include <string>

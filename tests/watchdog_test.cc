@@ -675,81 +675,6 @@ TEST(WatchdogDriverTest, StopBeforeStartReturnsFailedPrecondition) {
   EXPECT_EQ(driver.Stop().code(), StatusCode::kFailedPrecondition);
 }
 
-// Watchdog-on-the-watchdog: scripted metric sequences drive the alarm paths.
-TEST(DriverHealthCheckerTest, AlarmsOnRejectionGrowthAndLagGauges) {
-  DriverMetricsSnapshot m;
-  DriverHealthChecker::Thresholds t;  // defaults: growth>=1, 2 consecutive
-  DriverHealthChecker checker("driver_watch", [&] { return m; }, t);
-
-  // First sample only anchors the baseline — even a nonzero total passes.
-  m.queue_rejections = 7;
-  EXPECT_EQ(checker.Check().outcome, CheckOutcome::kPass);
-  // Flat counters and quiet gauges: healthy.
-  EXPECT_EQ(checker.Check().outcome, CheckOutcome::kPass);
-
-  // Rejections grow across two consecutive samples → debounced, then alarm.
-  m.queue_rejections = 9;
-  EXPECT_EQ(checker.Check().outcome, CheckOutcome::kPass);  // 1st violation
-  m.queue_rejections = 12;
-  const CheckResult shed = checker.Check();
-  ASSERT_EQ(shed.outcome, CheckOutcome::kFail);
-  EXPECT_EQ(shed.signature.type, FailureType::kSafetyViolation);
-  EXPECT_EQ(shed.signature.code, StatusCode::kResourceExhausted);
-  EXPECT_EQ(shed.signature.location.component, "wdg.driver");
-  EXPECT_NE(shed.signature.message.find("shed"), std::string::npos);
-
-  // A single scheduler-lag spike is debounced away by a healthy sample.
-  m.scheduler_lag_ns = 200.0 * kNsPerMs;
-  EXPECT_EQ(checker.Check().outcome, CheckOutcome::kPass);
-  m.scheduler_lag_ns = 0;
-  EXPECT_EQ(checker.Check().outcome, CheckOutcome::kPass);
-
-  // Sustained p99 queue delay over threshold alarms with the gauge named.
-  m.queue_delay_p99_ns = 500.0 * kNsPerMs;
-  EXPECT_EQ(checker.Check().outcome, CheckOutcome::kPass);
-  const CheckResult lag = checker.Check();
-  ASSERT_EQ(lag.outcome, CheckOutcome::kFail);
-  EXPECT_NE(lag.signature.message.find("queue delay"), std::string::npos);
-}
-
-// Wired against a real driver: a probe fleet saturating a tiny queue sheds
-// submits, and the health checker — sampling the same driver it could run
-// on — turns the rejection growth into a wdg.driver safety violation.
-TEST(DriverHealthCheckerTest, SeesRealDriverRejections) {
-  RealClock& clock = RealClock::Instance();
-  WatchdogDriver::Options options;
-  options.executor.workers = 1;
-  options.executor.queue_capacity = 2;  // far smaller than the fleet
-  WatchdogDriver driver(clock, options);
-  for (int i = 0; i < 32; ++i) {
-    driver.AddChecker(std::make_unique<ProbeChecker>(
-        StrFormat("sat%02d", i), "sys",
-        [&clock] {
-          clock.SleepFor(Ms(2));  // keep the worker busy so the queue fills
-          return Status::Ok();
-        },
-        FastChecker()));
-  }
-
-  DriverHealthChecker::Thresholds t;
-  t.consecutive_needed = 1;
-  DriverHealthChecker health("driver_watch",
-                             [&] { return driver.DriverMetrics(); }, t);
-  EXPECT_EQ(health.Check().outcome, CheckOutcome::kPass);  // baseline anchor
-
-  ASSERT_TRUE(driver.Start().ok());
-  // Wait until backpressure has provably shed at least one submit.
-  for (int i = 0; i < 100 && driver.DriverMetrics().queue_rejections == 0; ++i) {
-    clock.SleepFor(Ms(10));
-  }
-  ASSERT_GT(driver.DriverMetrics().queue_rejections, 0);
-  const CheckResult result = health.Check();
-  EXPECT_TRUE(driver.Stop().ok());
-  ASSERT_EQ(result.outcome, CheckOutcome::kFail);
-  EXPECT_EQ(result.signature.location.component, "wdg.driver");
-  EXPECT_NE(result.signature.message.find("shed"), std::string::npos);
-}
-
 // ---------------------------------------------------------- CheckerBuilder
 
 TEST(CheckerBuilderTest, BuildsMimicChecker) {

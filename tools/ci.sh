@@ -110,7 +110,7 @@ run_leg build-ci-asan address "$@"
 # batched hook flush (spill-block growth included), plus the pooled
 # scheduler/executor scale suite (abandonment, backpressure, and shutdown
 # races, plus the hook-plane allocation guard), the chaos/soak tier that
-# storms the fixed pools + deadline budgets with injected faults, and
+# storms the fixed pools with injected faults, and
 # the signal-suite/fusion tests (FusionDetector::OnFailure runs on scheduler
 # threads; the suite test drives a live driver against a publisher thread).
 run_leg build-ci-tsan thread -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal' "$@"
