@@ -117,24 +117,4 @@ std::map<std::string, double> MetricsRegistry::Snapshot() const {
   return out;
 }
 
-std::vector<std::string> MetricsRegistry::CounterNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(counters_.size());
-  for (const auto& [name, _] : counters_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
-std::vector<std::string> MetricsRegistry::GaugeNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(gauges_.size());
-  for (const auto& [name, _] : gauges_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 }  // namespace wdg

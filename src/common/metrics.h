@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/clock.h"
-
 namespace wdg {
 
 class Counter {
@@ -90,31 +88,11 @@ class MetricsRegistry {
   // Counter and gauge values by name (histograms export count/mean/p99).
   std::map<std::string, double> Snapshot() const;
 
-  std::vector<std::string> CounterNames() const;
-  std::vector<std::string> GaugeNames() const;
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-// RAII latency recorder.
-class ScopedLatency {
- public:
-  ScopedLatency(Histogram* hist, Clock& clock)
-      : hist_(hist), clock_(clock), start_(clock.NowNs()) {}
-  ~ScopedLatency() {
-    if (hist_ != nullptr) {
-      hist_->Record(static_cast<double>(clock_.NowNs() - start_));
-    }
-  }
-
- private:
-  Histogram* hist_;
-  Clock& clock_;
-  TimeNs start_;
 };
 
 }  // namespace wdg

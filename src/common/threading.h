@@ -191,12 +191,7 @@ class JoiningThread {
 //
 // The queue is a fixed ring owned by the pool (no per-node heap traffic), and
 // every bookkeeping structure is pre-sized, so steady-state submit/dispatch
-// performs zero allocations. Each item carries an opaque `tag` the submitter
-// can use to re-route ownership when an item moves between pools: StealFrom
-// pops queued-but-unclaimed items from the *back* of a sibling pool's ring
-// into this one, re-ticketing them under both locks (own lock first, sibling
-// via try_lock — contention skips the steal rather than risking the A<->B
-// deadlock).
+// performs zero allocations.
 //
 // Stop() contract: the caller must first unblock anything that could keep an
 // abandoned task hung forever (the watchdog driver runs release_on_stop);
@@ -250,7 +245,6 @@ class WorkerPool {
     {
       std::lock_guard<std::mutex> lock(mu_);
       to_join.swap(workers_);
-      workers_gauge_.store(0, std::memory_order_relaxed);
     }
     to_join.clear();  // JoiningThread dtor joins
     {
@@ -267,62 +261,19 @@ class WorkerPool {
     return next_ticket_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Non-blocking enqueue; nullopt when the queue is full (backpressure) or
-  // the pool is stopped. The ticket identifies the task for AbandonIfRunning.
-  std::optional<uint64_t> TrySubmit(Task task, void* tag = nullptr) {
-    const uint64_t ticket = ReserveTicket();
-    if (!TrySubmitTicketed(ticket, std::move(task), tag)) {
-      return std::nullopt;
-    }
-    return ticket;
-  }
-
-  // TrySubmit with a caller-reserved ticket (see ReserveTicket).
-  bool TrySubmitTicketed(uint64_t ticket, Task task, void* tag = nullptr) {
+  // Non-blocking enqueue under a caller-reserved ticket (see ReserveTicket);
+  // false when the queue is full (backpressure) or the pool is stopped. The
+  // ticket identifies the task for AbandonIfRunning.
+  bool TrySubmitTicketed(uint64_t ticket, Task task) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!started_ || stopping_ || count_ == capacity_) {
         return false;
       }
-      PushBackLocked(Item{ticket, std::move(task), tag});
+      PushBackLocked(Item{ticket, std::move(task)});
     }
     not_empty_.notify_one();
     return true;
-  }
-
-  // Steals up to `max_items` queued-but-unclaimed tasks from the back of
-  // `victim`'s ring into this pool's ring. Only an *idle* pool steals (own
-  // queue must be empty); the victim's lock is try-acquired so contention
-  // skips the steal instead of deadlocking. Each stolen item is re-ticketed
-  // from this pool's counter and `mutate(tag, new_ticket)` runs under both
-  // locks — before the item is runnable here, after it stopped being runnable
-  // there — so the submitter can atomically re-route abandon/ownership state.
-  // Returns the number of items stolen.
-  template <typename Mutator>
-  size_t StealFrom(WorkerPool& victim, size_t max_items, Mutator&& mutate) {
-    if (&victim == this || max_items == 0) {
-      return 0;
-    }
-    std::unique_lock<std::mutex> self_lock(mu_);
-    if (!started_ || stopping_ || count_ != 0) {
-      return 0;
-    }
-    std::unique_lock<std::mutex> victim_lock(victim.mu_, std::try_to_lock);
-    if (!victim_lock.owns_lock() || !victim.started_ || victim.stopping_) {
-      return 0;
-    }
-    size_t stolen = 0;
-    while (stolen < max_items && victim.count_ > 0 && count_ < capacity_) {
-      Item item = victim.PopBackLocked();
-      item.ticket = ReserveTicket();
-      mutate(item.tag, item.ticket);
-      PushBackLocked(std::move(item));
-      ++stolen;
-    }
-    if (stolen > 0) {
-      not_empty_.notify_all();
-    }
-    return stolen;
   }
 
   // If `ticket`'s task is still executing, abandon its worker (park the
@@ -336,8 +287,6 @@ class WorkerPool {
         worker = claims_[i].worker;
         claims_[i] = claims_.back();
         claims_.pop_back();
-        busy_gauge_.store(static_cast<int>(claims_.size()),
-                          std::memory_order_relaxed);
         break;
       }
     }
@@ -349,8 +298,6 @@ class WorkerPool {
       if (wit->get() == worker) {
         drained_.push_back(std::move(*wit));
         workers_.erase(wit);
-        workers_gauge_.store(static_cast<int>(workers_.size()),
-                             std::memory_order_relaxed);
         break;
       }
     }
@@ -375,21 +322,6 @@ class WorkerPool {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<int>(claims_.size());
   }
-  // Relaxed-read mirrors of QueueDepth/BusyCount/active_workers, written
-  // under mu_ at every mutation. Exact only at the instant of the store —
-  // for the driver's per-pass cross-shard scans (steal candidates, fleet
-  // utilization), where taking every sibling pool's mutex for a mere hint
-  // turned the scan into a lock convoy. Anything that *moves* work still
-  // revalidates under the real lock (StealFrom).
-  size_t QueueDepthHint() const {
-    return depth_gauge_.load(std::memory_order_relaxed);
-  }
-  int BusyCountHint() const {
-    return busy_gauge_.load(std::memory_order_relaxed);
-  }
-  int ActiveWorkersHint() const {
-    return workers_gauge_.load(std::memory_order_relaxed);
-  }
   // Threads ever created (initial workers + one respawn per abandonment).
   int64_t threads_spawned() const { return threads_spawned_.load(std::memory_order_relaxed); }
   int64_t abandoned_count() const { return abandoned_.load(std::memory_order_relaxed); }
@@ -402,7 +334,6 @@ class WorkerPool {
   struct Item {
     uint64_t ticket = 0;
     Task task;
-    void* tag = nullptr;
   };
   struct Claim {
     uint64_t ticket = 0;
@@ -412,7 +343,6 @@ class WorkerPool {
   void PushBackLocked(Item item) {
     ring_[(head_ + count_) % capacity_] = std::move(item);
     ++count_;
-    depth_gauge_.store(count_, std::memory_order_relaxed);
   }
 
   Item PopFrontLocked() {
@@ -420,16 +350,6 @@ class WorkerPool {
     ring_[head_] = Item{};
     head_ = (head_ + 1) % capacity_;
     --count_;
-    depth_gauge_.store(count_, std::memory_order_relaxed);
-    return item;
-  }
-
-  Item PopBackLocked() {
-    const size_t idx = (head_ + count_ - 1) % capacity_;
-    Item item = std::move(ring_[idx]);
-    ring_[idx] = Item{};
-    --count_;
-    depth_gauge_.store(count_, std::memory_order_relaxed);
     return item;
   }
 
@@ -439,8 +359,6 @@ class WorkerPool {
     threads_spawned_.fetch_add(1, std::memory_order_relaxed);
     worker->thread = JoiningThread([this, raw] { WorkerLoop(raw); });
     workers_.push_back(std::move(worker));
-    workers_gauge_.store(static_cast<int>(workers_.size()),
-                         std::memory_order_relaxed);
   }
 
   void WorkerLoop(Worker* self) {
@@ -452,8 +370,6 @@ class WorkerPool {
       }
       Item item = PopFrontLocked();
       claims_.push_back(Claim{item.ticket, self});
-      busy_gauge_.store(static_cast<int>(claims_.size()),
-                        std::memory_order_relaxed);
       lock.unlock();
       item.task();
       lock.lock();
@@ -461,8 +377,6 @@ class WorkerPool {
         if (claims_[i].ticket == item.ticket) {
           claims_[i] = claims_.back();
           claims_.pop_back();
-          busy_gauge_.store(static_cast<int>(claims_.size()),
-                            std::memory_order_relaxed);
           break;
         }
       }
@@ -485,11 +399,6 @@ class WorkerPool {
   std::vector<std::unique_ptr<Worker>> workers_;  // active
   std::vector<std::unique_ptr<Worker>> drained_;  // abandoned, joined at Stop
   std::vector<Claim> claims_;                     // ticket -> executing worker
-  // Lock-free gauges mirroring count_ / claims_.size() / workers_.size();
-  // see QueueDepthHint.
-  std::atomic<size_t> depth_gauge_{0};
-  std::atomic<int> busy_gauge_{0};
-  std::atomic<int> workers_gauge_{0};
   std::atomic<int64_t> threads_spawned_{0};
   std::atomic<int64_t> abandoned_{0};
 };

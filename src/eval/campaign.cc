@@ -172,8 +172,7 @@ TrialResult RunTrial(const Scenario& scenario, const TrialOptions& options) {
   }
 
   // Fusion instances outlive the driver (declared first => destroyed last):
-  // the driver delivers OnFailure from scheduler threads until Stop(), and
-  // its own DriverMetrics() samples the fused one via SetFusionSampler.
+  // the driver delivers OnFailure from scheduler threads until Stop().
   std::unique_ptr<FusionDetector> fused, fused_probe_only, fused_signal_only,
       fused_mimic_only;
   if (options.with_fusion) {
@@ -280,14 +279,6 @@ TrialResult RunTrial(const Scenario& scenario, const TrialOptions& options) {
     driver.AddListener(fused_probe_only.get());
     driver.AddListener(fused_signal_only.get());
     driver.AddListener(fused_mimic_only.get());
-    driver.SetFusionSampler([&clock, detector = fused.get()] {
-      WatchdogDriver::FusionSample sample;
-      const TimeNs now = clock.NowNs();
-      sample.score = detector->ScoreAt(now);
-      sample.fires = static_cast<int64_t>(detector->Fires().size());
-      sample.component = detector->PinpointAt(now);
-      return sample;
-    });
   }
   (void)driver.Start();
 
@@ -412,7 +403,6 @@ TrialResult RunTrial(const Scenario& scenario, const TrialOptions& options) {
   result.workload_requests = workload.requests();
   result.workload_errors = workload.errors();
   result.leader_metrics = leader.metrics().Snapshot();
-  result.driver_metrics = driver.DriverMetrics().ToMap();
 
   // --- teardown ----------------------------------------------------------------
   injector.ClearAll();

@@ -77,9 +77,6 @@ struct TrialResult {
   int64_t suppressed_alarms = 0;
   // Leader metrics snapshot at trial end (error-handler counters etc.).
   std::map<std::string, double> leader_metrics;
-  // Watchdog self-observability at trial end (pool, queue delay, timeouts —
-  // DriverMetricsSnapshot::ToMap()). Lets benches report watchdog overhead.
-  std::map<std::string, double> driver_metrics;
   // Supervisor-plane facts (populated by RunSupervisedTrial, zero elsewhere):
   // what the out-of-process wdogd saw and did while the in-process watchdog
   // shared the main program's fate.

@@ -106,15 +106,6 @@ class SupervisedProcess {
   bool reboot_done() const { return reboot_done_.load(std::memory_order_acquire); }
   int incarnations() const { return incarnations_.load(std::memory_order_acquire); }
 
-  // Driver metrics of the live incarnation (for the trial record).
-  DriverMetricsSnapshot DriverMetricsNow() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (current_ && current_->driver) {
-      return current_->driver->DriverMetrics();
-    }
-    return DriverMetricsSnapshot{};
-  }
-
  private:
   Status BootLocked() {
     auto instance = std::make_unique<Instance>();
@@ -314,8 +305,6 @@ TrialResult RunSupervisedTrial(const SupervisedTrialOptions& options) {
     // Let the post-escalation incarnation kick a few times before teardown.
     clock.SleepFor(options.kick_interval * 3);
 
-    const DriverMetricsSnapshot driver_metrics = process.DriverMetricsNow();
-    result.driver_metrics = driver_metrics.ToMap();
     injector.ClearAll();
   }
   (void)wdogd.Stop();

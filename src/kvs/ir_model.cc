@@ -297,7 +297,7 @@ void RegisterOpExecutors(awd::OpExecutorRegistry& registry, KvsNode& node) {
       });
 
   // Cross-node probe on the real link. Sent from a dedicated watchdog
-  // endpoint so it never steals the main listener's messages — but through
+  // endpoint so it never intercepts the main listener's messages — but through
   // the same "net.send.<follower>" fault site, so a hung link hangs us too.
   registry.Register(
       "net.send.*",

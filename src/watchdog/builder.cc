@@ -35,11 +35,6 @@ CheckerBuilder& CheckerBuilder::Debounce(int consecutive_needed) {
   return *this;
 }
 
-CheckerBuilder& CheckerBuilder::ShardAffinity(int shard) {
-  shard_affinity_ = shard;
-  return *this;
-}
-
 CheckerBuilder& CheckerBuilder::SubscribeSlot(uint32_t key_slot) {
   subscribe_slots_.push_back(key_slot);
   return *this;
@@ -147,10 +142,6 @@ Result<std::unique_ptr<Checker>> CheckerBuilder::Build() {
     return InvalidArgumentError(
         StrFormat("checker '%s': deadline prior must be >= 0", name_.c_str()));
   }
-  if (shard_affinity_ < -1) {
-    return InvalidArgumentError(
-        StrFormat("checker '%s': shard affinity must be >= 0", name_.c_str()));
-  }
   // Subscription epochs apply to every body kind. A mimic subscribes against
   // the context it executes in; probe and signal bodies take no execution
   // context, so for them WithContext/ContextFactory is *subscription-only* —
@@ -166,8 +157,7 @@ Result<std::unique_ptr<Checker>> CheckerBuilder::Build() {
                       ? "probe"
                       : (body_ == Body::kSignal ? "signal" : "custom")));
   }
-  CheckerOptions options{interval_, deadline_, initial_delay_, deadline_prior_,
-                         shard_affinity_};
+  CheckerOptions options{interval_, deadline_, initial_delay_, deadline_prior_};
   // Resolve the (optional) context once, for any body kind.
   CheckContext* context = context_;
   if (context_factory_) {

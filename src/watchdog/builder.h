@@ -53,10 +53,6 @@ class CheckerBuilder {
   CheckerBuilder& DeadlinePrior(DurationNs prior);
   // Consecutive violations required before alarming (probe/signal only).
   CheckerBuilder& Debounce(int consecutive_needed);
-  // Pin the checker to one scheduler shard of a sharded driver
-  // (CheckerOptions::shard_affinity; the driver takes it modulo its shard
-  // count). Must be >= 0; unset means assignment by name hash.
-  CheckerBuilder& ShardAffinity(int shard);
 
   // Subscription epochs: the driver skips a scheduled run when none of the
   // subscribed keys advanced since the last completed run (counted as
@@ -127,7 +123,6 @@ class CheckerBuilder {
   DurationNs deadline_prior_ = 0;
   int debounce_ = 1;
   bool debounce_set_ = false;
-  int shard_affinity_ = -1;
   std::vector<uint32_t> subscribe_slots_;
 
   CheckContext* context_ = nullptr;

@@ -44,38 +44,4 @@ CheckResult MimicChecker::Check() {
   return body_(context_ != nullptr ? *context_ : kEmpty, *this);
 }
 
-SleepDriftChecker::SleepDriftChecker(std::string name, std::string component, Clock& clock,
-                                     FaultInjector& injector, DurationNs expected_sleep,
-                                     double drift_factor, Options options)
-    : Checker(std::move(name), std::move(component), CheckerType::kMimic, options),
-      clock_(clock), injector_(injector), expected_sleep_(expected_sleep),
-      drift_factor_(drift_factor) {}
-
-CheckResult SleepDriftChecker::Check() {
-  SourceLocation loc;
-  loc.component = component();
-  loc.function = "SleepDrift";
-  loc.op_site = "runtime.pause";
-  SetCurrentOp(loc);
-
-  const TimeNs start = clock_.NowNs();
-  clock_.SleepFor(expected_sleep_);
-  // The shared-fate gate: a stop-the-world pause injected at "runtime.pause"
-  // delays this checker exactly as it delays the main program's threads.
-  (void)injector_.Act("runtime.pause");
-  const DurationNs observed = clock_.NowNs() - start;
-  last_observed_.store(observed);
-
-  if (static_cast<double>(observed) >
-      static_cast<double>(expected_sleep_) * drift_factor_) {
-    return CheckResult::Fail(MakeSignature(
-        FailureType::kLivenessTimeout, loc, StatusCode::kResourceExhausted,
-        StrFormat("slept %lld ms but %lld ms elapsed — long runtime pause "
-                  "(memory pressure / GC)",
-                  static_cast<long long>(expected_sleep_ / kNsPerMs),
-                  static_cast<long long>(observed / kNsPerMs))));
-  }
-  return CheckResult::Pass();
-}
-
 }  // namespace wdg

@@ -13,9 +13,6 @@
 #include <string>
 #include <utility>
 
-#include <atomic>
-
-#include "src/fault/fault_injector.h"
 #include "src/watchdog/checker.h"
 
 namespace wdg {
@@ -83,37 +80,6 @@ class MimicChecker : public Checker {
  private:
   CheckContext* context_;
   BodyFn body_;
-};
-
-// Sleep-drift checker (§3.3's memory-pressure example):
-//
-//   "to detect memory pressure in a Java program, a checker can run a worker
-//    thread in a loop sleeping for a short time; if when the worker awakens,
-//    the elapsed time is significantly larger than the specified sleep time,
-//    the checker likely suffered from a long GC pause [— implying] the main
-//    program is likely experiencing excessive memory usage or a serious
-//    memory leak."
-//
-// The checker sleeps `expected_sleep` through the shared runtime (the
-// "runtime.pause" fault site stands in for a stop-the-world pause affecting
-// every thread in the process) and alarms when the observed elapsed time
-// exceeds expected * drift_factor.
-class SleepDriftChecker : public Checker {
- public:
-  SleepDriftChecker(std::string name, std::string component, Clock& clock,
-                    FaultInjector& injector, DurationNs expected_sleep = Ms(10),
-                    double drift_factor = 3.0, Options options = {});
-
-  CheckResult Check() override;
-
-  DurationNs last_observed() const { return last_observed_.load(); }
-
- private:
-  Clock& clock_;
-  FaultInjector& injector_;
-  DurationNs expected_sleep_;
-  double drift_factor_;
-  std::atomic<DurationNs> last_observed_{0};
 };
 
 }  // namespace wdg

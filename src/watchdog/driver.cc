@@ -16,6 +16,10 @@ namespace {
 // and after a cancelled batch sibling is pulled back for re-dispatch.
 constexpr DurationNs kBackpressureRetry = Ms(2);
 constexpr int kMaxShards = 64;
+// Upper bound on one scheduler sleep. The scheduler normally wakes exactly at
+// the next deadline (or earlier, on dispatch/completion events); this only
+// caps how long a lost wake could go unnoticed.
+constexpr DurationNs kMaxSleep = Ms(250);
 
 bool CasState(Execution& exec, ExecState from, ExecState to) {
   uint8_t expected = static_cast<uint8_t>(from);
@@ -51,14 +55,7 @@ std::map<std::string, double> DriverMetricsSnapshot::ToMap() const {
       {"wdg.driver.supervisor.kicks", static_cast<double>(supervisor_kicks)},
       {"wdg.driver.supervisor.kicks_withheld",
        static_cast<double>(supervisor_kicks_withheld)},
-      {"wdg.driver.batches_stolen", static_cast<double>(batches_stolen)},
   };
-  // Only when a fusion sampler is attached: a permanent 0.0 score would read
-  // as "fused and healthy" on dashboards that can't tell the difference.
-  if (fusion_attached) {
-    map["wdg.driver.fusion.score"] = fusion_score;
-    map["wdg.driver.fusion.fires"] = static_cast<double>(fusion_fires);
-  }
   // Per-shard gauges only when actually sharded, so the single-scheduler map
   // stays free of redundant copies of the aggregate.
   if (shard_views.size() > 1) {
@@ -72,7 +69,6 @@ std::map<std::string, double> DriverMetricsSnapshot::ToMap() const {
       map[prefix + "completed"] = static_cast<double>(view.completed);
       map[prefix + "wheel.entries"] = static_cast<double>(view.wheel_entries);
       map[prefix + "skipped_unchanged"] = static_cast<double>(view.skipped_unchanged);
-      map[prefix + "batches_stolen"] = static_cast<double>(view.batches_stolen);
       map[prefix + "workers.abandoned"] = static_cast<double>(view.workers_abandoned);
     }
   }
@@ -99,7 +95,6 @@ WatchdogDriver::WatchdogDriver(Clock& clock, Options options)
     metrics_ = owned_metrics_.get();
   }
   scheduler_lag_gauge_ = metrics_->GetGauge("wdg.driver.scheduler_lag_ns");
-  pool_utilization_gauge_ = metrics_->GetGauge("wdg.driver.pool.utilization");
   shards_.reserve(static_cast<size_t>(options_.shards));
   for (int s = 0; s < options_.shards; ++s) {
     auto shard = std::make_unique<Shard>();
@@ -135,17 +130,8 @@ std::optional<size_t> WatchdogDriver::FindSlotLocked(const std::string& checker_
 
 Checker* WatchdogDriver::AddChecker(std::unique_ptr<Checker> checker) {
   assert(!running() && "checkers must be registered before Start()");
-  std::lock_guard<std::mutex> reg_lock(reg_mu_);
-  Slot slot;
-  slot.checker = std::move(checker);
-  slot.shard = static_cast<uint16_t>(ShardFor(*slot.checker));
-  Checker* borrowed = slot.checker.get();
-  const size_t index = slots_.size();
-  // Key is a view into the heap-stable Checker name; first name wins.
-  index_by_name_.emplace(std::string_view(borrowed->name()), index);
-  shards_[slot.shard]->members.push_back(index);
-  slots_.push_back(std::move(slot));
-  return borrowed;
+  Checker* borrowed = checker.get();
+  return TryAddChecker(std::move(checker)).ok() ? borrowed : nullptr;
 }
 
 Status WatchdogDriver::TryAddChecker(std::unique_ptr<Checker> checker) {
@@ -166,6 +152,7 @@ Status WatchdogDriver::TryAddChecker(std::unique_ptr<Checker> checker) {
   slot.checker = std::move(checker);
   slot.shard = static_cast<uint16_t>(ShardFor(*slot.checker));
   const size_t index = slots_.size();
+  // Key is a view into the heap-stable Checker name.
   index_by_name_.emplace(std::string_view(slot.checker->name()), index);
   shards_[slot.shard]->members.push_back(index);
   slots_.push_back(std::move(slot));
@@ -190,11 +177,6 @@ Status WatchdogDriver::SetValidationProbe(std::function<Status()> probe,
 void WatchdogDriver::AddListener(FailureListener* listener) {
   std::lock_guard<std::mutex> lock(listeners_mu_);
   listeners_.push_back(listener);
-}
-
-void WatchdogDriver::SetFusionSampler(std::function<FusionSample()> sampler) {
-  std::lock_guard<std::mutex> lock(listeners_mu_);
-  fusion_sampler_ = std::move(sampler);
 }
 
 void WatchdogDriver::AddRecoveryAction(const std::string& component_prefix,
@@ -604,7 +586,7 @@ void WatchdogDriver::ShardLoop(size_t shard_index) {
       scheduler_lag_gauge_->Set(static_cast<double>(now - shard.planned_wake));
     }
     std::vector<PendingFailure> pending;
-    TimeNs next_deadline = now + options_.max_sleep;
+    TimeNs next_deadline = now + kMaxSleep;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       // (1) Reap in-flight executions: completions, hang deadlines, drains.
@@ -664,41 +646,6 @@ void WatchdogDriver::ShardLoop(size_t shard_index) {
         }
       }
     }
-    // Work-stealing (pool-internal locks only, never under shard.mu): help a
-    // backlogged sibling when this shard's own queue is empty, and advertise
-    // our own backlog (edge-triggered, one wake per episode) so idle siblings
-    // come help instead of sleeping out their timer wheels. Both sides demand
-    // a *saturated* pool (every worker busy): a batch queued next to an idle
-    // worker is claimed in microseconds, so stealing it — or waking seven
-    // sibling schedulers over it — buys no latency and costs a cross-core
-    // bounce; on a loaded one-core box those spurious wakes alone were worth
-    // ~10x on the 10k fleet's p99 queue delay.
-    if (shards_.size() > 1) {
-      const size_t own_depth = shard.executor->queue_depth_hint();
-      if (own_depth == 0) {
-        shard.backlog_advertised = false;
-        MaybeStealWork(shard_index);
-      } else if (own_depth >= 2 && !shard.backlog_advertised &&
-                 shard.executor->busy_count_hint() >=
-                     shard.executor->worker_count_hint()) {
-        shard.backlog_advertised = true;
-        for (auto& other : shards_) {
-          if (other.get() != &shard) {
-            other->wake.Notify();
-          }
-        }
-      }
-    }
-    // Utilization across all shards' pools (lock-free counters), so the gauge
-    // reflects the fleet no matter which shard updated it last.
-    int workers = 0;
-    int busy = 0;
-    for (const auto& other : shards_) {
-      workers += other->executor->worker_count_hint();
-      busy += other->executor->busy_count_hint();
-    }
-    pool_utilization_gauge_->Set(
-        workers == 0 ? 0.0 : static_cast<double>(busy) / workers);
     for (PendingFailure& failure : pending) {
       HandleFailure(std::move(failure.signature), failure.checker_type, now, shard);
     }
@@ -716,46 +663,6 @@ void WatchdogDriver::ShardLoop(size_t shard_index) {
       shard.wake.WaitFor(wake_deadline - before_sleep);
     }
   }
-}
-
-void WatchdogDriver::MaybeStealWork(size_t thief_index) {
-  // Called with no locks held. Batches sitting in a sibling's queue are
-  // all-kPending (a worker claims executions only after popping the batch),
-  // so moving one re-homes the whole unit of work: the steal rewrites the
-  // batch's ticket/runner under both pool locks before it becomes runnable
-  // on this shard's pool, which keeps the scheduler's abandon path —
-  // AbandonBatch routes through control.runner — exactly-once on whichever
-  // pool actually runs the batch.
-  CheckerExecutor& thief = *shards_[thief_index]->executor;
-  const int idle = thief.worker_count_hint() - thief.busy_count_hint();
-  if (idle <= 0) {
-    return;
-  }
-  size_t victim_index = thief_index;
-  size_t max_depth = 0;  // any queued batch on a *saturated* sibling is fair game
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (s == thief_index) {
-      continue;
-    }
-    CheckerExecutor& candidate = *shards_[s]->executor;
-    const size_t depth = candidate.queue_depth_hint();
-    if (depth == 0 ||
-        candidate.busy_count_hint() < candidate.worker_count_hint()) {
-      // An idle worker over there will claim the queued batch faster than a
-      // steal can re-ticket it; only a pool with every worker busy (wedged or
-      // overloaded) genuinely needs the help.
-      continue;
-    }
-    if (depth > max_depth) {
-      max_depth = depth;
-      victim_index = s;
-    }
-  }
-  if (victim_index == thief_index) {
-    return;  // no saturated sibling with a backlog
-  }
-  (void)thief.TryStealFrom(*shards_[victim_index]->executor,
-                           static_cast<size_t>(idle));
 }
 
 void WatchdogDriver::MaybeKickSupervisor(TimeNs now) {
@@ -1033,7 +940,6 @@ DriverMetricsSnapshot WatchdogDriver::DriverMetrics() const {
     view.completed = executor.completed_count();
     view.skipped_unchanged =
         shards_[s]->skipped_unchanged.load(std::memory_order_relaxed);
-    view.batches_stolen = executor.batches_stolen();
     view.workers_abandoned = executor.workers_abandoned();
     snapshot.pool_workers += view.workers;
     snapshot.busy_workers += view.busy;
@@ -1046,7 +952,6 @@ DriverMetricsSnapshot WatchdogDriver::DriverMetrics() const {
     snapshot.queue_rejections += executor.rejected_count();
     snapshot.batches_dispatched += executor.batches_submitted();
     snapshot.skipped_unchanged += view.skipped_unchanged;
-    snapshot.batches_stolen += view.batches_stolen;
   }
   snapshot.pool_utilization =
       snapshot.pool_workers == 0
@@ -1083,22 +988,6 @@ DriverMetricsSnapshot WatchdogDriver::DriverMetrics() const {
   snapshot.supervisor_kicks = supervisor_kicks_.load(std::memory_order_relaxed);
   snapshot.supervisor_kicks_withheld =
       supervisor_kicks_withheld_.load(std::memory_order_relaxed);
-  {
-    // Copy the sampler out so the (thread-safe) fusion scorer runs outside
-    // listeners_mu_ — it takes its own lock in OnFailure delivery paths.
-    std::function<FusionSample()> sampler;
-    {
-      std::lock_guard<std::mutex> lock(listeners_mu_);
-      sampler = fusion_sampler_;
-    }
-    if (sampler) {
-      FusionSample sample = sampler();
-      snapshot.fusion_attached = true;
-      snapshot.fusion_score = sample.score;
-      snapshot.fusion_fires = sample.fires;
-      snapshot.fusion_component = std::move(sample.component);
-    }
-  }
   return snapshot;
 }
 

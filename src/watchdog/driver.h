@@ -37,10 +37,10 @@
 // (wdg.driver.skipped_unchanged counts them).
 //
 // The driver also watches itself: per-checker latency histograms, the
-// enqueue→dispatch queue-delay histogram, scheduler lag, and pool utilization
-// are exported through a MetricsRegistry and summarized by DriverMetrics()
-// (aggregated across shards, with per-shard views), so a signal checker can
-// monitor the watchdog's own health.
+// enqueue→dispatch queue-delay histogram, scheduler lag, and pool sizes are
+// exported through a MetricsRegistry and summarized, with pool utilization,
+// by DriverMetrics() (aggregated across shards, with per-shard views), so a
+// signal checker can monitor the watchdog's own health.
 #pragma once
 
 #include <atomic>
@@ -138,16 +138,8 @@ struct DriverMetricsSnapshot {
   int64_t supervisor_kicks = 0;           // kicks actually sent to wdogd
   int64_t supervisor_kicks_withheld = 0;  // due kicks withheld: liveness unproven
 
-  // Fused gray-failure view (SetFusionSampler; all-zero when detached). The
-  // driver doesn't compute this itself — a FusionDetector listening on the
-  // verdict stream does — but it belongs in DriverMetrics() so dashboards
-  // see score + verdict next to the raw execution counters.
-  bool fusion_attached = false;
-  double fusion_score = 0;          // current gray-failure score
-  int64_t fusion_fires = 0;         // hysteresis-latched fire events so far
-  std::string fusion_component;     // current pinpoint ("" = none)
-
-  // Work-stealing between shard pools (0 with a single shard or stealing off).
+  // Always 0: shard pools no longer steal from each other. Kept only so
+  // perfbench can still report driver.batches_stolen_per_s.
   int64_t batches_stolen = 0;
 
   // Per-shard breakdown (one entry per shard, index == shard id).
@@ -159,7 +151,6 @@ struct DriverMetricsSnapshot {
     int64_t completed = 0;
     size_t wheel_entries = 0;
     int64_t skipped_unchanged = 0;
-    int64_t batches_stolen = 0;     // batches this shard's pool stole from siblings
     int64_t workers_abandoned = 0;  // hung workers parked off this shard's pool
   };
   std::vector<ShardView> shard_views;
@@ -193,17 +184,14 @@ struct DriverSupervision {
   std::string name = "wdg-driver";
   DurationNs kick_interval = Ms(25);
   // Kick deadline requested from the supervisor (it clamps into its policy
-  // bounds). Must comfortably exceed kick_interval plus max_sleep.
+  // bounds). Must comfortably exceed kick_interval plus the scheduler's
+  // 250 ms sleep cap.
   DurationNs kick_deadline = Ms(150);
   DurationNs handshake_timeout = Ms(500);
 };
 
 // Driver configuration.
 struct WatchdogDriverOptions {
-  // Upper bound on one scheduler sleep. The scheduler normally wakes exactly
-  // at the next deadline (or earlier, on dispatch/completion events); this
-  // only caps how long a lost wake could go unnoticed.
-  DurationNs max_sleep = Ms(250);
   DurationNs dedup_window = Sec(2);
   // Executor pool sizing: fixed worker count (at least 1) and submission-queue
   // capacity. With shards > 1 every shard gets its own pool with this
@@ -255,8 +243,9 @@ class WatchdogDriver {
   WatchdogDriver& operator=(const WatchdogDriver&) = delete;
 
   // Registration is allowed before Start() only. Returns a borrow of the
-  // checker for test convenience. Asserts on misuse; prefer TryAddChecker
-  // (or CheckerBuilder::RegisterWith) for a typed error instead.
+  // checker for test convenience, or nullptr when TryAddChecker would fail
+  // (a duplicate name registers nothing). Asserts on misuse in debug builds;
+  // prefer TryAddChecker (or CheckerBuilder::RegisterWith) for a typed error.
   Checker* AddChecker(std::unique_ptr<Checker> checker);
   // Typed-error registration: kFailedPrecondition if the driver is already
   // running, kAlreadyExists on a duplicate checker name, kInvalidArgument
@@ -267,16 +256,6 @@ class WatchdogDriver {
   // the driver is running.
   Status SetValidationProbe(std::function<Status()> probe, DurationNs timeout);
   void AddListener(FailureListener* listener);
-  // Attaches a fusion verdict source (typically a lambda over a
-  // FusionDetector that is also registered via AddListener): DriverMetrics()
-  // calls it to fill the fusion_* snapshot fields. Pass nullptr to detach.
-  // May be called at any time; the sampler must be thread-safe.
-  struct FusionSample {
-    double score = 0;
-    int64_t fires = 0;
-    std::string component;
-  };
-  void SetFusionSampler(std::function<FusionSample()> sampler);
   // `component_prefix` matches signature.location.component by prefix.
   void AddRecoveryAction(const std::string& component_prefix, RecoveryAction* action);
 
@@ -368,10 +347,6 @@ class WatchdogDriver {
     std::atomic<int64_t> skipped_unchanged{0};
     std::vector<uint64_t> due;          // scheduler-thread scratch
     std::vector<size_t> launch_scratch; // scheduler-thread scratch
-    // Work-stealing (scheduler-thread state): edge-triggered backlog
-    // advertisement — when this shard's queue crosses the steal threshold it
-    // wakes every sibling once; re-armed when the queue drains.
-    bool backlog_advertised = false;
     // Shard-local failure lane: failures detected on this shard are recorded
     // (and deduped — a checker lives on exactly one shard, so per-lane dedup
     // is exact) under a lane mutex that no other shard's dispatch path ever
@@ -406,11 +381,6 @@ class WatchdogDriver {
   // last launch decision; updates the baseline fingerprint otherwise
   // (shard.mu held).
   bool ShouldSkipUnchangedLocked(Slot& slot);
-  // Work-stealing pass, run once per scheduler iteration with no locks held:
-  // when this shard's pool has an empty queue and idle workers, steal queued
-  // batches from the most-backlogged sibling pool. Pool-internal locking only
-  // (thief lock, then try-lock victim) — never under any shard.mu.
-  void MaybeStealWork(size_t thief_index);
   // Dedup → validate → record (into `home`'s shard-local lane) → notify.
   // Takes the lane mutex / listeners_mu_ only for short sections, so
   // listeners may call back into driver accessors safely.
@@ -440,7 +410,6 @@ class WatchdogDriver {
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
   Gauge* scheduler_lag_gauge_ = nullptr;
-  Gauge* pool_utilization_gauge_ = nullptr;
 
   // Registration plane: slots_ grows only before Start() (accessors take
   // reg_mu_ against concurrent registration and HOLD it across any shard.mu
@@ -462,7 +431,6 @@ class WatchdogDriver {
   mutable std::mutex listeners_mu_;
   std::vector<FailureListener*> listeners_;
   std::vector<std::pair<std::string, RecoveryAction*>> recovery_actions_;
-  std::function<FusionSample()> fusion_sampler_;  // listeners_mu_
 
   // Probe validation bookkeeping (threads are rare and short-lived).
   struct ProbeRun {

@@ -98,17 +98,13 @@ bool CheckerExecutor::SubmitBatch(DispatchBatch* slab) {
     slab->storage[i].enqueue_time = enqueued;
   }
   slab->control.abandoned.store(false, std::memory_order_relaxed);
-  slab->control.runner.store(this, std::memory_order_relaxed);
   slab->worker_released.store(false, std::memory_order_relaxed);
-  // Ticket is reserved (and published into the control block) before the task
-  // becomes runnable, so AbandonBatch can never read an unset ticket. The
-  // queue mutex inside TrySubmitTicketed publishes all the plain stores above
-  // to whichever worker pops the task. The 2-pointer capture fits
+  // The queue mutex inside TrySubmitTicketed publishes all the plain stores
+  // above to whichever worker pops the task. The 2-pointer capture fits
   // std::function's inline buffer — no allocation.
-  const uint64_t ticket = pool_.ReserveTicket();
-  slab->control.ticket.store(ticket, std::memory_order_relaxed);
-  if (!pool_.TrySubmitTicketed(ticket, [this, slab] { RunBatch(slab); },
-                               &slab->control)) {
+  slab->control.ticket = pool_.ReserveTicket();
+  if (!pool_.TrySubmitTicketed(slab->control.ticket,
+                               [this, slab] { RunBatch(slab); })) {
     // Queue full: every execution in the batch is a rejected (late) check.
     slab->worker_released.store(true, std::memory_order_relaxed);
     rejected_.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
@@ -120,31 +116,7 @@ bool CheckerExecutor::SubmitBatch(DispatchBatch* slab) {
 
 bool CheckerExecutor::AbandonBatch(ExecutionBatch& batch) {
   batch.abandoned.store(true, std::memory_order_release);
-  // After a steal, ticket/runner point at the thief's pool. The scheduler only
-  // abandons batches it has observed kRunning, which orders these loads after
-  // the steal's rewrite (steal happens strictly before any worker claims).
-  CheckerExecutor* runner = batch.runner.load(std::memory_order_acquire);
-  if (runner == nullptr) {
-    runner = this;
-  }
-  return runner->pool_.AbandonIfRunning(batch.ticket.load(std::memory_order_acquire));
-}
-
-size_t CheckerExecutor::TryStealFrom(CheckerExecutor& victim, size_t max_batches) {
-  if (&victim == this) {
-    return 0;
-  }
-  const size_t stolen = pool_.StealFrom(
-      victim.pool_, max_batches, [this](void* tag, uint64_t new_ticket) {
-        auto* control = static_cast<ExecutionBatch*>(tag);
-        control->ticket.store(new_ticket, std::memory_order_relaxed);
-        control->runner.store(this, std::memory_order_relaxed);
-      });
-  if (stolen > 0) {
-    batches_stolen_.fetch_add(static_cast<int64_t>(stolen),
-                              std::memory_order_relaxed);
-  }
-  return stolen;
+  return pool_.AbandonIfRunning(batch.ticket);
 }
 
 void CheckerExecutor::RunBatch(DispatchBatch* slab) {

@@ -18,10 +18,6 @@
 //     dispatch round performs zero heap allocations (docs/DRIVER.md,
 //     "Allocation-free dispatch"); the freelist is owned by the shard's
 //     scheduler thread — no lock;
-//   - an idle shard's executor can *steal* whole queued batches from a
-//     backlogged sibling (TryStealFrom): the batch is re-ticketed onto the
-//     thief's pool under both pool locks and its control block re-routed, so
-//     abandon semantics stay exactly-once wherever the batch ends up running;
 //   - a worker stuck past its checker's deadline is abandoned via
 //     WorkerPool::AbandonIfRunning — the thread leaves the pool (parked on a
 //     drain list until Stop) and a replacement is spawned, preserving §3.2:
@@ -52,7 +48,6 @@
 
 namespace wdg {
 
-class CheckerExecutor;
 struct DispatchBatch;
 
 // Lifecycle of one execution inside its batch. The worker CASes
@@ -69,14 +64,11 @@ enum class ExecState : uint8_t {
 };
 
 // Shared control block of one dispatched batch: the pool ticket of the batch
-// task, the pool that will run it (the home executor's — or, after a steal,
-// the thief's), and the abandon latch the worker polls between executions.
-// `ticket` and `runner` are rewritten together under both pool locks when a
-// batch is stolen; the scheduler reads them only for executions it has
-// observed kRunning, which orders those reads after the steal.
+// task and the abandon latch the worker polls between executions. Only the
+// shard's scheduler thread writes the ticket (SubmitBatch) and reads it
+// (AbandonBatch), so it needs no atomic.
 struct ExecutionBatch {
-  std::atomic<uint64_t> ticket{0};
-  std::atomic<CheckerExecutor*> runner{nullptr};
+  uint64_t ticket = 0;
   std::atomic<bool> abandoned{false};
 };
 
@@ -174,32 +166,16 @@ class CheckerExecutor {
   // recycles the slab and retries at its next wake. Allocation-free.
   bool SubmitBatch(DispatchBatch* slab);
 
-  // Parks the worker running `batch` off whichever pool it runs on (the
-  // home pool, or the thief's after a steal; a replacement is spawned there)
+  // Parks the worker running `batch` off the pool (a replacement is spawned)
   // and latches the batch abandoned so the worker, if it ever unblocks, skips
   // the remaining executions. Called by the scheduler after it won the hung
   // execution's kRunning→kAbandoned CAS, so it runs at most once per batch.
   // False when the batch task already finished.
   bool AbandonBatch(ExecutionBatch& batch);
 
-  // Work-stealing: moves up to `max_batches` queued-but-unclaimed batch tasks
-  // from the back of `victim`'s pool queue onto this executor's pool,
-  // re-ticketing each and re-routing its control block under both pool locks.
-  // Only steals while this pool's queue is empty; the victim's lock is
-  // try-acquired (contention skips the steal). The stolen task still runs the
-  // *home* executor's RunBatch — completions, counters and scheduler wakes
-  // all route back to the shard that owns the checkers; only the executing
-  // pool changes. Returns batches stolen (counted in batches_stolen()).
-  size_t TryStealFrom(CheckerExecutor& victim, size_t max_batches);
-
   int worker_count() const { return pool_.active_workers(); }
   int busy_count() const { return pool_.BusyCount(); }
   size_t queue_depth() const { return pool_.QueueDepth(); }
-  // Lock-free approximations for per-pass cross-shard scans (steal-candidate
-  // selection, fleet utilization); see WorkerPool::QueueDepthHint.
-  int worker_count_hint() const { return pool_.ActiveWorkersHint(); }
-  int busy_count_hint() const { return pool_.BusyCountHint(); }
-  size_t queue_depth_hint() const { return pool_.QueueDepthHint(); }
   size_t queue_capacity() const { return pool_.queue_capacity(); }
   int64_t threads_spawned() const { return pool_.threads_spawned(); }
   int64_t workers_abandoned() const { return pool_.abandoned_count(); }
@@ -207,12 +183,9 @@ class CheckerExecutor {
   int64_t completed_count() const { return completed_.load(std::memory_order_relaxed); }
   int64_t rejected_count() const { return rejected_.load(std::memory_order_relaxed); }
   int64_t batches_submitted() const { return batches_.load(std::memory_order_relaxed); }
-  int64_t batches_stolen() const { return batches_stolen_.load(std::memory_order_relaxed); }
 
  private:
   // Worker body for one batch task: claim → run → close out, serially.
-  // Runs on whichever pool holds the task, but always on the *home*
-  // executor's state (`this` is captured at submit).
   void RunBatch(DispatchBatch* slab);
   // Runs one claimed execution and publishes its result (done = true last).
   void RunOne(Execution& exec);
@@ -234,7 +207,6 @@ class CheckerExecutor {
   std::atomic<int64_t> completed_{0};
   std::atomic<int64_t> rejected_{0};
   std::atomic<int64_t> batches_{0};
-  std::atomic<int64_t> batches_stolen_{0};
   std::atomic<uint64_t> sample_counter_{0};  // 1-in-16 queue-delay sampling
 };
 

@@ -335,30 +335,6 @@ TEST(MimicCheckerTest, BodySeesContextValues) {
   EXPECT_NE(result.signature.context_dump.find("/sst/3"), std::string::npos);
 }
 
-TEST(SleepDriftCheckerTest, QuietRuntimePassesPausedRuntimeAlarms) {
-  RealClock& clock = RealClock::Instance();
-  FaultInjector injector(clock);
-  SleepDriftChecker checker("gc_watch", "runtime", clock, injector,
-                            /*expected_sleep=*/Ms(10), /*drift_factor=*/3.0);
-  EXPECT_EQ(checker.Check().outcome, CheckOutcome::kPass);
-  EXPECT_GE(checker.last_observed(), Ms(10));
-
-  // A 60ms stop-the-world pause (6x the expected sleep).
-  FaultSpec pause;
-  pause.id = "gc";
-  pause.site_pattern = "runtime.pause";
-  pause.kind = FaultKind::kDelay;
-  pause.delay = Ms(60);
-  injector.Inject(pause);
-  const CheckResult result = checker.Check();
-  ASSERT_EQ(result.outcome, CheckOutcome::kFail);
-  EXPECT_EQ(result.signature.type, FailureType::kLivenessTimeout);
-  EXPECT_EQ(result.signature.code, StatusCode::kResourceExhausted);
-  EXPECT_NE(result.signature.message.find("memory pressure"), std::string::npos);
-  injector.ClearAll();
-  EXPECT_EQ(checker.Check().outcome, CheckOutcome::kPass);
-}
-
 // -------------------------------------------------------------- signatures
 
 TEST(FailureSignatureTest, LocalizationLevels) {
@@ -649,6 +625,28 @@ TEST(WatchdogDriverTest, TrySetCheckerEnabledUnknownName) {
   const Status status = driver.TrySetCheckerEnabled("no-such-checker", false);
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
   EXPECT_TRUE(driver.IsCheckerEnabled("p"));
+}
+
+TEST(WatchdogDriverTest, AddCheckerRejectsDuplicateName) {
+  RealClock& clock = RealClock::Instance();
+  WatchdogDriver driver(clock);
+  std::atomic<int> first_runs{0};
+  std::atomic<int> second_runs{0};
+  EXPECT_NE(driver.AddChecker(std::make_unique<ProbeChecker>(
+                "dup", "sys", [&] { ++first_runs; return Status::Ok(); }, FastChecker())),
+            nullptr);
+  // A second same-named checker registers nothing: no hidden slot whose body
+  // runs but that StatsFor / TrySetCheckerEnabled / ShardOf cannot reach.
+  EXPECT_EQ(driver.AddChecker(std::make_unique<ProbeChecker>(
+                "dup", "sys", [&] { ++second_runs; return Status::Ok(); }, FastChecker())),
+            nullptr);
+  EXPECT_EQ(driver.checker_count(), 1);
+  ASSERT_TRUE(driver.Start().ok());
+  clock.SleepFor(Ms(60));
+  EXPECT_TRUE(driver.Stop().ok());
+  EXPECT_GT(first_runs.load(), 0);
+  EXPECT_EQ(second_runs.load(), 0);
+  EXPECT_EQ(driver.StatsFor("dup").runs, first_runs.load());
 }
 
 TEST(WatchdogDriverTest, StartStopLifecycleStatuses) {
