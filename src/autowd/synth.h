@@ -39,8 +39,6 @@ class OpExecutorRegistry {
   wdg::Status Execute(const ReducedOp& op, const wdg::CheckContext& ctx,
                       const std::string& checker_name) const;
 
-  size_t size() const { return entries_.size(); }
-
  private:
   std::vector<std::pair<std::string, ExecutorFn>> entries_;
 };

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "src/common/strings.h"
-#include "src/kvs/wal.h"
+#include "src/autowd/standard_executors.h"
 
 namespace kvs {
 
@@ -128,42 +127,17 @@ awd::Module DescribeIr(const KvsOptions& options) {
 
 awd::RedirectionPlan DescribeRedirections() {
   using awd::RedirectMode;
-  awd::RedirectionPlan plan;
-  plan.entries = {
-      {"disk.append", RedirectMode::kScratchRedirect, "scratch WAL + read-back verify"},
-      {"disk.fsync", RedirectMode::kScratchRedirect, "fsync of the scratch WAL"},
-      {"disk.create", RedirectMode::kScratchRedirect, "create-probe in scratch"},
-      {"disk.write", RedirectMode::kScratchRedirect, "scratch block + read-back compare"},
-      {"disk.read", RedirectMode::kReadOnly, "reads the first registered SSTable"},
-      {"index.lookup", RedirectMode::kReadOnly, "watchdog-keyspace index probe"},
-      {"compact.merge", RedirectMode::kScratchRedirect, "CompactionManager::MergeProbe"},
-      {"lock.*", RedirectMode::kBoundedTry, "try_lock_for on the real mutex"},
-      {"net.send.*", RedirectMode::kReplicate, "probe from the dedicated .wdg endpoint"},
-      {"net.recv.*", RedirectMode::kReadOnly, "listener-tick gauge freshness"},
-      {"kvs.partition.validate", RedirectMode::kReadOnly, "checksum fsck of real data"},
-  };
+  awd::RedirectionPlan plan = awd::StandardRedirections();
+  plan.entries.insert(
+      plan.entries.end(),
+      {
+          {"disk.read", RedirectMode::kReadOnly, "reads the first registered SSTable"},
+          {"index.lookup", RedirectMode::kReadOnly, "watchdog-keyspace index probe"},
+          {"compact.merge", RedirectMode::kScratchRedirect, "CompactionManager::MergeProbe"},
+          {"kvs.partition.validate", RedirectMode::kReadOnly, "checksum fsck of real data"},
+      });
   return plan;
 }
-
-namespace {
-
-// Redirected scratch WAL the append/fsync executors touch instead of the
-// node's real log (I/O redirection, §5.1).
-std::string ScratchWal(const std::string& checker) {
-  return wdg::SimDisk::ScratchPath(checker, "wal.log");
-}
-
-wdg::Status EnsureExists(wdg::SimDisk& disk, const std::string& path) {
-  if (!disk.Exists(path)) {
-    const wdg::Status status = disk.Create(path);
-    if (!status.ok() && status.code() != wdg::StatusCode::kAlreadyExists) {
-      return status;
-    }
-  }
-  return wdg::Status::Ok();
-}
-
-}  // namespace
 
 void RegisterOpExecutors(awd::OpExecutorRegistry& registry, KvsNode& node) {
   const std::string node_id = node.options().node_id;
@@ -171,16 +145,19 @@ void RegisterOpExecutors(awd::OpExecutorRegistry& registry, KvsNode& node) {
   // Listener liveness: the main loop stamps a flag every pass (the classic
   // "insert a flag at each important point of the main loop" pattern, §2);
   // the mimicked recv checks its freshness.
-  registry.Register(
-      "net.recv." + node_id,
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string&) {
-        const double last = node.metrics().GetGauge("kvs.listener.last_tick_ns")->Value();
-        const double age = static_cast<double>(node.clock().NowNs()) - last;
-        if (last > 0 && age > static_cast<double>(wdg::Ms(500))) {
-          return wdg::TimeoutError("listener loop has not ticked recently");
-        }
-        return wdg::Status::Ok();
-      });
+  registry.Register("net.recv." + node_id,
+                    awd::ListenerTickExecutor(
+                        node.clock(), *node.metrics().GetGauge("kvs.listener.last_tick_ns")));
+  registry.Register("disk.append", awd::ScratchAppendExecutor(node.disk()));
+  registry.Register("disk.fsync", awd::ScratchFsyncExecutor(node.disk()));
+  registry.Register("disk.create", awd::ScratchCreateExecutor(node.disk()));
+  registry.Register("disk.write", awd::ScratchWriteExecutor(node.disk()));
+  registry.Register("lock.memtable.flush",
+                    awd::BoundedLockExecutor(node.memtable().flush_lock()));
+  // Sent from a dedicated watchdog endpoint so it never intercepts the main
+  // listener's messages.
+  registry.Register("net.send.*",
+                    awd::ProbeSendExecutor(node.net(), node_id + ".wdg", kMsgWdgProbe));
 
   // Index lookup against the real index (read-only; watchdog keyspace).
   registry.Register(
@@ -191,64 +168,6 @@ void RegisterOpExecutors(awd::OpExecutorRegistry& registry, KvsNode& node) {
         const auto value = node.index().Get(key);
         if (!value.ok() && value.status().code() != wdg::StatusCode::kNotFound) {
           return value.status();
-        }
-        return wdg::Status::Ok();
-      });
-
-  // Scratch-redirected WAL append with read-back verification: catches
-  // errors, hangs (via fault site), and silent lost writes.
-  registry.Register(
-      "disk.append",
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string& checker) {
-        wdg::SimDisk& disk = node.disk();
-        const std::string path = ScratchWal(checker);
-        WDG_RETURN_IF_ERROR(EnsureExists(disk, path));
-        const auto before = disk.Size(path);
-        const std::string record = Wal::FrameRecord("wdg-probe");
-        WDG_RETURN_IF_ERROR(disk.Append(path, record));
-        WDG_ASSIGN_OR_RETURN(const int64_t after, disk.Size(path));
-        if (before.ok() && after != *before + static_cast<int64_t>(record.size())) {
-          return wdg::CorruptionError("appended bytes did not land (lost write)");
-        }
-        if (after > 64 * 1024) {
-          disk.PurgeScratch(checker);
-        }
-        return wdg::Status::Ok();
-      });
-
-  registry.Register(
-      "disk.fsync",
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string& checker) {
-        wdg::SimDisk& disk = node.disk();
-        const std::string path = ScratchWal(checker);
-        WDG_RETURN_IF_ERROR(EnsureExists(disk, path));
-        return disk.Fsync(path);
-      });
-
-  registry.Register(
-      "disk.create",
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string& checker) {
-        wdg::SimDisk& disk = node.disk();
-        const std::string path = wdg::SimDisk::ScratchPath(checker, "create-probe.tmp");
-        if (disk.Exists(path)) {
-          WDG_RETURN_IF_ERROR(disk.Delete(path));
-        }
-        return disk.Create(path);
-      });
-
-  // Block write + read-back compare: catches I/O errors and bit corruption.
-  registry.Register(
-      "disk.write",
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string& checker) {
-        wdg::SimDisk& disk = node.disk();
-        const std::string path = wdg::SimDisk::ScratchPath(checker, "block.dat");
-        WDG_RETURN_IF_ERROR(EnsureExists(disk, path));
-        const std::string block(1024, '\x5c');
-        WDG_RETURN_IF_ERROR(disk.Write(path, 0, block));
-        WDG_ASSIGN_OR_RETURN(const std::string readback,
-                             disk.Read(path, 0, static_cast<int64_t>(block.size())));
-        if (readback != block) {
-          return wdg::CorruptionError("written block read back differently");
         }
         return wdg::Status::Ok();
       });
@@ -281,31 +200,6 @@ void RegisterOpExecutors(awd::OpExecutorRegistry& registry, KvsNode& node) {
       "compact.merge",
       [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string& checker) {
         return node.compaction().MergeProbe(checker);
-      });
-
-  // Bounded try-lock on the real flush mutex: a flush wedged inside the
-  // critical section turns this into a timeout.
-  registry.Register(
-      "lock.memtable.flush",
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string&) {
-        std::unique_lock<std::timed_mutex> lock(node.memtable().flush_lock(),
-                                                std::defer_lock);
-        if (!lock.try_lock_for(std::chrono::nanoseconds(wdg::Ms(100)))) {
-          return wdg::TimeoutError("flush lock held too long");
-        }
-        return wdg::Status::Ok();
-      });
-
-  // Cross-node probe on the real link. Sent from a dedicated watchdog
-  // endpoint so it never intercepts the main listener's messages — but through
-  // the same "net.send.<follower>" fault site, so a hung link hangs us too.
-  registry.Register(
-      "net.send.*",
-      [&node, node_id](const awd::ReducedOp& op, const wdg::CheckContext&,
-                       const std::string&) {
-        const std::string follower = op.site.substr(std::string("net.send.").size());
-        wdg::Endpoint* wdg_ep = node.net().CreateEndpoint(node_id + ".wdg");
-        return wdg_ep->Call(follower, kMsgWdgProbe, "", wdg::Ms(150)).status();
       });
 
   // Partition checksum validation against real data (read-only fsck).

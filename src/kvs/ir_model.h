@@ -7,9 +7,11 @@
 // instrumentation points.
 //
 // RegisterOpExecutors() provides the runtime half of mimicry: how each op
-// site is re-executed safely (scratch-redirected writes, bounded try-locks,
-// probe messages on a dedicated watchdog endpoint). Executors go through the
-// same fault-injection sites as the main program — fate sharing.
+// site is re-executed safely. It binds the standard executors
+// (src/autowd/standard_executors.h) to the node's disk, flush lock, listener
+// gauge and network, and adds the domain executors: index.lookup, disk.read,
+// compact.merge and kvs.partition.validate. Executors go through the same
+// fault-injection sites as the main program — fate sharing.
 #pragma once
 
 #include "src/autowd/lint.h"

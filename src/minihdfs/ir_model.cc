@@ -1,6 +1,6 @@
 #include "src/minihdfs/ir_model.h"
 
-#include "src/common/strings.h"
+#include "src/autowd/standard_executors.h"
 
 namespace minihdfs {
 
@@ -58,73 +58,23 @@ awd::Module DescribeIr(const DataNodeOptions& options) {
 }
 
 awd::RedirectionPlan DescribeRedirections() {
-  using awd::RedirectMode;
-  awd::RedirectionPlan plan;
-  plan.entries = {
-      {"disk.create", RedirectMode::kScratchRedirect, "disk-probe block in scratch"},
-      {"disk.write", RedirectMode::kScratchRedirect, "scratch block + read-back compare"},
-      {"disk.fsync", RedirectMode::kScratchRedirect, "fsync of the scratch block"},
-      {"net.send.*", RedirectMode::kReplicate, "probe from the dedicated .wdg endpoint"},
-      {"net.recv.*", RedirectMode::kReadOnly, "listener-tick gauge freshness"},
-      {"hdfs.scan.verify", RedirectMode::kReadOnly, "verify one real block, read-only"},
-  };
+  awd::RedirectionPlan plan = awd::StandardRedirections();
+  plan.entries.push_back(
+      {"hdfs.scan.verify", awd::RedirectMode::kReadOnly, "verify one real block, read-only"});
   return plan;
 }
 
 void RegisterOpExecutors(awd::OpExecutorRegistry& registry, DataNode& node) {
   const std::string node_id = node.options().node_id;
-  const std::string namenode_id = node.options().namenode_id;
 
-  registry.Register(
-      "net.recv." + node_id,
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string&) {
-        const double last = node.metrics().GetGauge("hdfs.listener.last_tick_ns")->Value();
-        const double age = static_cast<double>(node.clock().NowNs()) - last;
-        if (last > 0 && age > static_cast<double>(wdg::Ms(500))) {
-          return wdg::TimeoutError("datanode listener has not ticked recently");
-        }
-        return wdg::Status::Ok();
-      });
-
+  registry.Register("net.recv." + node_id,
+                    awd::ListenerTickExecutor(
+                        node.clock(), *node.metrics().GetGauge("hdfs.listener.last_tick_ns")));
   // THE disk checker (§3.3): create a file, do real I/O the way the write
-  // path does, read it back, clean up — in the checker's scratch namespace.
-  registry.Register(
-      "disk.create",
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string& checker) {
-        wdg::SimDisk& disk = node.disk();
-        const std::string path = wdg::SimDisk::ScratchPath(checker, "disk-probe.blk");
-        if (disk.Exists(path)) {
-          WDG_RETURN_IF_ERROR(disk.Delete(path));
-        }
-        return disk.Create(path);
-      });
-  registry.Register(
-      "disk.write",
-      [&node](const awd::ReducedOp&, const wdg::CheckContext& ctx, const std::string& checker) {
-        wdg::SimDisk& disk = node.disk();
-        const std::string path = wdg::SimDisk::ScratchPath(checker, "disk-probe.blk");
-        if (!disk.Exists(path)) {
-          WDG_RETURN_IF_ERROR(disk.Create(path));
-        }
-        const int64_t size = std::min<int64_t>(ctx.Get<int64_t>("block_bytes").value_or(512), 4096);
-        const std::string data(static_cast<size_t>(size), '\x6b');
-        WDG_RETURN_IF_ERROR(disk.Write(path, 0, data));
-        WDG_ASSIGN_OR_RETURN(const std::string readback, disk.Read(path, 0, size));
-        if (readback != data) {
-          return wdg::CorruptionError("disk checker: block read back differently");
-        }
-        return wdg::Status::Ok();
-      });
-  registry.Register(
-      "disk.fsync",
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string& checker) {
-        wdg::SimDisk& disk = node.disk();
-        const std::string path = wdg::SimDisk::ScratchPath(checker, "disk-probe.blk");
-        if (!disk.Exists(path)) {
-          WDG_RETURN_IF_ERROR(disk.Create(path));
-        }
-        return disk.Fsync(path);
-      });
+  // path does, read it back — in the checker's scratch namespace.
+  registry.Register("disk.create", awd::ScratchCreateExecutor(node.disk()));
+  registry.Register("disk.write", awd::ScratchWriteExecutor(node.disk()));
+  registry.Register("disk.fsync", awd::ScratchFsyncExecutor(node.disk()));
 
   // Scanner mimic: verify one real block (read-only), through the same
   // instrumented site the scanner uses — fate shared with a wedged scanner.
@@ -140,14 +90,8 @@ void RegisterOpExecutors(awd::OpExecutorRegistry& registry, DataNode& node) {
       });
 
   // Heartbeat-path probe to the NameNode on the real link.
-  registry.Register(
-      "net.send.*",
-      [&node, node_id](const awd::ReducedOp& op, const wdg::CheckContext&,
-                       const std::string&) {
-        const std::string dst = op.site.substr(std::string("net.send.").size());
-        wdg::Endpoint* wdg_ep = node.net().CreateEndpoint(node_id + ".wdg");
-        return wdg_ep->Call(dst, kMsgWdgProbe, node_id, wdg::Ms(150)).status();
-      });
+  registry.Register("net.send.*",
+                    awd::ProbeSendExecutor(node.net(), node_id + ".wdg", kMsgWdgProbe));
 }
 
 }  // namespace minihdfs

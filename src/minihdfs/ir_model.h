@@ -1,7 +1,9 @@
 // minihdfs ↔ AutoWatchdog bridge. The generated disk checker here is the
 // paper's §3.3 exemplar: it creates files and does real I/O the way the
 // DataNode's write path does — the enhanced HADOOP-13738 checker — rather
-// than the original permissions-only check.
+// than the original permissions-only check. Its disk, listener and send
+// executors are the standard ones (src/autowd/standard_executors.h); the one
+// domain executor is hdfs.scan.verify.
 #pragma once
 
 #include "src/autowd/lint.h"

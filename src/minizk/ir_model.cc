@@ -1,6 +1,6 @@
 #include "src/minizk/ir_model.h"
 
-#include "src/common/strings.h"
+#include "src/autowd/standard_executors.h"
 #include "src/minizk/zk_types.h"
 
 namespace minizk {
@@ -90,113 +90,24 @@ awd::Module DescribeIr(const ZkOptions& options) {
   return module;
 }
 
-awd::RedirectionPlan DescribeRedirections() {
-  using awd::RedirectMode;
-  awd::RedirectionPlan plan;
-  plan.entries = {
-      {"disk.append", RedirectMode::kScratchRedirect, "scratch txn log + size verify"},
-      {"disk.write", RedirectMode::kScratchRedirect, "scratch snapshot record + read-back"},
-      {"lock.*", RedirectMode::kBoundedTry, "try_lock_for on the real mutex"},
-      {"net.send.*", RedirectMode::kReplicate, "probe from the dedicated .wdg endpoint"},
-      {"net.recv.*", RedirectMode::kReadOnly, "listener-tick gauge freshness"},
-  };
-  return plan;
-}
+awd::RedirectionPlan DescribeRedirections() { return awd::StandardRedirections(); }
 
 void RegisterOpExecutors(awd::OpExecutorRegistry& registry, ZkNode& node) {
   const std::string node_id = node.options().node_id;
 
-  registry.Register(
-      "net.recv." + node_id,
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string&) {
-        const double last = node.metrics().GetGauge("zk.listener.last_tick_ns")->Value();
-        const double age = static_cast<double>(node.clock().NowNs()) - last;
-        if (last > 0 && age > static_cast<double>(wdg::Ms(500))) {
-          return wdg::TimeoutError("zk listener loop has not ticked recently");
-        }
-        return wdg::Status::Ok();
-      });
-
-  // Scratch-redirected txn-log append with size verification.
-  registry.Register(
-      "disk.append",
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string& checker) {
-        wdg::SimDisk& disk = node.disk();
-        const std::string path = wdg::SimDisk::ScratchPath(checker, "txn.log");
-        if (!disk.Exists(path)) {
-          WDG_RETURN_IF_ERROR(disk.Create(path));
-        }
-        const auto before = disk.Size(path);
-        WDG_RETURN_IF_ERROR(disk.Append(path, "wdg-txn-probe\n"));
-        WDG_ASSIGN_OR_RETURN(const int64_t after, disk.Size(path));
-        if (before.ok() && after <= *before) {
-          return wdg::CorruptionError("txn append did not land (lost write)");
-        }
-        if (after > 64 * 1024) {
-          disk.PurgeScratch(checker);
-        }
-        return wdg::Status::Ok();
-      });
-
-  // Scratch snapshot record write with read-back comparison.
-  registry.Register(
-      "disk.write",
-      [&node](const awd::ReducedOp&, const wdg::CheckContext& ctx, const std::string& checker) {
-        wdg::SimDisk& disk = node.disk();
-        const std::string path = wdg::SimDisk::ScratchPath(checker, "snapshot.probe");
-        if (!disk.Exists(path)) {
-          WDG_RETURN_IF_ERROR(disk.Create(path));
-        }
-        const std::string record =
-            "node=" + ctx.Get<std::string>("node").value_or("<none>") + "\n";
-        WDG_RETURN_IF_ERROR(disk.Write(path, 0, record));
-        WDG_ASSIGN_OR_RETURN(const std::string readback,
-                             disk.Read(path, 0, static_cast<int64_t>(record.size())));
-        if (readback != record) {
-          return wdg::CorruptionError("snapshot record read back differently");
-        }
-        return wdg::Status::Ok();
-      });
-
-  // Bounded try-lock on the commit critical section: the direct ZK-2201
-  // detector — when a remote sync wedges while holding this lock, the
-  // mimicked acquisition times out.
-  registry.Register(
-      "lock.zk.commit",
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string&) {
-        std::unique_lock<std::timed_mutex> lock(node.processor().commit_lock(),
-                                                std::defer_lock);
-        if (!lock.try_lock_for(std::chrono::nanoseconds(wdg::Ms(100)))) {
-          return wdg::TimeoutError("commit critical section held too long");
-        }
-        return wdg::Status::Ok();
-      });
-
-  registry.Register(
-      "lock.zk.datatree",
-      [&node](const awd::ReducedOp&, const wdg::CheckContext&, const std::string&) {
-        std::unique_lock<std::timed_mutex> lock(node.tree().serialize_lock(),
-                                                std::defer_lock);
-        if (!lock.try_lock_for(std::chrono::nanoseconds(wdg::Ms(100)))) {
-          return wdg::TimeoutError("datatree serialize lock held too long");
-        }
-        return wdg::Status::Ok();
-      });
-
-  // Remote-sync-path probe on the real leader→follower link. Under a hung
-  // link this blocks at the same injector site as the main program's sync.
-  registry.Register(
-      "net.send.*",
-      [&node, node_id](const awd::ReducedOp& op, const wdg::CheckContext&,
-                       const std::string&) {
-        const std::string dst = op.site.substr(std::string("net.send.").size());
-        wdg::Endpoint* wdg_ep = node.net().CreateEndpoint(node_id + ".wdg");
-        // Heartbeat endpoints only speak kMsgPing; everything else answers
-        // the watchdog probe type.
-        const bool is_hb = dst.size() > 3 && dst.substr(dst.size() - 3) == ".hb";
-        const char* type = is_hb ? kMsgPing : kMsgWdgProbe;
-        return wdg_ep->Call(dst, type, node_id, wdg::Ms(150)).status();
-      });
+  registry.Register("net.recv." + node_id,
+                    awd::ListenerTickExecutor(
+                        node.clock(), *node.metrics().GetGauge("zk.listener.last_tick_ns")));
+  registry.Register("disk.append", awd::ScratchAppendExecutor(node.disk()));
+  registry.Register("disk.write", awd::ScratchWriteExecutor(node.disk()));
+  // The commit critical section is the direct ZK-2201 detector: when a remote
+  // sync wedges while holding it, the mimicked acquisition times out.
+  registry.Register("lock.zk.commit", awd::BoundedLockExecutor(node.processor().commit_lock()));
+  registry.Register("lock.zk.datatree", awd::BoundedLockExecutor(node.tree().serialize_lock()));
+  // Covers both the sync link and the "<follower>.hb" heartbeat endpoints;
+  // each answers the watchdog probe type.
+  registry.Register("net.send.*",
+                    awd::ProbeSendExecutor(node.net(), node_id + ".wdg", kMsgWdgProbe));
 }
 
 }  // namespace minizk

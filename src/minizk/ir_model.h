@@ -1,5 +1,7 @@
 // minizk ↔ AutoWatchdog bridge: the IR model (including the exact Figure 2
-// serializeSnapshot chain) and the mimic op executors.
+// serializeSnapshot chain) and the mimic op executors — all of them standard
+// executors (src/autowd/standard_executors.h) bound to the node's disk, commit
+// and datatree locks, listener gauge and network.
 #pragma once
 
 #include "src/autowd/lint.h"

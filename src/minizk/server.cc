@@ -211,6 +211,8 @@ void ZkFollower::HbLoop() {
     if (msg->type == kMsgPing) {
       pings_acked_.fetch_add(1);
       (void)ep->Reply(*msg, "pong");
+    } else if (msg->type == kMsgWdgProbe) {
+      (void)ep->Reply(*msg, "ok");
     }
   }
 }

@@ -2,14 +2,18 @@
 // checker synthesis, codegen, and the end-to-end Generate pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <set>
 
 #include "src/autowd/autowatchdog.h"
 #include "src/autowd/codegen.h"
 #include "src/autowd/context_infer.h"
 #include "src/autowd/reduce.h"
+#include "src/autowd/standard_executors.h"
 #include "src/autowd/synth.h"
 #include "src/common/clock.h"
+#include "src/common/threading.h"
 #include "src/watchdog/driver.h"
 
 namespace awd {
@@ -524,6 +528,138 @@ TEST(GenerateTest, CostPriorsSeedColdStartDeadlines) {
   EXPECT_EQ(plain_metrics.checker_deadline_ns.at("CheapLoop_reduced"),
             static_cast<double>(wdg::Ms(400)));
   EXPECT_EQ(plain_metrics.deadline_priors_active, 0);
+}
+
+// ------------------------------------------------------- standard executors
+
+class StandardExecutorsTest : public ::testing::Test {
+ protected:
+  static wdg::DiskOptions InstantDisk() {
+    wdg::DiskOptions options;
+    options.base_latency = 0;
+    options.per_kb_latency = 0;
+    return options;
+  }
+
+  wdg::Status Run(const ExecutorFn& executor, const std::string& site) {
+    ReducedOp op;
+    op.site = site;
+    return executor(op, ctx_, "probe_checker");
+  }
+
+  void Inject(const std::string& site, wdg::FaultKind kind) {
+    wdg::FaultSpec fault;
+    fault.id = "f";
+    fault.site_pattern = site;
+    fault.kind = kind;
+    injector_.Inject(fault);
+  }
+
+  struct DiskShape {
+    const char* site;
+    ExecutorFn executor;
+  };
+
+  wdg::RealClock& clock_ = wdg::RealClock::Instance();
+  wdg::FaultInjector injector_{clock_};
+  wdg::SimDisk disk_{clock_, injector_, InstantDisk()};
+  wdg::SimNet net_{clock_, injector_};
+  wdg::CheckContext ctx_{"c"};
+};
+
+TEST_F(StandardExecutorsTest, DiskShapesPassWhenHealthyAndSurfaceErrorsAtTheirSite) {
+  const DiskShape shapes[] = {{"disk.append", ScratchAppendExecutor(disk_)},
+                              {"disk.write", ScratchWriteExecutor(disk_)},
+                              {"disk.create", ScratchCreateExecutor(disk_)},
+                              {"disk.fsync", ScratchFsyncExecutor(disk_)}};
+  for (const DiskShape& shape : shapes) {
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(Run(shape.executor, shape.site).ok()) << shape.site;
+    }
+    Inject(shape.site, wdg::FaultKind::kError);
+    EXPECT_EQ(Run(shape.executor, shape.site).code(), wdg::StatusCode::kIoError)
+        << shape.site;
+    injector_.Remove("f");
+    EXPECT_TRUE(Run(shape.executor, shape.site).ok()) << shape.site;
+  }
+  // Writes stay in the checker's scratch namespace.
+  for (const std::string& path : disk_.List("")) {
+    EXPECT_TRUE(wdg::SimDisk::IsScratchPath(path)) << path;
+  }
+}
+
+TEST_F(StandardExecutorsTest, AppendAndWriteCatchCorruptedAndDroppedBytes) {
+  const DiskShape shapes[] = {{"disk.append", ScratchAppendExecutor(disk_)},
+                              {"disk.write", ScratchWriteExecutor(disk_)}};
+  for (const DiskShape& shape : shapes) {
+    for (const wdg::FaultKind kind : {wdg::FaultKind::kCorruption, wdg::FaultKind::kSilentDrop}) {
+      // A healthy run first, so the scratch file already holds what an
+      // earlier run wrote.
+      ASSERT_TRUE(Run(shape.executor, shape.site).ok()) << shape.site;
+      Inject(shape.site, kind);
+      EXPECT_EQ(Run(shape.executor, shape.site).code(), wdg::StatusCode::kCorruption)
+          << shape.site << " under " << wdg::FaultKindName(kind);
+      injector_.Remove("f");
+    }
+  }
+}
+
+TEST_F(StandardExecutorsTest, AppendKeepsItsScratchLogBounded) {
+  const ExecutorFn append = ScratchAppendExecutor(disk_);
+  const std::string log = wdg::SimDisk::ScratchPath("probe_checker", "probe.log");
+  int64_t largest = 0;
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(Run(append, "disk.append").ok());
+    const auto size = disk_.Size(log);
+    largest = std::max(largest, size.ok() ? *size : 0);
+  }
+  EXPECT_LE(largest, 64 * 1024);
+  EXPECT_GT(largest, 60 * 1024);  // the log did reach the limit and was purged
+}
+
+TEST_F(StandardExecutorsTest, BoundedLockTimesOutOnlyWhileHeld) {
+  std::timed_mutex mu;
+  const ExecutorFn lock = BoundedLockExecutor(mu);
+  EXPECT_TRUE(Run(lock, "lock.commit").ok());
+  std::lock_guard<std::timed_mutex> held(mu);
+  const wdg::Status status = Run(lock, "lock.commit");
+  EXPECT_EQ(status.code(), wdg::StatusCode::kTimeout);
+  EXPECT_NE(status.ToString().find("lock.commit"), std::string::npos);
+}
+
+TEST(StandardListenerTickTest, TimesOutOnAStaleTickOnly) {
+  wdg::SimClock clock(wdg::Sec(10));
+  wdg::Gauge last_tick;
+  const ExecutorFn tick = ListenerTickExecutor(clock, last_tick);
+  ReducedOp op;
+  op.site = "net.recv.n1";
+  const wdg::CheckContext ctx("c");
+  EXPECT_TRUE(tick(op, ctx, "t").ok());  // never ticked: nothing to judge yet
+  last_tick.Set(static_cast<double>(clock.NowNs()));
+  clock.Advance(wdg::Ms(400));
+  EXPECT_TRUE(tick(op, ctx, "t").ok());
+  clock.Advance(wdg::Ms(200));
+  EXPECT_EQ(tick(op, ctx, "t").code(), wdg::StatusCode::kTimeout);
+}
+
+TEST_F(StandardExecutorsTest, ProbeSendReachesThePeerThroughItsLinkSite) {
+  wdg::Endpoint* peer = net_.CreateEndpoint("peer");
+  std::atomic<bool> stop{false};
+  wdg::JoiningThread responder([&] {
+    while (!stop.load()) {
+      const auto msg = peer->Recv(wdg::Ms(5));
+      if (msg.has_value() && msg->type == "test.probe") {
+        (void)peer->Reply(*msg, "ok");
+      }
+    }
+  });
+  const ExecutorFn send = ProbeSendExecutor(net_, "n1.wdg", "test.probe");
+  EXPECT_TRUE(Run(send, "net.send.peer").ok());
+  Inject("net.send.peer", wdg::FaultKind::kError);
+  EXPECT_EQ(Run(send, "net.send.peer").code(), wdg::StatusCode::kIoError);
+  injector_.Remove("f");
+  EXPECT_TRUE(Run(send, "net.send.peer").ok());
+  stop.store(true);
 }
 
 }  // namespace

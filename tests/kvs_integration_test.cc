@@ -259,6 +259,29 @@ TEST_F(KvsWatchdogTest, DetectsDiskWriteFaultWithPinpoint) {
   injector_.ClearAll();
 }
 
+TEST_F(KvsWatchdogTest, DetectsCorruptedWalAppendAsSafety) {
+  // The append succeeds and grows the file by the record's size; only the
+  // bytes are wrong, so the mimic has to read the appended range back.
+  StartWatchedNode(LeaderOptions());
+  KvsClient client(net_, "c1", "kvs1");
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(client.Set(wdg::StrFormat("k%02d", i), std::string(64, 'v')).ok());
+  }
+  clock_.SleepFor(wdg::Ms(100));  // contexts become ready
+
+  wdg::FaultSpec fault;
+  fault.id = "bit_rot";
+  fault.site_pattern = "disk.append";
+  fault.kind = wdg::FaultKind::kCorruption;
+  injector_.Inject(fault);
+
+  EXPECT_TRUE(driver_->WaitForFailure(wdg::Sec(3), [](const wdg::FailureSignature& sig) {
+    return sig.type == wdg::FailureType::kSafetyViolation &&
+           sig.location.function == "WalAppend" && sig.location.op_site == "disk.append";
+  }));
+  injector_.ClearAll();
+}
+
 TEST_F(KvsWatchdogTest, DetectsHungReplicationLinkAsLiveness) {
   KvsOptions follower_options;
   follower_options.node_id = "kvs2";

@@ -257,6 +257,40 @@ TEST_F(ZkClusterTest, WatchdogSilentOnHealthyCluster) {
   }
 }
 
+TEST_F(ZkClusterTest, CorruptedTxnAppendDetectedAsSafety) {
+  StartCluster(/*with_watchdog=*/true);
+  ZkClient client(net_, "zc1", "zk-leader", wdg::Sec(2));
+  ASSERT_TRUE(client.Create("/app", "v0").ok());  // healthy commit, contexts ready
+  clock_.SleepFor(wdg::Ms(50));
+
+  wdg::FaultSpec fault;
+  fault.id = "bit_rot";
+  fault.site_pattern = "disk.append";
+  fault.kind = wdg::FaultKind::kCorruption;
+  injector_.Inject(fault);
+
+  EXPECT_TRUE(driver_->WaitForFailure(wdg::Sec(3), [](const wdg::FailureSignature& sig) {
+    return sig.type == wdg::FailureType::kSafetyViolation &&
+           sig.location.function == "ProcessWrite" && sig.location.op_site == "disk.append";
+  }));
+  injector_.ClearAll();
+}
+
+TEST_F(ZkClusterTest, WatchdogProbesAreNotCountedAsSessionPings) {
+  // Isolation (§3.3): the mimicked "net.send.<follower>.hb" must not feed the
+  // heartbeat signal the ZK-2201 story shows to be blind.
+  StartCluster(/*with_watchdog=*/true);
+  clock_.SleepFor(wdg::Ms(300));
+  ASSERT_GE(driver_->StatsFor("SessionLoop_reduced").passes, 3);
+  const int64_t follower_acked = follower_->pings_acked();
+  const int64_t leader_failures =
+      leader_->metrics().GetCounter("zk.session.ping_failures")->Value();
+  // Every ping the follower counted is one the leader's session loop sent:
+  // acked, timed out, or (at most one) still in flight.
+  EXPECT_LE(follower_acked,
+            leader_->pings_acked() + leader_failures + 1);
+}
+
 // The headline reproduction: ZOOKEEPER-2201.
 TEST_F(ZkClusterTest, Zk2201GrayFailureDetectedOnlyByWatchdog) {
   StartCluster(/*with_watchdog=*/true);

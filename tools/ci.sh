@@ -115,10 +115,11 @@ run_leg build-ci-asan address "$@"
 # threads; the suite test drives a live driver against a publisher thread).
 run_leg build-ci-tsan thread -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal' "$@"
 # UBSan leg: the byte-level code (CRC fold kernel and sliced tail, SSTable
-# record walker, WAL framing, block store) and the suites that feed it
+# record walker, WAL framing, block store, the standard mimic executors'
+# stamped probe blocks and read-backs) and the suites that feed it
 # adversarial bytes. halt_on_error turns the first report into a failing test
 # instead of a log line.
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-  run_leg build-ci-ubsan undefined -R 'common_test|property_test|kvs_test|sim_test|minihdfs_test' "$@"
+  run_leg build-ci-ubsan undefined -R 'common_test|property_test|kvs_test|sim_test|minihdfs_test|autowd_test' "$@"
 
 echo "ci: all four legs green"
