@@ -7,6 +7,7 @@
 #include "src/common/checksum.h"
 #include "src/common/strings.h"
 #include "src/fault/fault_injector.h"
+#include "src/kvs/compaction.h"
 #include "src/kvs/ir_model.h"
 #include "src/kvs/memtable.h"
 #include "src/kvs/sstable.h"
@@ -219,6 +220,74 @@ void BM_SsTableValidate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SsTableValidate);
+
+// The compact.merge mimic and the compaction it shadows, at the kvs-write
+// shape times state.range(0): a merged table of 640 x 100 B records (~77 KB)
+// plus a flush table overwriting every fifth key (~15 KB), zero-latency disk.
+class CompactionBench {
+ public:
+  explicit CompactionBench(int64_t scale)
+      : injector_(wdg::RealClock::Instance()),
+        disk_(wdg::RealClock::Instance(), injector_,
+              wdg::DiskOptions{.base_latency = 0, .per_kb_latency = 0}),
+        index_(disk_, memtable_),
+        partitions_(disk_),
+        compaction_(wdg::RealClock::Instance(), disk_, index_, partitions_, hooks_, metrics_),
+        keys_(640 * scale) {
+    AddTable(1);
+    AddTable(5);
+    (void)compaction_.CompactOnce(/*force=*/true);
+    AddTable(5);
+  }
+  // Flushes a table holding every `stride`-th key, as the newest table.
+  void AddTable(int64_t stride) {
+    std::vector<std::pair<std::string, kvs::MemEntry>> entries;
+    for (int64_t key = 0; key < keys_; key += stride) {
+      entries.emplace_back(wdg::StrFormat("key%08lld", static_cast<long long>(key)),
+                           kvs::MemEntry{std::string(100, static_cast<char>('a' + tables_ % 26)),
+                                         false});
+    }
+    const std::string path =
+        wdg::StrFormat("/kvs/sst/%06lld.sst", static_cast<long long>(tables_++));
+    (void)kvs::SsTable::Write(disk_, path, entries);
+    index_.AddTable(path);
+  }
+  kvs::CompactionManager& compaction() { return compaction_; }
+
+ private:
+  wdg::FaultInjector injector_;
+  wdg::SimDisk disk_;
+  kvs::Memtable memtable_;
+  kvs::Index index_;
+  kvs::PartitionManager partitions_;
+  wdg::HookSet hooks_;
+  wdg::MetricsRegistry metrics_;
+  kvs::CompactionManager compaction_;
+  int64_t keys_;
+  int64_t tables_ = 0;
+};
+
+// One mimic run: read and verify both tables, merge, discard the survivors.
+void BM_MergeProbe(benchmark::State& state) {
+  CompactionBench bench(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bench.compaction().MergeProbe("bench"));
+  }
+}
+BENCHMARK(BM_MergeProbe)->Arg(1)->Arg(10);
+
+// One compaction of the merged table and a fresh flush table, which leaves
+// one merged table of the same size for the next iteration.
+void BM_CompactOnce(benchmark::State& state) {
+  CompactionBench bench(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bench.compaction().CompactOnce(/*force=*/true));
+    state.PauseTiming();
+    bench.AddTable(5);
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_CompactOnce)->Arg(1)->Arg(10);
 
 void BM_MemtableSet(benchmark::State& state) {
   kvs::Memtable table;

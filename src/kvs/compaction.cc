@@ -2,7 +2,9 @@
 
 #include "src/kvs/ctx_keys.h"
 
-#include <map>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -43,6 +45,35 @@ void CompactionManager::Loop() {
   }
 }
 
+namespace {
+struct Survivors {
+  size_t count = 0;
+  std::string_view first_key;
+  std::string_view last_key;
+};
+
+// The merge CompactOnce and MergeProbe share: the newest record of each key
+// wins and tombstones drop out, since the merged table is the bottom level.
+// Survivors go to `out` when given; the probe passes none and discards them.
+Survivors MergeSurvivors(std::span<const SsRun> runs, SsTableBuilder* out) {
+  Survivors survivors;
+  SsMerge merge(runs);
+  for (SsRecord record; merge.Next(record);) {
+    if (record.tombstone) {
+      continue;
+    }
+    if (survivors.count++ == 0) {
+      survivors.first_key = record.key;
+    }
+    survivors.last_key = record.key;
+    if (out != nullptr) {
+      out->Add(record);
+    }
+  }
+  return survivors;
+}
+}  // namespace
+
 wdg::Status CompactionManager::CompactOnce(bool force) {
   const std::vector<std::string> tables = index_.Tables();
   if (!force && tables.size() <= options_.max_tables) {
@@ -57,38 +88,36 @@ wdg::Status CompactionManager::CompactOnce(bool force) {
     ctx.MarkReady(clock_.NowNs());
   });
 
-  // Load oldest→newest so newer entries overwrite older ones.
-  std::map<std::string, MemEntry> merged;
+  // Read and verify every table, oldest first: the merge lets newer records
+  // win. The runs own the bytes, so deleting the inputs below is safe.
+  std::vector<SsRun> runs;
+  runs.reserve(tables.size());
+  size_t body_bytes = 0;
   for (const std::string& path : tables) {
-    WDG_ASSIGN_OR_RETURN(auto entries, SsTable::Load(disk_, path));
-    for (auto& [key, entry] : entries) {
-      merged[key] = std::move(entry);
-    }
+    WDG_ASSIGN_OR_RETURN(SsRun run, SsRun::Read(disk_, path));
+    body_bytes += run.body_size();
+    runs.push_back(std::move(run));
   }
 
   // The merge itself is an instrumented, annotated-vulnerable operation.
   WDG_RETURN_IF_ERROR(disk_.injector().Act("compact.merge"));
 
-  // Drop tombstones at the bottom level.
-  std::vector<std::pair<std::string, MemEntry>> survivors;
-  for (auto& [key, entry] : merged) {
-    if (!entry.tombstone) {
-      survivors.emplace_back(key, std::move(entry));
-    }
-  }
+  SsTableBuilder merged;
+  merged.Reserve(body_bytes);
+  const Survivors survivors = MergeSurvivors(runs, &merged);
   const std::string merged_path =
       wdg::StrFormat("%s/merged-%06lld.sst", options_.table_dir.c_str(),
                      static_cast<long long>(merged_seq_.fetch_add(1)));
-  WDG_RETURN_IF_ERROR(SsTable::Write(disk_, merged_path, survivors));
+  WDG_RETURN_IF_ERROR(merged.Write(disk_, merged_path));
 
   index_.ReplaceTables(tables, merged_path);
   for (const std::string& path : tables) {
     partitions_.Unregister(path);
     (void)disk_.Delete(path);
   }
-  if (!survivors.empty()) {
-    WDG_RETURN_IF_ERROR(partitions_.Register(merged_path, survivors.front().first,
-                                             survivors.back().first));
+  if (survivors.count > 0) {
+    WDG_RETURN_IF_ERROR(partitions_.Register(merged_path, std::string(survivors.first_key),
+                                             std::string(survivors.last_key)));
   }
   compaction_count_.fetch_add(1);
   metrics_.GetCounter("kvs.compaction.compactions")->Increment();
@@ -96,30 +125,28 @@ wdg::Status CompactionManager::CompactOnce(bool force) {
 }
 
 wdg::Status CompactionManager::MergeProbe(const std::string& scratch_checker_name) const {
-  // Shares fate with CompactOnce: same fault site, same table-load path, but
-  // results go nowhere near the live index (isolation).
+  // Shares fate with CompactOnce: same fault site, same table reader and the
+  // same merge, but results go nowhere near the live index (isolation).
   WDG_RETURN_IF_ERROR(disk_.injector().Act("compact.merge"));
   const std::vector<std::string> tables = index_.Tables();
-  std::map<std::string, MemEntry> merged;
-  size_t loaded = 0;
+  std::vector<SsRun> runs;
+  runs.reserve(2);
   for (const std::string& path : tables) {
-    if (loaded >= 2) {
+    if (runs.size() >= 2) {
       break;  // a reduced merge: two tables suffice to exercise the logic
     }
-    auto entries = SsTable::Load(disk_, path);
-    if (entries.status().code() == wdg::StatusCode::kNotFound) {
+    auto run = SsRun::Read(disk_, path);
+    if (run.status().code() == wdg::StatusCode::kNotFound) {
       // The table list is a snapshot: a concurrent CompactOnce on the
       // compaction thread can ReplaceTables + Delete a listed table before
-      // this load runs. That is the system making progress, not a fault —
+      // this read runs. That is the system making progress, not a fault —
       // alarming here is exactly the stale-context mimic hazard, so skip it.
       continue;
     }
-    WDG_RETURN_IF_ERROR(entries.status());
-    ++loaded;
-    for (auto& [key, entry] : *entries) {
-      merged[key] = std::move(entry);
-    }
+    WDG_RETURN_IF_ERROR(run.status());
+    runs.push_back(std::move(*run));
   }
+  (void)MergeSurvivors(runs, nullptr);
   (void)scratch_checker_name;
   return wdg::Status::Ok();
 }

@@ -29,13 +29,21 @@ void Flusher::Stop() {
 }
 
 void Flusher::Loop() {
+  // A failing flush is retried every pass; the streak logs its first failure
+  // and its length on recovery, not one line per pass.
+  int64_t failed_streak = 0;
   while (!stop_.WaitFor(options_.poll_interval)) {
     metrics_.GetGauge("kvs.flusher.last_tick_ns")->Set(static_cast<double>(clock_.NowNs()));
     if (memtable_.ApproximateBytes() >= options_.flush_threshold_bytes) {
       const wdg::Status status = FlushOnce();
       if (!status.ok()) {
         metrics_.GetCounter("kvs.flusher.errors")->Increment();
-        WDG_LOG(kWarn) << "flush failed: " << status;
+        if (failed_streak++ == 0) {
+          WDG_LOG(kWarn) << "flush failed: " << status;
+        }
+      } else if (failed_streak > 0) {
+        WDG_LOG(kWarn) << "flush recovered after " << failed_streak << " failed attempts";
+        failed_streak = 0;
       }
     }
   }

@@ -1,7 +1,5 @@
 #include "src/kvs/ir_model.h"
 
-#include <algorithm>
-
 #include "src/autowd/standard_executors.h"
 
 namespace kvs {
@@ -182,13 +180,8 @@ void RegisterOpExecutors(awd::OpExecutorRegistry& registry, KvsNode& node) {
         }
         // The table list is a snapshot; compaction can delete the listed
         // table before the read lands. Stale context is not a disk fault.
-        const auto size = node.disk().Size(tables.front());
-        if (size.status().code() == wdg::StatusCode::kNotFound) {
-          return wdg::Status::Ok();
-        }
-        WDG_RETURN_IF_ERROR(size.status());
-        const auto read =
-            node.disk().Read(tables.front(), 0, std::min<int64_t>(*size, 4096));
+        // Read clamps the 4 KiB to the file size.
+        const auto read = node.disk().Read(tables.front(), 0, 4096);
         if (read.status().code() == wdg::StatusCode::kNotFound) {
           return wdg::Status::Ok();
         }

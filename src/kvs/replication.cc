@@ -46,6 +46,8 @@ void ReplicationEngine::Enqueue(const Request& request) {
 }
 
 void ReplicationEngine::Loop() {
+  // Logged once per streak of failed batches, like the flusher's failures.
+  int64_t failed_streak = 0;
   while (!stop_.Requested()) {
     metrics_.GetGauge("kvs.replication.last_tick_ns")
         ->Set(static_cast<double>(clock_.NowNs()));
@@ -64,7 +66,12 @@ void ReplicationEngine::Loop() {
     }
     const wdg::Status status = SendBatch(batch);
     if (!status.ok()) {
-      WDG_LOG(kWarn) << "replication batch failed: " << status;
+      if (failed_streak++ == 0) {
+        WDG_LOG(kWarn) << "replication batch failed: " << status;
+      }
+    } else if (failed_streak > 0) {
+      WDG_LOG(kWarn) << "replication recovered after " << failed_streak << " failed batches";
+      failed_streak = 0;
     }
     metrics_.GetGauge("kvs.replication.queue_depth")
         ->Set(static_cast<double>(queue_.Size()));

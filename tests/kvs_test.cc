@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <new>
+#include <span>
 
 #include "src/common/checksum.h"
+#include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/common/threading.h"
 #include "src/kvs/ctx_keys.h"
@@ -19,8 +23,35 @@
 #include "src/kvs/types.h"
 #include "src/kvs/wal.h"
 
+// Replacing the global allocators is binary-wide; the counter is read only
+// around the MergeProbe runs in MergeProbeAllocationsDoNotGrowWithRecords.
+static std::atomic<int64_t> g_heap_allocs{0};
+
+void* operator new(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* ptr = std::malloc(size == 0 ? 1 : size)) {
+    return ptr;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Out of line on purpose: inlined into a caller, `free` would meet a pointer
+// GCC tracks as `new`-allocated and trip -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete[](void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+
 namespace kvs {
 namespace {
+
+// Log records whose message contains `text`.
+size_t CountLogLines(const wdg::CaptureSink& sink, const std::string& text) {
+  const auto records = sink.records();
+  return static_cast<size_t>(std::count_if(records.begin(), records.end(), [&](const auto& r) {
+    return r.message.find(text) != std::string::npos;
+  }));
+}
 
 TEST(KvsTypesTest, RequestRoundtrip) {
   Request req;
@@ -198,13 +229,35 @@ static std::vector<std::pair<std::string, MemEntry>> SampleEntries() {
   return {{"alpha", {"1", false}}, {"beta", {"2", false}}, {"gamma", {"", true}}};
 }
 
-TEST_F(SsTableTest, WriteLoadRoundtrip) {
+// Every record of the table at `path`, as a merge reads it: one run merges
+// to itself.
+static wdg::Result<std::vector<std::pair<std::string, MemEntry>>> ReadEntries(
+    const wdg::SimDisk& disk, const std::string& path) {
+  WDG_ASSIGN_OR_RETURN(SsRun run, SsRun::Read(disk, path));
+  std::vector<std::pair<std::string, MemEntry>> entries;
+  SsMerge merge(std::span<const SsRun>(&run, 1));
+  for (SsRecord record; merge.Next(record);) {
+    entries.emplace_back(std::string(record.key),
+                         MemEntry{std::string(record.value), record.tombstone});
+  }
+  return entries;
+}
+
+static void ExpectSameEntries(const std::vector<std::pair<std::string, MemEntry>>& actual,
+                              const std::vector<std::pair<std::string, MemEntry>>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].first, expected[i].first) << "record " << i;
+    EXPECT_EQ(actual[i].second.value, expected[i].second.value) << "record " << i;
+    EXPECT_EQ(actual[i].second.tombstone, expected[i].second.tombstone) << "record " << i;
+  }
+}
+
+TEST_F(SsTableTest, WriteReadRoundtrip) {
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/1", SampleEntries()).ok());
-  const auto loaded = SsTable::Load(disk_, "/sst/1");
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), 3u);
-  EXPECT_EQ(loaded->at("alpha").value, "1");
-  EXPECT_TRUE(loaded->at("gamma").tombstone);
+  const auto read = ReadEntries(disk_, "/sst/1");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ExpectSameEntries(*read, SampleEntries());
 }
 
 TEST_F(SsTableTest, ValidateDetectsBitRot) {
@@ -228,9 +281,9 @@ TEST_F(SsTableTest, LookupFindsAndMisses) {
 TEST_F(SsTableTest, EmptyTableIsValid) {
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/empty", {}).ok());
   EXPECT_TRUE(SsTable::Validate(disk_, "/sst/empty").ok());
-  const auto loaded = SsTable::Load(disk_, "/sst/empty");
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->empty());
+  const auto read = ReadEntries(disk_, "/sst/empty");
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read->empty());
 }
 
 TEST_F(SsTableTest, AnyByteInKeysAndValuesRoundtrips) {
@@ -248,13 +301,10 @@ TEST_F(SsTableTest, AnyByteInKeysAndValuesRoundtrips) {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/odd", entries).ok());
   EXPECT_TRUE(SsTable::Validate(disk_, "/sst/odd").ok());
-  const auto loaded = SsTable::Load(disk_, "/sst/odd");
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), entries.size());
+  const auto read = ReadEntries(disk_, "/sst/odd");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ExpectSameEntries(*read, entries);
   for (const auto& [key, entry] : entries) {
-    ASSERT_EQ(loaded->count(key), 1u);
-    EXPECT_EQ(loaded->at(key).value, entry.value);
-    EXPECT_EQ(loaded->at(key).tombstone, entry.tombstone);
     const auto hit = SsTable::Lookup(disk_, "/sst/odd", key);
     ASSERT_TRUE(hit.ok()) << hit.status().ToString();
     ASSERT_TRUE(hit->has_value());
@@ -274,7 +324,7 @@ TEST_F(SsTableTest, LengthPastEndIsCorruptionDespiteValidCrc) {
   ASSERT_TRUE(
       disk_.Write("/sst/overrun", 0, body + wdg::StrFormat("%08x", wdg::Crc32(body))).ok());
   EXPECT_EQ(SsTable::Validate(disk_, "/sst/overrun").code(), wdg::StatusCode::kCorruption);
-  EXPECT_EQ(SsTable::Load(disk_, "/sst/overrun").status().code(),
+  EXPECT_EQ(SsRun::Read(disk_, "/sst/overrun").status().code(),
             wdg::StatusCode::kCorruption);
   EXPECT_EQ(SsTable::Lookup(disk_, "/sst/overrun", "key").status().code(),
             wdg::StatusCode::kCorruption);
@@ -285,6 +335,50 @@ TEST_F(SsTableTest, LengthPastEndIsCorruptionDespiteValidCrc) {
   ASSERT_TRUE(
       disk_.Write("/sst/stub", 0, stub + wdg::StrFormat("%08x", wdg::Crc32(stub))).ok());
   EXPECT_EQ(SsTable::Validate(disk_, "/sst/stub").code(), wdg::StatusCode::kCorruption);
+}
+
+TEST_F(SsTableTest, RunKeysOutOfOrderAreCorruptionDespiteValidCrc) {
+  // Write frames whatever it is given, CRC included, so these tables pass
+  // every check but the merge's order one: a descending pair and a repeated
+  // key.
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/desc", {{"b", {"1", false}}, {"a", {"2", false}}}).ok());
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/dup", {{"a", {"1", false}}, {"a", {"2", false}}}).ok());
+  for (const char* path : {"/sst/desc", "/sst/dup"}) {
+    EXPECT_TRUE(SsTable::Validate(disk_, path).ok()) << path;
+    EXPECT_EQ(SsRun::Read(disk_, path).status().code(), wdg::StatusCode::kCorruption) << path;
+  }
+  // The empty key sorts first and is a key like any other.
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/ok", {{"", {"e", false}}, {"a", {"1", false}}}).ok());
+  EXPECT_TRUE(SsRun::Read(disk_, "/sst/ok").ok());
+}
+
+TEST_F(SsTableTest, MergeTakesEachKeyFromTheNewestRun) {
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/old", {{"a", {"a-old", false}},
+                                                 {"b", {"b-old", false}},
+                                                 {"d", {"d-old", false}}})
+                  .ok());
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/empty", {}).ok());
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/new", {{"b", {"", true}},
+                                                 {"c", {"c-new", false}},
+                                                 {"d", {"d-new", false}}})
+                  .ok());
+  std::vector<SsRun> runs;
+  for (const char* path : {"/sst/old", "/sst/empty", "/sst/new"}) {
+    auto run = SsRun::Read(disk_, path);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    runs.push_back(std::move(*run));
+  }
+  std::vector<std::pair<std::string, MemEntry>> merged;
+  SsMerge merge(runs);
+  for (SsRecord record; merge.Next(record);) {
+    merged.emplace_back(std::string(record.key),
+                        MemEntry{std::string(record.value), record.tombstone});
+  }
+  // Tombstones pass through the merge; dropping them is the caller's call.
+  ExpectSameEntries(merged, {{"a", {"a-old", false}},
+                             {"b", {"", true}},
+                             {"c", {"c-new", false}},
+                             {"d", {"d-new", false}}});
 }
 
 class IndexTest : public KvsDiskFixture {
@@ -458,6 +552,34 @@ TEST_F(FlusherTest, KeyStaysReadableThroughoutFlush) {
   EXPECT_EQ(**index_.Get("k1"), std::string(100, 'x'));
 }
 
+TEST_F(FlusherTest, FailureStreakLogsOnceAndRecoveryOnce) {
+  wdg::CaptureSink sink;
+  wdg::Logger::Instance().AddSink(&sink);
+  wdg::FaultSpec spec;
+  spec.id = "werr";
+  spec.site_pattern = "disk.create";
+  spec.kind = wdg::FaultKind::kError;
+  injector_.Inject(spec);
+  memtable_.Set("k1", std::string(100, 'x'));
+  flusher_.Start();
+  wdg::Counter* errors = metrics_.GetCounter("kvs.flusher.errors");
+  while (errors->Value() < 10) {
+    clock_.SleepFor(wdg::Ms(5));
+  }
+  injector_.ClearAll();
+  while (flusher_.flush_count() == 0) {
+    clock_.SleepFor(wdg::Ms(5));
+  }
+  flusher_.Stop();
+  wdg::Logger::Instance().RemoveSink(&sink);
+  // Every failed pass still counts, but the streak logs one line when it
+  // starts and one, with its length, when a flush succeeds again.
+  EXPECT_EQ(CountLogLines(sink, "flush failed"), 1u);
+  EXPECT_EQ(CountLogLines(sink, wdg::StrFormat("flush recovered after %lld failed attempts",
+                                               static_cast<long long>(errors->Value()))),
+            1u);
+}
+
 TEST_F(FlusherTest, HookFiresWhenArmed) {
   hooks_.Arm("FlushMemtable:1", "FlushLoop_ctx");
   memtable_.Set("k1", std::string(100, 'x'));
@@ -554,6 +676,81 @@ TEST_F(CompactionTest, MergeProbeToleratesConcurrentlyCompactedTable) {
   EXPECT_TRUE(compaction_.MergeProbe("checker").ok());
 }
 
+TEST_F(CompactionTest, OutOfOrderTableIsCorruptionForCompactionAndProbe) {
+  WriteTable("/sst/1", "a", "1");
+  // A descending table with a valid CRC: only the order check can refuse it.
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/2", {{"c", {"3", false}}, {"b", {"2", false}}}).ok());
+  index_.AddTable("/sst/2");
+  WriteTable("/sst/3", "d", "4");
+  EXPECT_EQ(compaction_.MergeProbe("checker").code(), wdg::StatusCode::kCorruption);
+  EXPECT_EQ(compaction_.CompactOnce().code(), wdg::StatusCode::kCorruption);
+  EXPECT_EQ(index_.Tables().size(), 3u);  // nothing replaced
+  EXPECT_EQ(compaction_.compaction_count(), 0);
+}
+
+TEST_F(CompactionTest, MergeProbeAllocationsDoNotGrowWithRecords) {
+  // Heap allocations per MergeProbe run: one read buffer per table plus a
+  // constant (table list, run and cursor vectors), at any table size.
+  const auto allocs_per_run = [&](int records) -> int64_t {
+    std::vector<std::pair<std::string, MemEntry>> older;
+    std::vector<std::pair<std::string, MemEntry>> newer;
+    for (int i = 0; i < records; ++i) {
+      const std::string key = wdg::StrFormat("key%06d", i);
+      older.emplace_back(key, MemEntry{"value-" + key, false});
+      if (i % 2 == 0) {
+        newer.emplace_back(key, MemEntry{"", i % 4 == 0});  // overwrites and tombstones
+      }
+    }
+    for (const char* path : {"/sst/1", "/sst/2"}) {
+      (void)disk_.Delete(path);
+    }
+    EXPECT_TRUE(SsTable::Write(disk_, "/sst/1", older).ok());
+    EXPECT_TRUE(SsTable::Write(disk_, "/sst/2", newer).ok());
+    EXPECT_TRUE(compaction_.MergeProbe("checker").ok());  // warm the fault-site tables
+    constexpr int kRuns = 5;
+    const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    for (int run = 0; run < kRuns; ++run) {
+      EXPECT_TRUE(compaction_.MergeProbe("checker").ok());
+    }
+    const int64_t total = g_heap_allocs.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(total % kRuns, 0) << total << " allocations over " << kRuns << " runs";
+    return total / kRuns;
+  };
+  index_.AddTable("/sst/1");
+  index_.AddTable("/sst/2");
+  const int64_t at_100 = allocs_per_run(100);
+  const int64_t at_10k = allocs_per_run(10000);
+  EXPECT_EQ(at_100, at_10k);
+  EXPECT_EQ(at_100, 2 + 3);
+}
+
+TEST_F(CompactionTest, MergeProbePassesWhileCompactionRuns) {
+  // The probe reads tables that a concurrent CompactOnce replaces and
+  // deletes: every probe run passes and no compaction loses a write.
+  std::atomic<bool> done{false};
+  std::atomic<int> probes{0};
+  wdg::JoiningThread prober([&] {
+    while (!done.load()) {
+      const wdg::Status status = compaction_.MergeProbe("checker");
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      probes.fetch_add(1);
+    }
+  });
+  constexpr int kKeys = 8;
+  int round = 0;
+  for (; round < 40 || probes.load() < 40; ++round) {
+    WriteTable(wdg::StrFormat("/sst/r%04d", round), wdg::StrFormat("k%d", round % kKeys),
+               wdg::StrFormat("v%d", round));
+    ASSERT_TRUE(compaction_.CompactOnce(/*force=*/true).ok());
+  }
+  done.store(true);
+  prober.Join();
+  ASSERT_EQ(index_.Tables().size(), 1u);
+  for (int last = round - kKeys; last < round; ++last) {
+    EXPECT_EQ(**index_.Get(wdg::StrFormat("k%d", last % kKeys)), wdg::StrFormat("v%d", last));
+  }
+}
+
 TEST_F(CompactionTest, BackgroundLoopCompacts) {
   WriteTable("/sst/1", "a", "1");
   WriteTable("/sst/2", "b", "2");
@@ -620,6 +817,27 @@ TEST_F(ReplicationTest, MissingAckCountsFailure) {
   clock_.SleepFor(wdg::Ms(200));
   engine.Stop();
   EXPECT_GE(engine.ack_failures(), 1);
+}
+
+TEST_F(ReplicationTest, FailureStreakLogsOnce) {
+  wdg::CaptureSink sink;
+  wdg::Logger::Instance().AddSink(&sink);
+  net_.CreateEndpoint("f1");  // mute follower: every batch times out
+  ReplicationEngine engine(clock_, net_, "leader", hooks_, metrics_, Options());
+  engine.Start();
+  for (int i = 0; i < 3; ++i) {
+    Request req;
+    req.op = OpType::kSet;
+    req.key = wdg::StrFormat("k%d", i);
+    engine.Enqueue(req);
+    while (engine.ack_failures() <= i) {
+      clock_.SleepFor(wdg::Ms(5));
+    }
+  }
+  engine.Stop();
+  wdg::Logger::Instance().RemoveSink(&sink);
+  EXPECT_EQ(engine.ack_failures(), 3);
+  EXPECT_EQ(CountLogLines(sink, "replication batch failed"), 1u);
 }
 
 TEST_F(ReplicationTest, HookCapturesFollowerAndBatchSize) {

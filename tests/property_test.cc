@@ -1,10 +1,13 @@
 // Property-based tests (parameterized gtest): invariants of the fault
-// injector, WAL recovery, SSTable integrity, CRC detection, the reducer, and
-// the bounded queue, swept over randomized inputs and parameter grids.
+// injector, WAL recovery, SSTable integrity, the compaction merge against a
+// reference, CRC detection, the reducer, and the bounded queue, swept over
+// randomized inputs and parameter grids.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <span>
 
 #include "src/common/checksum.h"
 #include "src/common/rng.h"
@@ -13,6 +16,8 @@
 #include "src/fault/fault_injector.h"
 #include "src/ir/analysis.h"
 #include "src/autowd/reduce.h"
+#include "src/kvs/coding.h"
+#include "src/kvs/compaction.h"
 #include "src/kvs/sstable.h"
 #include "src/kvs/wal.h"
 #include "src/sim/sim_disk.h"
@@ -175,17 +180,21 @@ TEST_P(SsTableIntegrityProperty, RoundtripAndAnyFlipDetected) {
 
   ASSERT_TRUE(kvs::SsTable::Write(disk, "/t", entries).ok());
 
-  // Property 1: load returns exactly what was written.
-  const auto loaded = kvs::SsTable::Load(disk, "/t");
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), entries.size());
-  for (const auto& [key, entry] : entries) {
-    EXPECT_EQ(loaded->at(key).value, entry.value);
-    EXPECT_EQ(loaded->at(key).tombstone, entry.tombstone);
+  // Property 1: the merge reader returns exactly what was written.
+  auto run = kvs::SsRun::Read(disk, "/t");
+  ASSERT_TRUE(run.ok());
+  kvs::SsMerge merge(std::span<const kvs::SsRun>(&*run, 1));
+  size_t read = 0;
+  for (kvs::SsRecord record; merge.Next(record); ++read) {
+    ASSERT_LT(read, entries.size());
+    EXPECT_EQ(record.key, entries[read].first);
+    EXPECT_EQ(record.value, entries[read].second.value);
+    EXPECT_EQ(record.tombstone, entries[read].second.tombstone);
   }
+  EXPECT_EQ(read, entries.size());
 
   // Property 2: flipping any single random byte makes every reader return
-  // CORRUPTION, as sstable.h promises for all three.
+  // CORRUPTION, as sstable.h promises for every reader.
   const auto size = disk.Size("/t");
   ASSERT_TRUE(size.ok());
   const std::string probe_key = entries.front().first;
@@ -194,8 +203,8 @@ TEST_P(SsTableIntegrityProperty, RoundtripAndAnyFlipDetected) {
     disk.MarkBadRange("/t", at, 1);
     EXPECT_EQ(kvs::SsTable::Validate(disk, "/t").code(), StatusCode::kCorruption)
         << "Validate: flip at offset " << at << " undetected";
-    EXPECT_EQ(kvs::SsTable::Load(disk, "/t").status().code(), StatusCode::kCorruption)
-        << "Load: flip at offset " << at << " undetected";
+    EXPECT_EQ(kvs::SsRun::Read(disk, "/t").status().code(), StatusCode::kCorruption)
+        << "SsRun::Read: flip at offset " << at << " undetected";
     EXPECT_EQ(kvs::SsTable::Lookup(disk, "/t", probe_key).status().code(),
               StatusCode::kCorruption)
         << "Lookup: flip at offset " << at << " undetected";
@@ -205,6 +214,120 @@ TEST_P(SsTableIntegrityProperty, RoundtripAndAnyFlipDetected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SsTableIntegrityProperty, ::testing::Range<uint64_t>(1, 13));
+
+// ------------------------------------------------------ compaction merge
+
+// CompactOnce's merged table, byte for byte, against a reference merge:
+// every table's entries into one std::map, oldest first so newer records
+// overwrite, tombstones dropped, then the table format written out by hand. Table sets are random: shared keys overwrite, tombstones delete,
+// some tables are empty, and sometimes a listed table is gone when the
+// merge reads it.
+class CompactionMergeProperty : public ::testing::TestWithParam<uint64_t> {};
+
+using Entries = std::vector<std::pair<std::string, kvs::MemEntry>>;
+
+// The survivors of the reference merge.
+std::map<std::string, kvs::MemEntry> OracleMerge(const std::vector<Entries>& tables) {
+  std::map<std::string, kvs::MemEntry> merged;
+  for (const Entries& table : tables) {
+    for (const auto& [key, entry] : table) {
+      merged[key] = entry;
+    }
+  }
+  std::erase_if(merged, [](const auto& item) { return item.second.tombstone; });
+  return merged;
+}
+
+std::string OracleTableBytes(const std::map<std::string, kvs::MemEntry>& survivors) {
+  std::string body;
+  for (const auto& [key, entry] : survivors) {
+    kvs::PutU32(body, static_cast<uint32_t>(key.size()));
+    kvs::PutU32(body, static_cast<uint32_t>(entry.value.size()));
+    body += 'V';
+    body += key;
+    body += entry.value;
+  }
+  return body + StrFormat("%08x", Crc32(body));
+}
+
+TEST_P(CompactionMergeProperty, MergedTableMatchesMapMergeByteForByte) {
+  RealClock& clock = RealClock::Instance();
+  FaultInjector injector(clock);
+  SimDisk disk(clock, injector, DiskOptions{.base_latency = 0, .per_kb_latency = 0});
+  kvs::Memtable memtable;
+  kvs::Index index(disk, memtable);
+  kvs::PartitionManager partitions(disk);
+  HookSet hooks;
+  MetricsRegistry metrics;
+  kvs::CompactionOptions options;
+  options.table_dir = "/sst";
+  kvs::CompactionManager compaction(clock, disk, index, partitions, hooks, metrics, options);
+  Rng rng(GetParam());
+
+  std::vector<Entries> tables(static_cast<size_t>(rng.Uniform(1, 6)));
+  for (size_t t = 0; t < tables.size(); ++t) {
+    std::map<std::string, kvs::MemEntry> table;
+    const int64_t count = rng.Bernoulli(0.2) ? 0 : rng.Uniform(1, 40);
+    for (int64_t i = 0; i < count; ++i) {
+      // A small key space, so tables overwrite each other's keys; a NUL in
+      // some keys and values checks that every byte is merged as data.
+      std::string key = StrFormat("k%02lld", static_cast<long long>(rng.Uniform(0, 59)));
+      if (rng.Bernoulli(0.1)) {
+        key += std::string(1, '\0') + "z";
+      }
+      kvs::MemEntry entry;
+      entry.tombstone = rng.Bernoulli(0.25);
+      if (!entry.tombstone) {
+        entry.value = StrFormat("v%zu-", t) + std::string(static_cast<size_t>(rng.Uniform(0, 32)),
+                                                         static_cast<char>(i % 3));
+      }
+      table[key] = std::move(entry);
+    }
+    tables[t].assign(table.begin(), table.end());
+    const std::string path = StrFormat("/sst/%06zu.sst", t);
+    ASSERT_TRUE(kvs::SsTable::Write(disk, path, tables[t]).ok());
+    index.AddTable(path);
+  }
+
+  // A listed table gone when the merge reads it (the index snapshot went
+  // stale): CompactOnce fails NOT_FOUND, as a reference merge reading the
+  // same files would, and leaves the index as it was; the probe skips the
+  // table.
+  if (rng.Bernoulli(0.3)) {
+    const std::string path =
+        StrFormat("/sst/%06lld.sst", static_cast<long long>(rng.Uniform(
+                                         0, static_cast<int64_t>(tables.size()) - 1)));
+    auto bytes = disk.ReadAll(path);
+    ASSERT_TRUE(bytes.ok());
+    ASSERT_TRUE(disk.Delete(path).ok());
+    EXPECT_TRUE(compaction.MergeProbe("checker").ok());
+    EXPECT_EQ(compaction.CompactOnce(/*force=*/true).code(), StatusCode::kNotFound);
+    EXPECT_EQ(index.Tables().size(), tables.size());
+    EXPECT_TRUE(disk.List("/sst/merged").empty());
+    ASSERT_TRUE(disk.Create(path).ok());
+    ASSERT_TRUE(disk.Write(path, 0, *bytes).ok());
+  }
+
+  EXPECT_TRUE(compaction.MergeProbe("checker").ok());
+  ASSERT_TRUE(compaction.CompactOnce(/*force=*/true).ok());
+  const std::vector<std::string> after = index.Tables();
+  ASSERT_EQ(after.size(), 1u);
+  const auto merged = disk.ReadAll(after.front());
+  ASSERT_TRUE(merged.ok());
+  const auto survivors = OracleMerge(tables);
+  EXPECT_EQ(*merged, OracleTableBytes(survivors));
+  EXPECT_TRUE(disk.List("/sst/0").empty());  // every input table deleted
+  const auto registered = partitions.Partitions();
+  if (survivors.empty()) {
+    EXPECT_TRUE(registered.empty());
+  } else {
+    ASSERT_EQ(registered.size(), 1u);
+    EXPECT_EQ(registered[0].min_key, survivors.begin()->first);
+    EXPECT_EQ(registered[0].max_key, survivors.rbegin()->first);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompactionMergeProperty, ::testing::Range<uint64_t>(1, 41));
 
 // ------------------------------------------------------------ CRC detection
 

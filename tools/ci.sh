@@ -112,10 +112,12 @@ run_leg build-ci-asan address "$@"
 # races, plus the hook-plane allocation guard), the chaos/soak tier that
 # storms the fixed pools with injected faults, and
 # the signal-suite/fusion tests (FusionDetector::OnFailure runs on scheduler
-# threads; the suite test drives a live driver against a publisher thread).
-run_leg build-ci-tsan thread -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal' "$@"
+# threads; the suite test drives a live driver against a publisher thread),
+# and the kvs unit suite (MergeProbe against a concurrent CompactOnce, the
+# background flusher, compaction and replication loops).
+run_leg build-ci-tsan thread -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal|kvs_test' "$@"
 # UBSan leg: the byte-level code (CRC fold kernel and sliced tail, SSTable
-# record walker, WAL framing, block store, the standard mimic executors'
+# record walker and merge cursors, WAL framing, block store, the standard mimic executors'
 # stamped probe blocks and read-backs) and the suites that feed it
 # adversarial bytes. halt_on_error turns the first report into a failing test
 # instead of a log line.
