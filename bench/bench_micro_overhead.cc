@@ -180,9 +180,11 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(81000);
 
-// One table read as Index::Get and the index.lookup mimic pay it per table:
-// 150 x 512 B records (~79 KB), key in the middle, zero-latency disk, so the
-// row is the CPU cost of ReadAll + footer CRC + record walk.
+// One table of 150 x 512 B records (~79 KB), zero-latency disk.
+// BM_SsTableLookup is what Index::Get pays per table whose range holds the
+// key (the middle one here): one ~4 KB block read, its CRC and its walk.
+// BM_SsTableValidate is the whole-table check (ReadAll + footer CRC + record
+// walk) that registration, compaction and the maintenance fsck pay.
 class SsTableBench {
  public:
   SsTableBench()
@@ -206,9 +208,10 @@ class SsTableBench {
 
 void BM_SsTableLookup(benchmark::State& state) {
   SsTableBench table;
+  const auto map = kvs::SsBlockMap::Build(table.disk(), SsTableBench::kPath);
   const std::string key = "key0075";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kvs::SsTable::Lookup(table.disk(), SsTableBench::kPath, key));
+    benchmark::DoNotOptimize(map->Lookup(table.disk(), key));
   }
 }
 BENCHMARK(BM_SsTableLookup);
@@ -221,9 +224,10 @@ void BM_SsTableValidate(benchmark::State& state) {
 }
 BENCHMARK(BM_SsTableValidate);
 
-// The compact.merge mimic and the compaction it shadows, at the kvs-write
-// shape times state.range(0): a merged table of 640 x 100 B records (~77 KB)
-// plus a flush table overwriting every fifth key (~15 KB), zero-latency disk.
+// The three table mimics and the compaction compact.merge shadows, at the
+// kvs-write shape times state.range(0): a merged table of 640 x 100 B records
+// (~77 KB) plus a flush table overwriting every fifth key (~15 KB), both
+// registered as partitions, zero-latency disk.
 class CompactionBench {
  public:
   explicit CompactionBench(int64_t scale)
@@ -251,8 +255,16 @@ class CompactionBench {
         wdg::StrFormat("/kvs/sst/%06lld.sst", static_cast<long long>(tables_++));
     (void)kvs::SsTable::Write(disk_, path, entries);
     index_.AddTable(path);
+    (void)partitions_.Register(path, entries.front().first, entries.back().first);
   }
   kvs::CompactionManager& compaction() { return compaction_; }
+  kvs::Index& index() { return index_; }
+  kvs::PartitionManager& partitions() { return partitions_; }
+  // In the merged table's range but not the flush table's: a Get reads one
+  // block of each.
+  std::string MissInNewestKey() const {
+    return wdg::StrFormat("key%08lld", static_cast<long long>(keys_ / 2 + 1));
+  }
 
  private:
   wdg::FaultInjector injector_;
@@ -267,7 +279,8 @@ class CompactionBench {
   int64_t tables_ = 0;
 };
 
-// One mimic run: read and verify both tables, merge, discard the survivors.
+// One compact.merge mimic run: read and verify a two-block prefix of both
+// tables, merge, discard the survivors.
 void BM_MergeProbe(benchmark::State& state) {
   CompactionBench bench(state.range(0));
   for (auto _ : state) {
@@ -275,6 +288,28 @@ void BM_MergeProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MergeProbe)->Arg(1)->Arg(10);
+
+// One index.lookup mimic run, which is one Index::Get: a memtable miss, then
+// one block of each table.
+void BM_IndexGet(benchmark::State& state) {
+  CompactionBench bench(state.range(0));
+  const std::string key = bench.MissInNewestKey();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bench.index().Get(key));
+  }
+}
+BENCHMARK(BM_IndexGet)->Arg(1)->Arg(10);
+
+// One kvs.partition.validate mimic run on the merged table: one window of
+// stripes, rotating through the table.
+void BM_PartitionValidateProbe(benchmark::State& state) {
+  CompactionBench bench(state.range(0));
+  const std::string merged = bench.index().Tables().front();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bench.partitions().ValidateWindow(merged));
+  }
+}
+BENCHMARK(BM_PartitionValidateProbe)->Arg(1)->Arg(10);
 
 // One compaction of the merged table and a fresh flush table, which leaves
 // one merged table of the same size for the next iteration.

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <string_view>
+#include <thread>
 
 namespace awd {
 
@@ -12,6 +13,7 @@ namespace {
 
 constexpr wdg::DurationNs kListenerStaleAfter = wdg::Ms(500);
 constexpr wdg::DurationNs kLockWait = wdg::Ms(100);
+constexpr std::chrono::milliseconds kLockPoll{1};
 constexpr wdg::DurationNs kProbeCallTimeout = wdg::Ms(150);
 constexpr int64_t kScratchLogLimit = 64 * 1024;
 constexpr size_t kBlockBytes = 1024;
@@ -109,10 +111,17 @@ ExecutorFn ScratchFsyncExecutor(wdg::SimDisk& disk) {
 
 ExecutorFn BoundedLockExecutor(std::timed_mutex& mu) {
   return [&mu](const ReducedOp& op, const wdg::CheckContext&, const std::string&) {
-    std::unique_lock<std::timed_mutex> lock(mu, std::defer_lock);
-    if (!lock.try_lock_for(std::chrono::nanoseconds(kLockWait))) {
-      return wdg::TimeoutError(op.site + " held too long");
+    // A try_lock poll, not try_lock_for: gcc 12's ThreadSanitizer does not
+    // intercept the timed lock and reports its unlock as one of an unlocked
+    // mutex. The poll waits the same total time.
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::nanoseconds(kLockWait);
+    while (!mu.try_lock()) {
+      if (std::chrono::steady_clock::now() >= give_up) {
+        return wdg::TimeoutError(op.site + " held too long");
+      }
+      std::this_thread::sleep_for(kLockPoll);
     }
+    mu.unlock();
     return wdg::Status::Ok();
   };
 }
@@ -134,7 +143,7 @@ RedirectionPlan StandardRedirections() {
       {"disk.write", RedirectMode::kScratchRedirect, "scratch block + read-back compare"},
       {"disk.create", RedirectMode::kScratchRedirect, "create-probe in scratch"},
       {"disk.fsync", RedirectMode::kScratchRedirect, "fsync of the scratch log"},
-      {"lock.*", RedirectMode::kBoundedTry, "try_lock_for on the real mutex"},
+      {"lock.*", RedirectMode::kBoundedTry, "bounded try_lock poll on the real mutex"},
       {"net.send.*", RedirectMode::kReplicate, "probe from the dedicated .wdg endpoint"},
       {"net.recv.*", RedirectMode::kReadOnly, "listener-tick gauge freshness"},
   };

@@ -48,7 +48,7 @@ ExecutorFn ScratchCreateExecutor(wdg::SimDisk& disk);
 // disk.fsync: fsyncs the scratch log, creating it first if needed.
 ExecutorFn ScratchFsyncExecutor(wdg::SimDisk& disk);
 
-// lock.*: try_lock_for 100 ms on the real mutex; a holder wedged inside the
+// lock.*: polls try_lock for 100 ms on the real mutex; a holder wedged inside the
 // critical section turns into a timeout.
 ExecutorFn BoundedLockExecutor(std::timed_mutex& mu);
 

@@ -33,19 +33,31 @@ void CompactionManager::Stop() {
 }
 
 void CompactionManager::Loop() {
+  // A failing compaction is retried every poll; like the flusher, the streak
+  // logs its first failure and its length on recovery, not one line per pass.
+  int64_t failed_streak = 0;
   while (!stop_.WaitFor(options_.poll_interval)) {
     metrics_.GetGauge("kvs.compaction.last_tick_ns")->Set(static_cast<double>(clock_.NowNs()));
     if (index_.Tables().size() > options_.max_tables) {
       const wdg::Status status = CompactOnce();
       if (!status.ok()) {
         metrics_.GetCounter("kvs.compaction.errors")->Increment();
-        WDG_LOG(kWarn) << "compaction failed: " << status;
+        if (failed_streak++ == 0) {
+          WDG_LOG(kWarn) << "compaction failed: " << status;
+        }
+      } else if (failed_streak > 0) {
+        WDG_LOG(kWarn) << "compaction recovered after " << failed_streak << " failed attempts";
+        failed_streak = 0;
       }
     }
   }
 }
 
 namespace {
+// What MergeProbe reads of each table: whole blocks, so every byte it merges
+// is CRC-checked.
+constexpr size_t kProbePrefixBytes = 2 * kSsBlockBytes;
+
 struct Survivors {
   size_t count = 0;
   std::string_view first_key;
@@ -125,17 +137,20 @@ wdg::Status CompactionManager::CompactOnce(bool force) {
 }
 
 wdg::Status CompactionManager::MergeProbe(const std::string& scratch_checker_name) const {
-  // Shares fate with CompactOnce: same fault site, same table reader and the
-  // same merge, but results go nowhere near the live index (isolation).
+  // Shares fate with CompactOnce: same fault site and the same merge, but
+  // over a bounded, block-CRC-verified prefix of the two oldest tables, and
+  // the results go nowhere near the live index (isolation).
   WDG_RETURN_IF_ERROR(disk_.injector().Act("compact.merge"));
-  const std::vector<std::string> tables = index_.Tables();
+  std::vector<Index::TableRef> tables = index_.Snapshot();
   std::vector<SsRun> runs;
   runs.reserve(2);
-  for (const std::string& path : tables) {
+  for (Index::TableRef& table : tables) {
     if (runs.size() >= 2) {
       break;  // a reduced merge: two tables suffice to exercise the logic
     }
-    auto run = SsRun::Read(disk_, path);
+    const auto map = index_.Verified(table);
+    auto run = map.ok() ? SsRun::ReadPrefix(disk_, **map, kProbePrefixBytes)
+                        : wdg::Result<SsRun>(map.status());
     if (run.status().code() == wdg::StatusCode::kNotFound) {
       // The table list is a snapshot: a concurrent CompactOnce on the
       // compaction thread can ReplaceTables + Delete a listed table before

@@ -40,7 +40,8 @@ class CompactionManager {
   wdg::Status CompactOnce(bool force = false);
 
   // The fate-sharing probe used by the mimic checker: runs the same
-  // "compact.merge" site and a small real merge without touching the index.
+  // "compact.merge" site and the same merge over a fixed-size, block-verified
+  // prefix of the two oldest tables, without touching the index.
   wdg::Status MergeProbe(const std::string& scratch_checker_name) const;
 
   int64_t compaction_count() const { return compaction_count_.load(); }

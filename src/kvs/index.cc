@@ -4,23 +4,52 @@
 
 namespace kvs {
 
+namespace {
+Index::TableRef VerifyTable(const wdg::SimDisk& disk, const std::string& path) {
+  return std::make_shared<const Index::Table>(Index::Table{path, SsBlockMap::Build(disk, path)});
+}
+}  // namespace
+
 void Index::AddTable(const std::string& path) {
+  TableRef table = VerifyTable(disk_, path);
   std::lock_guard<std::mutex> lock(mu_);
-  tables_.push_back(path);
+  tables_.push_back(std::move(table));
 }
 
 void Index::ReplaceTables(const std::vector<std::string>& old_paths,
                           const std::string& merged_path) {
+  TableRef merged = VerifyTable(disk_, merged_path);
   std::lock_guard<std::mutex> lock(mu_);
-  std::erase_if(tables_, [&](const std::string& t) {
-    return std::find(old_paths.begin(), old_paths.end(), t) != old_paths.end();
+  std::erase_if(tables_, [&](const TableRef& t) {
+    return std::find(old_paths.begin(), old_paths.end(), t->path) != old_paths.end();
   });
-  tables_.insert(tables_.begin(), merged_path);  // merged data is oldest
+  tables_.insert(tables_.begin(), std::move(merged));  // merged data is oldest
 }
 
 std::vector<std::string> Index::Tables() const {
   std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::string> paths;
+  paths.reserve(tables_.size());
+  for (const TableRef& table : tables_) {
+    paths.push_back(table->path);
+  }
+  return paths;
+}
+
+std::vector<Index::TableRef> Index::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
   return tables_;
+}
+
+wdg::Result<const SsBlockMap*> Index::Verified(TableRef& table) const {
+  if (!table->map.ok()) {
+    TableRef again = VerifyTable(disk_, table->path);
+    WDG_RETURN_IF_ERROR(again->map.status());
+    std::lock_guard<std::mutex> lock(mu_);
+    std::replace(tables_.begin(), tables_.end(), table, again);
+    table = std::move(again);
+  }
+  return &*table->map;
 }
 
 wdg::Result<std::optional<std::string>> Index::Get(const std::string& key) const {
@@ -41,11 +70,13 @@ wdg::Result<std::optional<std::string>> Index::Get(const std::string& key) const
   // list. If the list stops changing and the file is still gone, the table
   // set itself is damaged: propagate that honestly.
   wdg::Status stale_error = wdg::Status::Ok();
-  std::vector<std::string> tables = Tables();
+  std::vector<TableRef> tables = Snapshot();
   for (int attempt = 0; attempt < 3; ++attempt) {
     bool stale = false;
     for (auto it = tables.rbegin(); it != tables.rend(); ++it) {  // newest first
-      auto entry = SsTable::Lookup(disk_, *it, key);
+      auto map = Verified(*it);
+      auto entry = map.ok() ? (*map)->Lookup(disk_, key)
+                            : wdg::Result<std::optional<MemEntry>>(map.status());
       if (entry.status().code() == wdg::StatusCode::kNotFound) {
         stale = true;
         stale_error = entry.status();
@@ -62,7 +93,7 @@ wdg::Result<std::optional<std::string>> Index::Get(const std::string& key) const
     if (!stale) {
       return std::optional<std::string>{};
     }
-    std::vector<std::string> fresh = Tables();
+    std::vector<TableRef> fresh = Snapshot();
     if (fresh == tables) {
       break;  // not a race: the listed table is genuinely missing
     }

@@ -1,8 +1,12 @@
 // Indexer: resolves reads across the memtable and registered SSTables
-// (newest first). Lookups pass through the "index.lookup" fault site so
-// campaigns can wedge exactly the read path (e.g. an infinite-loop bug).
+// (newest first). Each table is read and verified as a whole once, when it is
+// registered, and keeps the block map that verification builds; a Get then
+// reads and CRC-checks one block of each table whose key range holds the key.
+// Lookups pass through the "index.lookup" fault site so campaigns can wedge
+// exactly the read path (e.g. an infinite-loop bug).
 #pragma once
 
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -17,6 +21,14 @@ namespace kvs {
 
 class Index {
  public:
+  // A registered table and the outcome of its whole-table verification: the
+  // block map, or the error every read that reaches the table returns.
+  struct Table {
+    std::string path;
+    wdg::Result<SsBlockMap> map;
+  };
+  using TableRef = std::shared_ptr<const Table>;
+
   Index(wdg::SimDisk& disk, Memtable& memtable) : disk_(disk), memtable_(memtable) {}
 
   // Newest table last in registration order; lookups scan newest-first.
@@ -24,6 +36,13 @@ class Index {
   // Compaction: atomically swap `old_paths` for `merged_path`.
   void ReplaceTables(const std::vector<std::string>& old_paths, const std::string& merged_path);
   std::vector<std::string> Tables() const;
+  // The registered tables, oldest first.
+  std::vector<TableRef> Snapshot() const;
+
+  // The block map of `table`. A table whose verification failed is verified
+  // again, as a whole, so a transient read fault does not fail its reads for
+  // good; on success `table` and the index's own entry take the new map.
+  wdg::Result<const SsBlockMap*> Verified(TableRef& table) const;
 
   // nullopt == key absent (or deleted).
   wdg::Result<std::optional<std::string>> Get(const std::string& key) const;
@@ -32,7 +51,9 @@ class Index {
   wdg::SimDisk& disk_;
   Memtable& memtable_;
   mutable std::mutex mu_;
-  std::vector<std::string> tables_;
+  // Mutable for Verified, which swaps a re-verified entry in place; the set
+  // of tables only changes through AddTable and ReplaceTables.
+  mutable std::vector<TableRef> tables_;
 };
 
 }  // namespace kvs

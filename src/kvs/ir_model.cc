@@ -132,7 +132,7 @@ awd::RedirectionPlan DescribeRedirections() {
           {"disk.read", RedirectMode::kReadOnly, "reads the first registered SSTable"},
           {"index.lookup", RedirectMode::kReadOnly, "watchdog-keyspace index probe"},
           {"compact.merge", RedirectMode::kScratchRedirect, "CompactionManager::MergeProbe"},
-          {"kvs.partition.validate", RedirectMode::kReadOnly, "checksum fsck of real data"},
+          {"kvs.partition.validate", RedirectMode::kReadOnly, "stripe-window fsck of real data"},
       });
   return plan;
 }
@@ -195,20 +195,18 @@ void RegisterOpExecutors(awd::OpExecutorRegistry& registry, KvsNode& node) {
         return node.compaction().MergeProbe(checker);
       });
 
-  // Partition checksum validation against real data (read-only fsck).
+  // Partition checksum validation against real data (read-only fsck), a
+  // fixed-size window of stripes per run.
   registry.Register(
       "kvs.partition.validate",
       [&node](const awd::ReducedOp&, const wdg::CheckContext& ctx, const std::string&) {
         const auto table = ctx.Get<std::string>("table");
-        if (table.has_value()) {
-          const wdg::Status status = node.partitions().Validate(*table);
-          // The table may have been compacted away since the hook fired.
-          if (status.code() == wdg::StatusCode::kNotFound) {
-            return wdg::Status::Ok();
-          }
-          return status;
+        const wdg::Status status = node.partitions().ValidateWindow(table.value_or(""));
+        // The table may have been compacted away since the hook fired.
+        if (table.has_value() && status.code() == wdg::StatusCode::kNotFound) {
+          return wdg::Status::Ok();
         }
-        return node.partitions().ValidateAll();
+        return status;
       });
 }
 

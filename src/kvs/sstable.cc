@@ -1,5 +1,6 @@
 #include "src/kvs/sstable.h"
 
+#include <algorithm>
 #include <array>
 
 #include "src/common/checksum.h"
@@ -25,10 +26,38 @@ std::array<char, kFooterSize> FooterFor(uint32_t crc) {
   return out;
 }
 
-// Reads the whole table, checks the footer CRC over the body, and calls
-// `visit(record)` for every record; returns the read buffer, which the record
-// views point into. Every record is checked even after the caller has what it
-// needs, so a malformed table fails as a whole.
+// Walks the records of `body` (a whole table body, or a record-aligned slice
+// of one) and calls `visit(record, offset, end)` for every record, with the
+// record's byte range in `body`. Every record is checked even after the
+// caller has what it needs, so a malformed body fails as a whole.
+template <typename Visit>
+wdg::Status WalkRecords(std::string_view body, const std::string& path, Visit&& visit) {
+  size_t at = 0;
+  while (at < body.size()) {
+    if (body.size() - at < kHeaderSize) {
+      return wdg::CorruptionError("sstable record header truncated: " + path);
+    }
+    const size_t key_len = GetU32(body, at);
+    const size_t value_len = GetU32(body, at + 4);
+    const char tag = body[at + 8];
+    const size_t key_at = at + kHeaderSize;
+    if (tag != 'T' && tag != 'V') {
+      return wdg::CorruptionError("sstable record malformed: " + path);
+    }
+    if (key_len > body.size() - key_at || value_len > body.size() - key_at - key_len) {
+      return wdg::CorruptionError("sstable record overruns body: " + path);
+    }
+    const size_t end = key_at + key_len + value_len;
+    const SsRecord record{body.substr(key_at, key_len), tag == 'T',
+                          body.substr(key_at + key_len, value_len)};
+    visit(record, at, end);
+    at = end;
+  }
+  return wdg::Status::Ok();
+}
+
+// Reads the whole table, checks the footer CRC over the body, and walks
+// every record; returns the read buffer, which the record views point into.
 template <typename Visit>
 wdg::Result<std::string> ReadTable(const wdg::SimDisk& disk, const std::string& path,
                                    Visit&& visit) {
@@ -42,26 +71,29 @@ wdg::Result<std::string> ReadTable(const wdg::SimDisk& disk, const std::string& 
       std::string_view(data).substr(body.size())) {
     return wdg::CorruptionError("sstable checksum mismatch: " + path);
   }
-  size_t at = 0;
-  while (at < body.size()) {
-    if (body.size() - at < kHeaderSize) {
-      return wdg::CorruptionError("sstable record header truncated: " + path);
-    }
-    const size_t key_len = GetU32(body, at);
-    const size_t value_len = GetU32(body, at + 4);
-    const char tag = body[at + 8];
-    at += kHeaderSize;
-    if (tag != 'T' && tag != 'V') {
-      return wdg::CorruptionError("sstable record malformed: " + path);
-    }
-    if (key_len > body.size() - at || value_len > body.size() - at - key_len) {
-      return wdg::CorruptionError("sstable record overruns body: " + path);
-    }
-    visit(SsRecord{body.substr(at, key_len), tag == 'T', body.substr(at + key_len, value_len)});
-    at += key_len + value_len;
-  }
+  WDG_RETURN_IF_ERROR(WalkRecords(body, path, visit));
   return data;
 }
+
+// Strictly ascending keys: the merge and the block map rely on the order, so
+// a table that breaks it is as damaged as one whose CRC fails.
+class KeyOrder {
+ public:
+  void See(std::string_view key) {
+    ordered_ = ordered_ && (first_ || previous_ < key);
+    first_ = false;
+    previous_ = key;
+  }
+  wdg::Status status(const std::string& path) const {
+    return ordered_ ? wdg::Status::Ok()
+                    : wdg::CorruptionError("sstable keys out of order: " + path);
+  }
+
+ private:
+  bool ordered_ = true;
+  bool first_ = true;
+  std::string_view previous_;
+};
 }  // namespace
 
 wdg::Status SsTable::Write(wdg::SimDisk& disk, const std::string& path,
@@ -79,36 +111,108 @@ wdg::Status SsTable::Write(wdg::SimDisk& disk, const std::string& path,
 }
 
 wdg::Status SsTable::Validate(const wdg::SimDisk& disk, const std::string& path) {
-  return ReadTable(disk, path, [](const SsRecord&) {}).status();
+  return ReadTable(disk, path, [](const SsRecord&, size_t, size_t) {}).status();
 }
 
-wdg::Result<std::optional<MemEntry>> SsTable::Lookup(const wdg::SimDisk& disk,
-                                                     const std::string& path,
-                                                     const std::string& key) {
+wdg::Result<SsBlockMap> SsBlockMap::Build(const wdg::SimDisk& disk, const std::string& path) {
+  SsBlockMap map;
+  map.path_ = path;
+  KeyOrder order;
+  size_t last_key_at = 0;
+  size_t last_key_len = 0;
+  WDG_ASSIGN_OR_RETURN(const std::string data,
+                       ReadTable(disk, path, [&](const SsRecord& record, size_t at, size_t end) {
+                         order.See(record.key);
+                         if (map.blocks_.empty() ||
+                             map.blocks_.back().size + (end - at) > kSsBlockBytes) {
+                           map.blocks_.push_back(SsBlock{std::string(record.key), at, 0, 0});
+                         }
+                         map.blocks_.back().size += end - at;
+                         last_key_at = at + kHeaderSize;
+                         last_key_len = record.key.size();
+                       }));
+  WDG_RETURN_IF_ERROR(order.status(path));
+  for (SsBlock& block : map.blocks_) {
+    block.crc = wdg::Crc32(std::string_view(data).substr(block.offset, block.size));
+  }
+  map.last_key_.assign(data, last_key_at, last_key_len);
+  return map;
+}
+
+wdg::Result<std::string> SsBlockMap::ReadBlocks(const wdg::SimDisk& disk, size_t first,
+                                                size_t count) const {
+  if (count == 0) {
+    return std::string();
+  }
+  const SsBlock& last = blocks_[first + count - 1];
+  const size_t offset = blocks_[first].offset;
+  const size_t size = last.offset + last.size - offset;
+  auto read = disk.Read(path_, static_cast<int64_t>(offset), static_cast<int64_t>(size));
+  if (read.status().code() == wdg::StatusCode::kInvalidArgument) {
+    // Read refuses an offset past the end: the file shrank under the map.
+    return wdg::CorruptionError("sstable truncated: " + path_);
+  }
+  WDG_RETURN_IF_ERROR(read.status());
+  const std::string_view bytes(*read);
+  bool intact = bytes.size() == size;
+  for (size_t i = first; intact && i < first + count; ++i) {
+    intact = wdg::Crc32(bytes.substr(blocks_[i].offset - offset, blocks_[i].size)) ==
+             blocks_[i].crc;
+  }
+  if (!intact) {
+    return wdg::CorruptionError("sstable block checksum mismatch: " + path_);
+  }
+  return std::move(*read);
+}
+
+wdg::Result<std::optional<MemEntry>> SsBlockMap::Lookup(const wdg::SimDisk& disk,
+                                                        std::string_view key) const {
+  // The block that can hold `key` is the last one whose first key is <= key.
+  const auto after = std::upper_bound(
+      blocks_.begin(), blocks_.end(), key,
+      [](std::string_view k, const SsBlock& block) { return k < block.first_key; });
+  if (after == blocks_.begin() || key > last_key_) {
+    return std::optional<MemEntry>{};
+  }
+  WDG_ASSIGN_OR_RETURN(const std::string block,
+                       ReadBlocks(disk, static_cast<size_t>(after - blocks_.begin()) - 1, 1));
   std::optional<MemEntry> found;
-  WDG_RETURN_IF_ERROR(ReadTable(disk, path, [&](const SsRecord& record) {
-                        if (record.key == key) {
-                          found = MemEntry{std::string(record.value), record.tombstone};
-                        }
-                      }).status());
+  WDG_RETURN_IF_ERROR(WalkRecords(block, path_, [&](const SsRecord& record, size_t, size_t) {
+    if (record.key == key) {
+      found = MemEntry{std::string(record.value), record.tombstone};
+    }
+  }));
   return found;
 }
 
 wdg::Result<SsRun> SsRun::Read(const wdg::SimDisk& disk, const std::string& path) {
-  // The merge relies on the order, so a run that breaks it is as damaged as
-  // one whose CRC fails.
-  bool ordered = true;
-  bool first = true;
-  std::string_view previous_key;
-  WDG_ASSIGN_OR_RETURN(std::string data, ReadTable(disk, path, [&](const SsRecord& record) {
-                         ordered = ordered && (first || previous_key < record.key);
-                         first = false;
-                         previous_key = record.key;
+  KeyOrder order;
+  WDG_ASSIGN_OR_RETURN(std::string data,
+                       ReadTable(disk, path, [&](const SsRecord& record, size_t, size_t) {
+                         order.See(record.key);
                        }));
-  if (!ordered) {
-    return wdg::CorruptionError("sstable keys out of order: " + path);
-  }
+  WDG_RETURN_IF_ERROR(order.status(path));
   const size_t body_size = data.size() - kFooterSize;
+  return SsRun(std::move(data), body_size);
+}
+
+wdg::Result<SsRun> SsRun::ReadPrefix(const wdg::SimDisk& disk, const SsBlockMap& map,
+                                     size_t budget) {
+  const std::vector<SsBlock>& blocks = map.blocks();
+  size_t count = 0;
+  size_t bytes = 0;
+  while (count < blocks.size() && (count == 0 || bytes + blocks[count].size <= budget)) {
+    bytes += blocks[count++].size;
+  }
+  WDG_ASSIGN_OR_RETURN(std::string data, map.ReadBlocks(disk, 0, count));
+  // The CRCs matched the map, but the merge cursors trust the framing and
+  // the order, so the prefix is walked as a table would be.
+  KeyOrder order;
+  WDG_RETURN_IF_ERROR(WalkRecords(data, map.path(), [&](const SsRecord& record, size_t, size_t) {
+    order.See(record.key);
+  }));
+  WDG_RETURN_IF_ERROR(order.status(map.path()));
+  const size_t body_size = data.size();
   return SsRun(std::move(data), body_size);
 }
 
@@ -126,7 +230,7 @@ void SsMerge::Advance(Cursor& cursor) {
   if (cursor.done) {
     return;
   }
-  // SsRun::Read checked the framing, so the lengths stay inside the body.
+  // SsRun's readers checked the framing, so the lengths stay inside the body.
   const std::string_view body = cursor.body;
   const size_t key_len = GetU32(body, cursor.at);
   const size_t value_len = GetU32(body, cursor.at + 4);

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -23,10 +24,10 @@ struct SsRecord {
   std::string_view value;
 };
 
-// Every reader reads the whole file once through SimDisk::ReadAll, checks the
-// footer CRC over the body and walks every record: CORRUPTION if the CRC
-// mismatches the data (bad media, bit rot, lost write) or any record is
-// malformed.
+// Whole-table readers (Validate, SsRun::Read, SsBlockMap::Build) read the
+// file once through SimDisk::ReadAll, check the footer CRC over the body and
+// walk every record: CORRUPTION if the CRC mismatches the data (bad media, bit
+// rot, lost write) or any record is malformed.
 class SsTable {
  public:
   // Writes `entries` (sorted, may contain tombstones) to `path`.
@@ -35,11 +36,49 @@ class SsTable {
 
   // Integrity only: builds nothing.
   static wdg::Status Validate(const wdg::SimDisk& disk, const std::string& path);
+};
 
-  // Point lookup: copies out only the matching record, if any.
-  static wdg::Result<std::optional<MemEntry>> Lookup(const wdg::SimDisk& disk,
-                                                     const std::string& path,
-                                                     const std::string& key);
+// Blocks are cut at record boundaries and hold at most this many body bytes,
+// unless a single record is larger.
+inline constexpr size_t kSsBlockBytes = 4096;
+
+// One record-aligned slice of a table body, with the CRC32 of its bytes.
+struct SsBlock {
+  std::string first_key;
+  size_t offset = 0;
+  size_t size = 0;
+  uint32_t crc = 0;
+};
+
+// A table verified once as a whole, and the map that lets a reader then read
+// and verify one block at a time: a point lookup costs one block, not the
+// table. Nothing read after the build is trusted unchecked: every block read
+// is CRC-checked against the map and walked again.
+class SsBlockMap {
+ public:
+  // Reads the table through SsRun::Read's checks (footer CRC, framing,
+  // strictly ascending keys), then cuts its body into blocks.
+  static wdg::Result<SsBlockMap> Build(const wdg::SimDisk& disk, const std::string& path);
+
+  // Point lookup: reads, through SimDisk::Read, the one block whose range
+  // holds `key` (none when the table's key range excludes it) and copies out
+  // only the matching record. CORRUPTION when that block no longer matches
+  // the map.
+  wdg::Result<std::optional<MemEntry>> Lookup(const wdg::SimDisk& disk,
+                                              std::string_view key) const;
+
+  // Reads blocks [first, first + count) with one SimDisk::Read and checks
+  // each against its CRC in the map.
+  wdg::Result<std::string> ReadBlocks(const wdg::SimDisk& disk, size_t first,
+                                      size_t count) const;
+
+  const std::string& path() const { return path_; }
+  const std::vector<SsBlock>& blocks() const { return blocks_; }
+
+ private:
+  std::string path_;
+  std::string last_key_;
+  std::vector<SsBlock> blocks_;
 };
 
 // A verified table held in its read buffer: the input of SsMerge. Read also
@@ -47,6 +86,12 @@ class SsTable {
 class SsRun {
  public:
   static wdg::Result<SsRun> Read(const wdg::SimDisk& disk, const std::string& path);
+
+  // The whole blocks of `map` that fit in `budget` bytes (at least the
+  // first), read from the start of the table and each CRC-checked against
+  // the map: a bounded, still verified, prefix of the table.
+  static wdg::Result<SsRun> ReadPrefix(const wdg::SimDisk& disk, const SsBlockMap& map,
+                                       size_t budget);
 
   // Body bytes (records without the footer): an upper bound on what a merge
   // of this run writes.

@@ -637,12 +637,14 @@ void WatchdogDriver::ShardLoop(size_t shard_index) {
       for (const size_t slot_index : shard.inflight) {
         Slot& slot = slots_[slot_index];
         if (slot.running != nullptr) {
+          // Not dispatched yet: it cannot be dispatched before `now`, so its
+          // deadline is no earlier than now + deadline. Waking then, the
+          // scheduler reads the dispatch time and arms the exact deadline;
+          // dispatches need not wake it.
           const TimeNs dispatched =
               slot.running->dispatch_time.load(std::memory_order_acquire);
-          if (dispatched != 0) {
-            next_deadline =
-                std::min(next_deadline, dispatched + SlotDeadlineLocked(slot));
-          }
+          next_deadline = std::min(next_deadline, (dispatched != 0 ? dispatched : now) +
+                                                      SlotDeadlineLocked(slot));
         }
       }
     }

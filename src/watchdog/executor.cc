@@ -143,8 +143,9 @@ void CheckerExecutor::RunBatch(DispatchBatch* slab) {
   }
   // Last touch of the slab: after this (release) the scheduler may recycle it
   // once its own references drain. One wake per finished batch covers all the
-  // completions above — the per-dispatch wake in RunOne already armed each
-  // deadline.
+  // completions above. Dispatches wake nobody: the scheduler never sleeps past
+  // launch + deadline for an undispatched execution, and from there it reads
+  // the dispatch time and arms the exact deadline.
   slab->worker_released.store(true, std::memory_order_release);
   if (wake_scheduler_) {
     wake_scheduler_();
@@ -159,9 +160,6 @@ void CheckerExecutor::RunOne(Execution& exec) {
   // reservoir is itself a sampler, so percentiles are preserved.
   if ((sample_counter_.fetch_add(1, std::memory_order_relaxed) & 0xF) == 0) {
     queue_delay_hist_->Record(static_cast<double>(dispatched_at - exec.enqueue_time));
-  }
-  if (wake_scheduler_) {
-    wake_scheduler_();  // the scheduler can now arm this execution's deadline
   }
 
   CheckResult result;

@@ -505,6 +505,68 @@ TEST(DriverShardingTest, BatchHangAbandonsOnceAndRedispatchesSiblings) {
   }
 }
 
+TEST(DriverShardingTest, HangMidBatchIsAbandonedWithinItsDeadline) {
+  // Dispatches do not wake the scheduler: it must still arm the deadline of
+  // an execution that starts late in its batch, long after the scheduler
+  // last looked. Long intervals keep the wheel from waking it instead.
+  RealClock& clock = RealClock::Instance();
+  FaultInjector injector(clock);
+  FaultSpec hang;
+  hang.id = "stuck";
+  hang.site_pattern = "midbatch.op";
+  hang.kind = FaultKind::kHang;
+  injector.Inject(hang);
+
+  WatchdogDriver::Options options;
+  options.dispatch_batch = 4;
+  options.executor.workers = 1;
+  options.release_on_stop = [&injector] { injector.ClearAll(); };
+  WatchdogDriver driver(clock, options);
+
+  constexpr DurationNs kDeadline = Ms(100);
+  std::atomic<int64_t> sibling_runs{0};
+  for (int i = 0; i < 3; ++i) {
+    CheckerOptions copts;
+    copts.interval = Sec(5);
+    copts.timeout = Ms(400);
+    copts.initial_delay = Ms(10);
+    driver.AddChecker(std::make_unique<ProbeChecker>(
+        StrFormat("slow%d", i), "midbatch",
+        [&clock, &sibling_runs] {
+          clock.SleepFor(Ms(10));
+          sibling_runs.fetch_add(1, std::memory_order_relaxed);
+          return Status::Ok();
+        },
+        copts));
+  }
+  std::atomic<TimeNs> hang_start{0};
+  std::atomic<int64_t> siblings_before_hang{-1};
+  CheckerOptions hung_options;
+  hung_options.interval = Sec(5);
+  hung_options.timeout = kDeadline;
+  hung_options.initial_delay = Ms(10);
+  driver.AddChecker(std::make_unique<MimicChecker>(
+      "hung", "midbatch", nullptr,
+      [&](const CheckContext&, MimicChecker&) {
+        siblings_before_hang.store(sibling_runs.load());
+        hang_start.store(clock.NowNs());
+        (void)injector.Act("midbatch.op");
+        return CheckResult::Pass();
+      },
+      hung_options));
+  ASSERT_TRUE(driver.Start().ok());
+
+  ASSERT_TRUE(driver.WaitForFailure(Sec(5), [](const FailureSignature& sig) {
+    return sig.type == FailureType::kLivenessTimeout && sig.checker_name == "hung";
+  }));
+  const TimeNs detected = clock.NowNs();
+  EXPECT_EQ(siblings_before_hang.load(), 3);  // the hang began last in its batch
+  EXPECT_GE(detected - hang_start.load(), kDeadline);
+  EXPECT_LE(detected - hang_start.load(), kDeadline + Ms(50));
+  EXPECT_TRUE(driver.Stop().ok());
+  EXPECT_EQ(injector.parked_thread_count(), 0);
+}
+
 // A probe/signal body can subscribe to context keys too (the context is
 // subscription-only there): a dormant signal checker is skipped before
 // dispatch exactly like a dormant mimic.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <span>
 
@@ -16,15 +17,17 @@
 #include "src/kvs/compaction.h"
 #include "src/kvs/flusher.h"
 #include "src/kvs/index.h"
+#include "src/kvs/ir_model.h"
 #include "src/kvs/memtable.h"
 #include "src/kvs/partition.h"
 #include "src/kvs/replication.h"
 #include "src/kvs/sstable.h"
 #include "src/kvs/types.h"
 #include "src/kvs/wal.h"
+#include "src/sim/sim_net.h"
 
 // Replacing the global allocators is binary-wide; the counter is read only
-// around the MergeProbe runs in MergeProbeAllocationsDoNotGrowWithRecords.
+// around the mimic runs in TableMimicsReadAndAllocateTheSameAtAnyDataSize.
 static std::atomic<int64_t> g_heap_allocs{0};
 
 void* operator new(std::size_t size) {
@@ -267,15 +270,137 @@ TEST_F(SsTableTest, ValidateDetectsBitRot) {
   EXPECT_EQ(SsTable::Validate(disk_, "/sst/1").code(), wdg::StatusCode::kCorruption);
 }
 
-TEST_F(SsTableTest, LookupFindsAndMisses) {
+TEST_F(SsTableTest, BlockLookupFindsAndMisses) {
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/1", SampleEntries()).ok());
-  const auto hit = SsTable::Lookup(disk_, "/sst/1", "beta");
+  const auto map = SsBlockMap::Build(disk_, "/sst/1");
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  const auto hit = map->Lookup(disk_, "beta");
   ASSERT_TRUE(hit.ok());
   ASSERT_TRUE(hit->has_value());
   EXPECT_EQ((*hit)->value, "2");
-  const auto miss = SsTable::Lookup(disk_, "/sst/1", "zeta");
+  const auto miss = map->Lookup(disk_, "zeta");
   ASSERT_TRUE(miss.ok());
   EXPECT_FALSE(miss->has_value());
+}
+
+// `count` records "key%06d" -> 100-byte values: 118 bytes each, so 34 fill
+// a block.
+static std::vector<std::pair<std::string, MemEntry>> UniformEntries(int count) {
+  std::vector<std::pair<std::string, MemEntry>> entries;
+  for (int i = 0; i < count; ++i) {
+    entries.emplace_back(wdg::StrFormat("key%06d", i),
+                         MemEntry{std::string(100, static_cast<char>('a' + i % 26)), i % 7 == 3});
+  }
+  return entries;
+}
+
+TEST_F(SsTableTest, BlockMapCutsRecordAlignedBlocksThatCoverTheBody) {
+  const auto entries = UniformEntries(300);
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/big", entries).ok());
+  const auto map = SsBlockMap::Build(disk_, "/sst/big");
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  const std::vector<SsBlock>& blocks = map->blocks();
+  ASSERT_EQ(blocks.size(), 9u);  // ceil(300 / 34)
+  size_t next = 0;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(blocks[i].offset, next) << "block " << i;
+    EXPECT_LE(blocks[i].size, kSsBlockBytes) << "block " << i;
+    EXPECT_EQ(blocks[i].first_key, entries[i * 34].first) << "block " << i;
+    next += blocks[i].size;
+  }
+  EXPECT_EQ(next, 300u * 118u);  // every body byte, the footer excluded
+
+  // A record larger than a block gets a block of its own.
+  const std::string wide_value(2 * kSsBlockBytes, 'w');
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/wide",
+                             {{"a", {"1", false}}, {"b", {wide_value, false}}, {"c", {"3", false}}})
+                  .ok());
+  const auto wide = SsBlockMap::Build(disk_, "/sst/wide");
+  ASSERT_TRUE(wide.ok());
+  ASSERT_EQ(wide->blocks().size(), 3u);
+  EXPECT_EQ(wide->blocks()[1].first_key, "b");
+  EXPECT_EQ((*wide->Lookup(disk_, "b"))->value.size(), 2 * kSsBlockBytes);
+}
+
+TEST_F(SsTableTest, BlockLookupReadsOneBlockAndVerifiesOnlyThatBlock) {
+  const auto entries = UniformEntries(300);
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/big", entries).ok());
+  const auto map = SsBlockMap::Build(disk_, "/sst/big");
+  ASSERT_TRUE(map.ok());
+  wdg::Counter* bytes_read = disk_.metrics().GetCounter("disk.bytes_read");
+  for (const auto& [key, entry] : entries) {
+    const int64_t before = bytes_read->Value();
+    const auto hit = map->Lookup(disk_, key);
+    ASSERT_TRUE(hit.ok()) << key << ": " << hit.status().ToString();
+    ASSERT_TRUE(hit->has_value()) << key;
+    EXPECT_EQ((*hit)->value, entry.value) << key;
+    EXPECT_EQ((*hit)->tombstone, entry.tombstone) << key;
+    EXPECT_LE(bytes_read->Value() - before, static_cast<int64_t>(kSsBlockBytes)) << key;
+  }
+  // Keys outside the table's range read nothing; a key between two records
+  // reads the one block that could hold it.
+  for (const char* key : {"a", "key", "key999999", "zzz"}) {
+    const int64_t before = bytes_read->Value();
+    const auto miss = map->Lookup(disk_, key);
+    ASSERT_TRUE(miss.ok()) << key;
+    EXPECT_FALSE(miss->has_value()) << key;
+    EXPECT_EQ(bytes_read->Value(), before) << key;
+  }
+  const auto between = map->Lookup(disk_, "key000100x");
+  ASSERT_TRUE(between.ok());
+  EXPECT_FALSE(between->has_value());
+
+  // Rot under block 4 fails exactly the lookups that read block 4.
+  const SsBlock& rotten = map->blocks()[4];
+  disk_.MarkBadRange("/sst/big", static_cast<int64_t>(rotten.offset + rotten.size / 2), 1);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const auto result = map->Lookup(disk_, entries[i].first);
+    if (i / 34 == 4) {
+      EXPECT_EQ(result.status().code(), wdg::StatusCode::kCorruption) << entries[i].first;
+    } else {
+      ASSERT_TRUE(result.ok()) << entries[i].first;
+      EXPECT_EQ((*result)->value, entries[i].second.value);
+    }
+  }
+  disk_.ClearBadRanges();
+
+  // A file cut short under the map: blocks past the cut are corrupt too.
+  const auto bytes = disk_.ReadAll("/sst/big");
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_TRUE(disk_.Delete("/sst/big").ok());
+  ASSERT_TRUE(disk_.Create("/sst/big").ok());
+  ASSERT_TRUE(disk_.Write("/sst/big", 0, bytes->substr(0, map->blocks()[6].offset + 10)).ok());
+  EXPECT_EQ(map->Lookup(disk_, entries[6 * 34 + 1].first).status().code(),
+            wdg::StatusCode::kCorruption);
+  EXPECT_EQ(map->Lookup(disk_, entries.back().first).status().code(),
+            wdg::StatusCode::kCorruption);
+  EXPECT_TRUE(map->Lookup(disk_, entries.front().first).ok());
+}
+
+TEST_F(SsTableTest, ReadPrefixMergesWholeVerifiedBlocksWithinBudget) {
+  const auto entries = UniformEntries(300);
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/big", entries).ok());
+  const auto map = SsBlockMap::Build(disk_, "/sst/big");
+  ASSERT_TRUE(map.ok());
+  const auto run = SsRun::ReadPrefix(disk_, *map, 2 * kSsBlockBytes);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->body_size(), map->blocks()[0].size + map->blocks()[1].size);
+  std::vector<std::string> keys;
+  SsMerge merge(std::span<const SsRun>(&*run, 1));
+  for (SsRecord record; merge.Next(record);) {
+    keys.emplace_back(record.key);
+  }
+  ASSERT_EQ(keys.size(), 68u);
+  EXPECT_EQ(keys.back(), entries[67].first);
+  // Any budget reads at least the first block.
+  EXPECT_EQ(SsRun::ReadPrefix(disk_, *map, 1)->body_size(), map->blocks()[0].size);
+  // A flip inside the prefix fails it; one past the prefix does not.
+  disk_.MarkBadRange("/sst/big", static_cast<int64_t>(map->blocks()[1].offset), 1);
+  EXPECT_EQ(SsRun::ReadPrefix(disk_, *map, 2 * kSsBlockBytes).status().code(),
+            wdg::StatusCode::kCorruption);
+  disk_.ClearBadRanges();
+  disk_.MarkBadRange("/sst/big", static_cast<int64_t>(map->blocks()[2].offset), 1);
+  EXPECT_TRUE(SsRun::ReadPrefix(disk_, *map, 2 * kSsBlockBytes).ok());
 }
 
 TEST_F(SsTableTest, EmptyTableIsValid) {
@@ -304,14 +429,16 @@ TEST_F(SsTableTest, AnyByteInKeysAndValuesRoundtrips) {
   const auto read = ReadEntries(disk_, "/sst/odd");
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   ExpectSameEntries(*read, entries);
+  const auto map = SsBlockMap::Build(disk_, "/sst/odd");
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
   for (const auto& [key, entry] : entries) {
-    const auto hit = SsTable::Lookup(disk_, "/sst/odd", key);
+    const auto hit = map->Lookup(disk_, key);
     ASSERT_TRUE(hit.ok()) << hit.status().ToString();
     ASSERT_TRUE(hit->has_value());
     EXPECT_EQ((*hit)->value, entry.value);
     EXPECT_EQ((*hit)->tombstone, entry.tombstone);
   }
-  const auto miss = SsTable::Lookup(disk_, "/sst/odd", "k");
+  const auto miss = map->Lookup(disk_, "k");
   ASSERT_TRUE(miss.ok());
   EXPECT_FALSE(miss->has_value());
 }
@@ -326,7 +453,7 @@ TEST_F(SsTableTest, LengthPastEndIsCorruptionDespiteValidCrc) {
   EXPECT_EQ(SsTable::Validate(disk_, "/sst/overrun").code(), wdg::StatusCode::kCorruption);
   EXPECT_EQ(SsRun::Read(disk_, "/sst/overrun").status().code(),
             wdg::StatusCode::kCorruption);
-  EXPECT_EQ(SsTable::Lookup(disk_, "/sst/overrun", "key").status().code(),
+  EXPECT_EQ(SsBlockMap::Build(disk_, "/sst/overrun").status().code(),
             wdg::StatusCode::kCorruption);
 
   // A body that ends inside a record header is refused the same way.
@@ -346,6 +473,8 @@ TEST_F(SsTableTest, RunKeysOutOfOrderAreCorruptionDespiteValidCrc) {
   for (const char* path : {"/sst/desc", "/sst/dup"}) {
     EXPECT_TRUE(SsTable::Validate(disk_, path).ok()) << path;
     EXPECT_EQ(SsRun::Read(disk_, path).status().code(), wdg::StatusCode::kCorruption) << path;
+    EXPECT_EQ(SsBlockMap::Build(disk_, path).status().code(), wdg::StatusCode::kCorruption)
+        << path;
   }
   // The empty key sorts first and is a key like any other.
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/ok", {{"", {"e", false}}, {"a", {"1", false}}}).ok());
@@ -427,6 +556,74 @@ TEST_F(IndexTest, ReplaceTablesSwapsAtomically) {
   EXPECT_EQ(**index_.Get("b"), "2");
 }
 
+TEST_F(IndexTest, GetReadsOneBlockOfEachTableWhoseRangeHoldsTheKey) {
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/1", {{"a", {"1", false}}, {"c", {"3", false}}}).ok());
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/2", {{"m", {"13", false}}, {"p", {"16", false}}}).ok());
+  index_.AddTable("/sst/1");
+  index_.AddTable("/sst/2");
+  wdg::Counter* bytes_read = disk_.metrics().GetCounter("disk.bytes_read");
+  // Outside every range (the watchdog's probe key sorts below user keys):
+  // no table is read.
+  for (const std::string& key : {std::string(kWatchdogKeyPrefix) + "probe", std::string("z")}) {
+    const int64_t before = bytes_read->Value();
+    const auto miss = index_.Get(key);
+    ASSERT_TRUE(miss.ok()) << key;
+    EXPECT_FALSE(miss->has_value()) << key;
+    EXPECT_EQ(bytes_read->Value(), before) << key;
+  }
+  // Inside one table's range only: that table's block, and nothing else.
+  const auto size_2 = disk_.Size("/sst/2");
+  ASSERT_TRUE(size_2.ok());
+  const int64_t before = bytes_read->Value();
+  const auto miss = index_.Get("n");
+  ASSERT_TRUE(miss.ok());
+  EXPECT_FALSE(miss->has_value());
+  EXPECT_EQ(bytes_read->Value() - before, *size_2 - 8);  // its one block: the body
+  EXPECT_EQ(**index_.Get("c"), "3");
+  EXPECT_EQ(**index_.Get("m"), "13");
+}
+
+TEST_F(IndexTest, TableThatFailsVerificationFailsEveryGetThatReachesIt) {
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/1", {{"a", {"1", false}}}).ok());
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/2", {{"k", {"2", false}}}).ok());
+  index_.AddTable("/sst/1");
+  disk_.MarkBadRange("/sst/2", 3, 1);
+  index_.AddTable("/sst/2");  // newest, and corrupt when verified
+  // A table that failed verification has no key range to skip it by.
+  for (const char* key : {"a", "k", "zzz"}) {
+    EXPECT_EQ(index_.Get(key).status().code(), wdg::StatusCode::kCorruption) << key;
+  }
+  memtable_.Set("a", "mem");
+  EXPECT_EQ(**index_.Get("a"), "mem");  // answered before any table is reached
+  // Each Get that reaches it verifies it again, so a table whose read only
+  // failed for a while serves reads once the read succeeds.
+  disk_.ClearBadRanges();
+  EXPECT_EQ(**index_.Get("k"), "2");
+}
+
+TEST_F(IndexTest, TransientReadFaultAtRegistrationDoesNotFailReadsForGood) {
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/1", {{"k", {"v", false}}}).ok());
+  wdg::FaultSpec spec;
+  spec.id = "rerr";
+  spec.site_pattern = "disk.read";
+  spec.kind = wdg::FaultKind::kError;
+  spec.error_code = wdg::StatusCode::kUnavailable;
+  injector_.Inject(spec);
+  index_.AddTable("/sst/1");
+  EXPECT_EQ(index_.Get("k").status().code(), wdg::StatusCode::kUnavailable);
+  injector_.ClearAll();
+  EXPECT_EQ(**index_.Get("k"), "v");
+}
+
+TEST_F(IndexTest, BitRotAfterRegistrationFailsGetsThatReadTheRottenBlock) {
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/1", UniformEntries(100)).ok());
+  index_.AddTable("/sst/1");
+  disk_.MarkBadRange("/sst/1", 5, 1);  // inside block 0: keys 0..33
+  EXPECT_EQ(index_.Get("key000000").status().code(), wdg::StatusCode::kCorruption);
+  EXPECT_EQ(index_.Get("key000033").status().code(), wdg::StatusCode::kCorruption);
+  EXPECT_EQ(**index_.Get("key000034"), std::string(100, static_cast<char>('a' + 34 % 26)));
+}
+
 TEST_F(IndexTest, InjectedLookupFaultSurfaces) {
   wdg::FaultSpec spec;
   spec.id = "idx";
@@ -448,7 +645,60 @@ TEST_F(PartitionTest, ValidatePassesOnIntactData) {
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/p1", {{"a", {"1", false}}}).ok());
   ASSERT_TRUE(partitions_.Register("/sst/p1", "a", "a").ok());
   EXPECT_TRUE(partitions_.Validate("/sst/p1").ok());
-  EXPECT_TRUE(partitions_.ValidateAll().ok());
+  EXPECT_TRUE(partitions_.ValidateWindow("/sst/p1").ok());
+  EXPECT_TRUE(partitions_.ValidateWindow().ok());
+}
+
+TEST_F(PartitionTest, ValidateWindowSweepsEveryStripeInBoundedReads) {
+  // 300 x 118 B records + footer: 35408 bytes, stripes 0..8, the last short.
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/p1", UniformEntries(300)).ok());
+  ASSERT_TRUE(partitions_.Register("/sst/p1", "key000000", "key000299").ok());
+  ASSERT_EQ(partitions_.Partitions()[0].stripe_crcs.size(), 9u);
+  wdg::Counter* bytes_read = disk_.metrics().GetCounter("disk.bytes_read");
+  int64_t swept = 0;
+  for (int run = 0; run < 5; ++run) {  // windows {0,1} {2,3} {4,5} {6,7} {8}
+    const int64_t before = bytes_read->Value();
+    EXPECT_TRUE(partitions_.ValidateWindow("/sst/p1").ok()) << run;
+    const int64_t read = bytes_read->Value() - before;
+    EXPECT_LE(read, static_cast<int64_t>(PartitionManager::kWindowBytes)) << run;
+    swept += read;
+  }
+  EXPECT_EQ(swept, 35408);
+
+  // Rot in stripe 7: the whole-file check fails, and so does the one window
+  // of each sweep that covers stripe 7.
+  disk_.MarkBadRange("/sst/p1", 7 * 4096 + 100, 1);
+  EXPECT_EQ(partitions_.Validate("/sst/p1").code(), wdg::StatusCode::kCorruption);
+  std::vector<bool> failed;
+  for (int run = 0; run < 10; ++run) {
+    failed.push_back(partitions_.ValidateWindow("/sst/p1").code() ==
+                     wdg::StatusCode::kCorruption);
+  }
+  EXPECT_EQ(failed, std::vector<bool>({false, false, false, true, false,
+                                       false, false, false, true, false}));
+  disk_.ClearBadRanges();
+
+  // A file that grew fails the window that ends it, and the whole-file check.
+  ASSERT_TRUE(disk_.Append("/sst/p1", "x").ok());
+  EXPECT_EQ(partitions_.Validate("/sst/p1").code(), wdg::StatusCode::kCorruption);
+  std::vector<wdg::StatusCode> codes;
+  for (int run = 0; run < 5; ++run) {
+    codes.push_back(partitions_.ValidateWindow("/sst/p1").code());
+  }
+  EXPECT_EQ(codes.back(), wdg::StatusCode::kCorruption);
+  EXPECT_EQ(std::count(codes.begin(), codes.end(), wdg::StatusCode::kOk), 4);
+}
+
+TEST_F(PartitionTest, PathlessWindowsRotateThroughPartitions) {
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/p1", {{"a", {"1", false}}}).ok());
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/p2", {{"m", {"2", false}}}).ok());
+  ASSERT_TRUE(partitions_.Register("/sst/p1", "a", "a").ok());
+  ASSERT_TRUE(partitions_.Register("/sst/p2", "m", "m").ok());
+  disk_.MarkBadRange("/sst/p2", 1, 1);
+  EXPECT_TRUE(partitions_.ValidateWindow().ok());
+  EXPECT_EQ(partitions_.ValidateWindow().code(), wdg::StatusCode::kCorruption);
+  EXPECT_TRUE(partitions_.ValidateWindow().ok());
+  EXPECT_EQ(partitions_.ValidateWindow("/sst/ghost").code(), wdg::StatusCode::kNotFound);
 }
 
 TEST_F(PartitionTest, ValidateCatchesCorruption) {
@@ -688,42 +938,6 @@ TEST_F(CompactionTest, OutOfOrderTableIsCorruptionForCompactionAndProbe) {
   EXPECT_EQ(compaction_.compaction_count(), 0);
 }
 
-TEST_F(CompactionTest, MergeProbeAllocationsDoNotGrowWithRecords) {
-  // Heap allocations per MergeProbe run: one read buffer per table plus a
-  // constant (table list, run and cursor vectors), at any table size.
-  const auto allocs_per_run = [&](int records) -> int64_t {
-    std::vector<std::pair<std::string, MemEntry>> older;
-    std::vector<std::pair<std::string, MemEntry>> newer;
-    for (int i = 0; i < records; ++i) {
-      const std::string key = wdg::StrFormat("key%06d", i);
-      older.emplace_back(key, MemEntry{"value-" + key, false});
-      if (i % 2 == 0) {
-        newer.emplace_back(key, MemEntry{"", i % 4 == 0});  // overwrites and tombstones
-      }
-    }
-    for (const char* path : {"/sst/1", "/sst/2"}) {
-      (void)disk_.Delete(path);
-    }
-    EXPECT_TRUE(SsTable::Write(disk_, "/sst/1", older).ok());
-    EXPECT_TRUE(SsTable::Write(disk_, "/sst/2", newer).ok());
-    EXPECT_TRUE(compaction_.MergeProbe("checker").ok());  // warm the fault-site tables
-    constexpr int kRuns = 5;
-    const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-    for (int run = 0; run < kRuns; ++run) {
-      EXPECT_TRUE(compaction_.MergeProbe("checker").ok());
-    }
-    const int64_t total = g_heap_allocs.load(std::memory_order_relaxed) - before;
-    EXPECT_EQ(total % kRuns, 0) << total << " allocations over " << kRuns << " runs";
-    return total / kRuns;
-  };
-  index_.AddTable("/sst/1");
-  index_.AddTable("/sst/2");
-  const int64_t at_100 = allocs_per_run(100);
-  const int64_t at_10k = allocs_per_run(10000);
-  EXPECT_EQ(at_100, at_10k);
-  EXPECT_EQ(at_100, 2 + 3);
-}
-
 TEST_F(CompactionTest, MergeProbePassesWhileCompactionRuns) {
   // The probe reads tables that a concurrent CompactOnce replaces and
   // deletes: every probe run passes and no compaction loses a write.
@@ -751,6 +965,37 @@ TEST_F(CompactionTest, MergeProbePassesWhileCompactionRuns) {
   }
 }
 
+TEST_F(CompactionTest, FailureStreakLogsOnce) {
+  wdg::CaptureSink sink;
+  wdg::Logger::Instance().AddSink(&sink);
+  WriteTable("/sst/1", "a", "1");
+  WriteTable("/sst/2", "b", "2");
+  WriteTable("/sst/3", "c", "3");
+  wdg::FaultSpec spec;
+  spec.id = "merr";
+  spec.site_pattern = "compact.merge";
+  spec.kind = wdg::FaultKind::kError;
+  injector_.Inject(spec);
+  compaction_.Start();
+  wdg::Counter* errors = metrics_.GetCounter("kvs.compaction.errors");
+  while (errors->Value() < 10) {
+    clock_.SleepFor(wdg::Ms(5));
+  }
+  injector_.ClearAll();
+  while (compaction_.compaction_count() == 0) {
+    clock_.SleepFor(wdg::Ms(5));
+  }
+  compaction_.Stop();
+  wdg::Logger::Instance().RemoveSink(&sink);
+  // Every failed pass still counts, but the streak logs one line when it
+  // starts and one, with its length, when a compaction succeeds again.
+  EXPECT_EQ(CountLogLines(sink, "compaction failed"), 1u);
+  EXPECT_EQ(CountLogLines(sink, wdg::StrFormat("compaction recovered after %lld failed attempts",
+                                               static_cast<long long>(errors->Value()))),
+            1u);
+  EXPECT_EQ(index_.Tables().size(), 1u);
+}
+
 TEST_F(CompactionTest, BackgroundLoopCompacts) {
   WriteTable("/sst/1", "a", "1");
   WriteTable("/sst/2", "b", "2");
@@ -759,6 +1004,83 @@ TEST_F(CompactionTest, BackgroundLoopCompacts) {
   clock_.SleepFor(wdg::Ms(80));
   compaction_.Stop();
   EXPECT_EQ(index_.Tables().size(), 1u);
+}
+
+// What one run of a mimic costs: disk bytes read and heap allocations.
+struct MimicCost {
+  int64_t bytes_read = 0;
+  int64_t allocs = 0;
+};
+
+// The three table mimics, run through the real executors over a node that
+// holds two tables of the kvs-write shape at `scale` times the data: an older
+// table of 640 x 100 B records (~77 KB) and a newer one holding every fifth
+// key. The context names a key inside both tables' ranges and the older
+// table, so every mimic reads real data.
+static std::map<std::string, MimicCost> TableMimicCosts(int scale) {
+  wdg::RealClock& clock = wdg::RealClock::Instance();
+  wdg::FaultInjector injector(clock);
+  wdg::DiskOptions disk_options;
+  disk_options.base_latency = 0;
+  disk_options.per_kb_latency = 0;
+  wdg::SimDisk disk(clock, injector, disk_options);
+  wdg::SimNet net(clock, injector);
+  KvsNode node(clock, disk, net);
+  awd::OpExecutorRegistry registry;
+  RegisterOpExecutors(registry, node);
+  const int keys = 640 * scale;
+  for (int stride : {1, 5}) {
+    std::vector<std::pair<std::string, MemEntry>> entries;
+    for (int key = 0; key < keys; key += stride) {
+      entries.emplace_back(wdg::StrFormat("key%06d", key), MemEntry{std::string(100, 'v'), false});
+    }
+    const std::string path = wdg::StrFormat("/kvs/sst/%06d.sst", stride);
+    EXPECT_TRUE(SsTable::Write(disk, path, entries).ok());
+    node.index().AddTable(path);
+    EXPECT_TRUE(node.partitions().Register(path, entries.front().first, entries.back().first).ok());
+  }
+  wdg::CheckContext ctx("mimic");
+  ctx.Set(keys::Key(), "key000003");
+  ctx.Set(keys::Table(), "/kvs/sst/000001.sst");
+  ctx.MarkReady(clock.NowNs());
+  wdg::Counter* bytes_read = disk.metrics().GetCounter("disk.bytes_read");
+  std::map<std::string, MimicCost> costs;
+  for (const char* site : {"index.lookup", "compact.merge", "kvs.partition.validate"}) {
+    awd::ReducedOp op;
+    op.site = site;
+    EXPECT_TRUE(registry.Execute(op, ctx, "checker").ok()) << site;  // warm the fault site
+    constexpr int kRuns = 4;
+    const int64_t bytes_before = bytes_read->Value();
+    const int64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+    for (int run = 0; run < kRuns; ++run) {
+      EXPECT_TRUE(registry.Execute(op, ctx, "checker").ok()) << site;
+    }
+    const int64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+    const int64_t bytes = bytes_read->Value() - bytes_before;
+    EXPECT_EQ(allocs % kRuns, 0) << site << ": " << allocs << " allocations over " << kRuns;
+    EXPECT_EQ(bytes % kRuns, 0) << site << ": " << bytes << " bytes over " << kRuns;
+    costs[site] = MimicCost{bytes / kRuns, allocs / kRuns};
+  }
+  return costs;
+}
+
+TEST(TableMimicBoundTest, TableMimicsReadAndAllocateTheSameAtAnyDataSize) {
+  const auto at_1x = TableMimicCosts(1);
+  const auto at_10x = TableMimicCosts(10);
+  for (const auto& [site, cost] : at_1x) {
+    EXPECT_EQ(cost.bytes_read, at_10x.at(site).bytes_read) << site;
+    EXPECT_EQ(cost.allocs, at_10x.at(site).allocs) << site;
+    EXPECT_GT(cost.bytes_read, 0) << site;
+  }
+  // One block of each table; two blocks of each of the two tables; one
+  // window of stripes.
+  EXPECT_LE(at_1x.at("index.lookup").bytes_read, static_cast<int64_t>(2 * kSsBlockBytes));
+  EXPECT_LE(at_1x.at("compact.merge").bytes_read, static_cast<int64_t>(4 * kSsBlockBytes));
+  EXPECT_EQ(at_1x.at("kvs.partition.validate").bytes_read,
+            static_cast<int64_t>(PartitionManager::kWindowBytes));
+  // The merge allocates two read buffers and the table snapshot, run and
+  // cursor vectors, whatever the table size.
+  EXPECT_EQ(at_1x.at("compact.merge").allocs, 2 + 3);
 }
 
 class ReplicationTest : public ::testing::Test {

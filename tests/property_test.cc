@@ -18,6 +18,7 @@
 #include "src/autowd/reduce.h"
 #include "src/kvs/coding.h"
 #include "src/kvs/compaction.h"
+#include "src/kvs/index.h"
 #include "src/kvs/sstable.h"
 #include "src/kvs/wal.h"
 #include "src/sim/sim_disk.h"
@@ -193,10 +194,16 @@ TEST_P(SsTableIntegrityProperty, RoundtripAndAnyFlipDetected) {
   }
   EXPECT_EQ(read, entries.size());
 
-  // Property 2: flipping any single random byte makes every reader return
-  // CORRUPTION, as sstable.h promises for every reader.
+  // Property 2: flipping any single random byte makes every whole-table
+  // reader return CORRUPTION, as sstable.h promises; a block map built
+  // before the flip fails the lookup that reads the flipped block and
+  // returns the written value when the flip missed it (the footer).
   const auto size = disk.Size("/t");
   ASSERT_TRUE(size.ok());
+  const auto map = kvs::SsBlockMap::Build(disk, "/t");
+  ASSERT_TRUE(map.ok());
+  ASSERT_EQ(map->blocks().size(), 1u);  // < 30 records of < 80 bytes
+  const int64_t body_size = static_cast<int64_t>(map->blocks()[0].size);
   const std::string probe_key = entries.front().first;
   for (int trial = 0; trial < 5; ++trial) {
     const int64_t at = rng.Uniform(0, *size - 1);
@@ -205,15 +212,109 @@ TEST_P(SsTableIntegrityProperty, RoundtripAndAnyFlipDetected) {
         << "Validate: flip at offset " << at << " undetected";
     EXPECT_EQ(kvs::SsRun::Read(disk, "/t").status().code(), StatusCode::kCorruption)
         << "SsRun::Read: flip at offset " << at << " undetected";
-    EXPECT_EQ(kvs::SsTable::Lookup(disk, "/t", probe_key).status().code(),
-              StatusCode::kCorruption)
-        << "Lookup: flip at offset " << at << " undetected";
+    EXPECT_EQ(kvs::SsBlockMap::Build(disk, "/t").status().code(), StatusCode::kCorruption)
+        << "SsBlockMap::Build: flip at offset " << at << " undetected";
+    const auto lookup = map->Lookup(disk, probe_key);
+    if (at < body_size) {
+      EXPECT_EQ(lookup.status().code(), StatusCode::kCorruption)
+          << "Lookup: flip at offset " << at << " undetected";
+    } else {
+      ASSERT_TRUE(lookup.ok()) << "Lookup: footer flip at offset " << at;
+      EXPECT_EQ((*lookup)->value, entries.front().second.value);
+    }
     disk.ClearBadRanges();
     EXPECT_TRUE(kvs::SsTable::Validate(disk, "/t").ok());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SsTableIntegrityProperty, ::testing::Range<uint64_t>(1, 13));
+
+// ------------------------------------------------- SSTable mutation, indexed
+
+// A multi-block table, damaged by flipped bytes, a cut, or both, either after
+// the index registered it (Gets verify only the blocks they read) or before
+// (registration's whole-table check fails). Either way every Get of every key
+// returns the key's written value or CORRUPTION: never another value, and
+// never a read past a buffer (the UBSan leg runs this suite).
+class SsTableMutationProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SsTableMutationProperty, EveryGetReturnsTheWrittenValueOrCorruption) {
+  RealClock& clock = RealClock::Instance();
+  FaultInjector injector(clock);
+  SimDisk disk(clock, injector, DiskOptions{.base_latency = 0, .per_kb_latency = 0});
+  Rng rng(GetParam());
+
+  std::vector<std::pair<std::string, kvs::MemEntry>> entries;
+  const int64_t count = rng.Uniform(50, 400);
+  for (int64_t i = 0; i < count; ++i) {
+    kvs::MemEntry entry;
+    entry.tombstone = rng.Bernoulli(0.1);
+    if (!entry.tombstone) {
+      entry.value.resize(static_cast<size_t>(rng.Uniform(0, 200)));
+      for (char& c : entry.value) {
+        c = static_cast<char>(rng.Uniform(0, 255));
+      }
+    }
+    entries.emplace_back(StrFormat("key-%05lld", static_cast<long long>(i * 3)), std::move(entry));
+  }
+  ASSERT_TRUE(kvs::SsTable::Write(disk, "/t", entries).ok());
+  const auto written = disk.ReadAll("/t");
+  ASSERT_TRUE(written.ok());
+
+  for (const bool before_registration : {false, true}) {
+    std::string damaged = *written;
+    const int64_t kind = rng.Uniform(0, 2);  // 0 flips, 1 a cut, 2 both
+    if (kind != 1) {
+      for (int64_t flips = rng.Uniform(1, 4); flips > 0; --flips) {
+        damaged[static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(damaged.size()) - 1))] ^=
+            static_cast<char>(rng.Uniform(1, 255));
+      }
+    }
+    if (kind != 0) {
+      damaged.resize(static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(damaged.size()) - 1)));
+    }
+    const auto store = [&](const std::string& bytes) {
+      ASSERT_TRUE(disk.Delete("/t").ok());
+      ASSERT_TRUE(disk.Create("/t").ok());
+      ASSERT_TRUE(disk.Write("/t", 0, bytes).ok());
+    };
+    store(*written);
+    kvs::Memtable memtable;
+    kvs::Index index(disk, memtable);
+    if (!before_registration) {
+      index.AddTable("/t");
+    }
+    store(damaged);
+    if (before_registration) {
+      index.AddTable("/t");
+    }
+    size_t corrupt = 0;
+    for (const auto& [key, entry] : entries) {
+      const auto got = index.Get(key);
+      if (!got.ok()) {
+        EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << key << ": " << got.status();
+        ++corrupt;
+      } else if (entry.tombstone) {
+        EXPECT_FALSE(got->has_value()) << key;
+      } else {
+        ASSERT_TRUE(got->has_value()) << key;
+        EXPECT_EQ(**got, entry.value) << key;
+      }
+      // Absent keys between and past the written ones stay absent.
+      const auto absent = index.Get(key + "+");
+      if (absent.ok()) {
+        EXPECT_FALSE(absent->has_value()) << key << "+";
+      } else {
+        EXPECT_EQ(absent.status().code(), StatusCode::kCorruption) << key << "+";
+      }
+    }
+    if (before_registration) {
+      EXPECT_EQ(corrupt, entries.size()) << "a damaged table must fail its verification";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SsTableMutationProperty, ::testing::Range<uint64_t>(1, 25));
 
 // ------------------------------------------------------ compaction merge
 

@@ -113,11 +113,15 @@ run_leg build-ci-asan address "$@"
 # storms the fixed pools with injected faults, and
 # the signal-suite/fusion tests (FusionDetector::OnFailure runs on scheduler
 # threads; the suite test drives a live driver against a publisher thread),
-# and the kvs unit suite (MergeProbe against a concurrent CompactOnce, the
-# background flusher, compaction and replication loops).
-run_leg build-ci-tsan thread -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal|kvs_test' "$@"
+# the kvs unit suite (MergeProbe against a concurrent CompactOnce, the
+# background flusher, compaction and replication loops), and the suites that
+# run the bounded lock mimic against live threads (minizk, kvs integration,
+# autowd).
+run_leg build-ci-tsan thread \
+  -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal|kvs_test|minizk_test|kvs_integration_test|autowd_test' \
+  "$@"
 # UBSan leg: the byte-level code (CRC fold kernel and sliced tail, SSTable
-# record walker and merge cursors, WAL framing, block store, the standard mimic executors'
+# record walker, block map and merge cursors, WAL framing, block store, the standard mimic executors'
 # stamped probe blocks and read-backs) and the suites that feed it
 # adversarial bytes. halt_on_error turns the first report into a failing test
 # instead of a log line.
