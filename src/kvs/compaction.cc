@@ -33,22 +33,34 @@ void CompactionManager::Stop() {
 }
 
 void CompactionManager::Loop() {
-  // A failing compaction is retried every poll; like the flusher, the streak
-  // logs its first failure and its length on recovery, not one line per pass.
+  // A failed compaction is retried when the index's table set changes, or
+  // else once per kRetryPeriod: over the same tables (one that stays
+  // corrupt, say) it would fail again after reading every table once more.
+  // Like the flusher, the streak logs its first failure and its length on
+  // recovery, not one line per attempt.
+  constexpr wdg::DurationNs kRetryPeriod = wdg::Sec(1);
   int64_t failed_streak = 0;
+  std::vector<std::string> failed_tables;  // the table set of the last failure
+  wdg::TimeNs failed_at = 0;
   while (!stop_.WaitFor(options_.poll_interval)) {
-    metrics_.GetGauge("kvs.compaction.last_tick_ns")->Set(static_cast<double>(clock_.NowNs()));
-    if (index_.Tables().size() > options_.max_tables) {
-      const wdg::Status status = CompactOnce();
-      if (!status.ok()) {
-        metrics_.GetCounter("kvs.compaction.errors")->Increment();
-        if (failed_streak++ == 0) {
-          WDG_LOG(kWarn) << "compaction failed: " << status;
-        }
-      } else if (failed_streak > 0) {
-        WDG_LOG(kWarn) << "compaction recovered after " << failed_streak << " failed attempts";
-        failed_streak = 0;
+    const wdg::TimeNs now = clock_.NowNs();
+    metrics_.GetGauge("kvs.compaction.last_tick_ns")->Set(static_cast<double>(now));
+    std::vector<std::string> tables = index_.Tables();
+    if (tables.size() <= options_.max_tables ||
+        (failed_streak > 0 && tables == failed_tables && now - failed_at < kRetryPeriod)) {
+      continue;
+    }
+    const wdg::Status status = CompactOnce();
+    if (!status.ok()) {
+      metrics_.GetCounter("kvs.compaction.errors")->Increment();
+      if (failed_streak++ == 0) {
+        WDG_LOG(kWarn) << "compaction failed: " << status;
       }
+      failed_tables = std::move(tables);
+      failed_at = now;
+    } else if (failed_streak > 0) {
+      WDG_LOG(kWarn) << "compaction recovered after " << failed_streak << " failed attempts";
+      failed_streak = 0;
     }
   }
 }

@@ -60,6 +60,12 @@ std::vector<PartitionInfo> PartitionManager::Partitions() const {
   return partitions_;
 }
 
+bool PartitionManager::Registered(const std::string& path) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::any_of(partitions_.begin(), partitions_.end(),
+                     [&](const PartitionInfo& p) { return p.path == path; });
+}
+
 wdg::Status PartitionManager::Validate(const std::string& path) const {
   // Instrumented site so campaigns can wedge/disable validation itself.
   WDG_RETURN_IF_ERROR(disk_.injector().Act("kvs.partition.validate"));

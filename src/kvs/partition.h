@@ -40,6 +40,7 @@ class PartitionManager {
   void Unregister(const std::string& path);
 
   std::vector<PartitionInfo> Partitions() const;
+  bool Registered(const std::string& path) const;
 
   // Re-reads the whole partition and compares every stripe checksum.
   // CORRUPTION on mismatch — catches bad media, bit rot, and lost writes

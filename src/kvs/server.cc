@@ -305,7 +305,9 @@ void KvsNode::MaintenanceLoop() {
         ctx.MarkReady(clock_.NowNs());
       });
       const wdg::Status valid = partitions_.Validate(partitions[i].path);
-      if (!valid.ok()) {
+      // Compaction may have unregistered (and deleted) the partition since
+      // the snapshot: that is progress, not a failed validation.
+      if (!valid.ok() && partitions_.Registered(partitions[i].path)) {
         metrics_.GetCounter("kvs.partition.validate_failures")->Increment();
         WDG_LOG(kWarn) << "partition validation failed: " << valid;
       }

@@ -5,13 +5,14 @@
 namespace wdg {
 
 CheckResult ProbeChecker::Check() {
-  SourceLocation loc;
-  loc.component = component();  // probes cannot see deeper than the API
-  SetCurrentOp(loc);
+  // No SetCurrentOp: a probe's pinpoint is its component, which is what the
+  // driver's hang and crash signatures fall back to anyway.
   const Status status = probe_();
   if (!failures_.Observe(status.ok())) {
     return CheckResult::Pass();  // healthy, or a single slow/blipped response
   }
+  SourceLocation loc;
+  loc.component = component();  // probes cannot see deeper than the API
   // A persistent probe failure is client-visible by construction → "validated".
   FailureSignature sig = MakeSignature(
       status.code() == StatusCode::kTimeout ? FailureType::kLivenessTimeout
@@ -19,7 +20,7 @@ CheckResult ProbeChecker::Check() {
       loc, status.code(), StrFormat("probe failed: %s", status.ToString().c_str()));
   sig.impact_confirmed = true;
   sig.validation_ran = true;
-  return CheckResult::Fail(sig);
+  return CheckResult::Fail(std::move(sig));
 }
 
 CheckResult SignalChecker::Check() {

@@ -476,7 +476,7 @@ void WatchdogDriver::ReapLocked(Shard& shard, Slot& slot, size_t slot_index, Tim
     // (barely late) result normally.
     done = exec.done.load(std::memory_order_acquire);
     if (!done) {
-      return;  // completion is mid-publish; the wake event will bring us back
+      return;  // completion is mid-publish; its deadline is past, so the next pass reaps it
     }
   }
 
@@ -495,7 +495,9 @@ void WatchdogDriver::ReapLocked(Shard& shard, Slot& slot, size_t slot_index, Tim
   }
   shard.executor->ReleaseExecution(exec);
   slot.running = nullptr;
-  ScheduleLocked(shard, slot, slot_index, now + checker.options().interval);
+  // From the completion, not from `now`: a passing batch does not wake the
+  // scheduler, so the reap may come later than the run ended.
+  ScheduleLocked(shard, slot, slot_index, complete_time + checker.options().interval);
 
   if (crashed) {
     // Isolation (§3.2): the checker blew up, the watchdog did not. A crash
@@ -525,7 +527,7 @@ void WatchdogDriver::ReapLocked(Shard& shard, Slot& slot, size_t slot_index, Tim
       break;
     case CheckOutcome::kFail:
       ++slot.stats.fails;
-      pending.push_back(PendingFailure{std::move(result.signature), checker.type()});
+      pending.push_back(PendingFailure{std::move(*result.signature), checker.type()});
       break;
   }
 }
@@ -581,6 +583,7 @@ void WatchdogDriver::FinalReapShardLocked(Shard& shard, TimeNs now) {
 void WatchdogDriver::ShardLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   while (!stop_.Requested()) {
+    shard.executor->SchedulerAwake();  // finished batches wake us until we sleep
     const TimeNs now = clock_.NowNs();
     if (shard.planned_wake != 0 && now > shard.planned_wake) {
       scheduler_lag_gauge_->Set(static_cast<double>(now - shard.planned_wake));
@@ -661,6 +664,7 @@ void WatchdogDriver::ShardLoop(size_t shard_index) {
           std::min(wake_deadline, last_supervisor_kick_ + supervision_.kick_interval);
     }
     shard.planned_wake = wake_deadline;
+    shard.executor->SchedulerSleepsUntil(wake_deadline);
     if (wake_deadline > before_sleep) {
       shard.wake.WaitFor(wake_deadline - before_sleep);
     }

@@ -6,10 +6,12 @@
 //     hierarchical timer wheel (O(1) schedule, lazy cancellation by
 //     generation counters) and sleeps until the earliest deadline (a launch
 //     becoming due, or an in-flight execution reaching its hang deadline)
-//     instead of rescanning all slots on a fixed tick. Dispatches and
-//     completions wake it early. Checkers are assigned to shards by name
-//     hash or explicit CheckerOptions::shard_affinity, so 10⁵ checkers split
-//     into independent scheduling domains with no shared hot lock.
+//     instead of rescanning all slots on a fixed tick. A finished batch
+//     wakes it early only when a run failed, crashed or was abandoned, or
+//     is due again before the planned wake. Checkers are assigned to shards
+//     by name hash or explicit CheckerOptions::shard_affinity, so 10⁵
+//     checkers split into independent scheduling domains with no shared hot
+//     lock.
 //   executor  — per shard, a pool of long-lived workers
 //     (src/watchdog/executor.h) fed by a bounded queue; a full queue is
 //     backpressure, not thread growth. Due cheap checks are dispatched in
@@ -341,7 +343,7 @@ class WatchdogDriver {
     std::vector<size_t> members;        // slot indices; frozen at Start
     std::vector<size_t> inflight;       // members with running executions/drains
     std::unique_ptr<CheckerExecutor> executor;
-    Event wake;  // dispatches, completions, and state changes wake the shard
+    Event wake;  // completions the scheduler needs early, and state changes
     JoiningThread scheduler;
     TimeNs planned_wake = 0;  // scheduler-thread state
     std::atomic<int64_t> skipped_unchanged{0};

@@ -1,5 +1,6 @@
 #include "src/watchdog/executor.h"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -40,6 +41,15 @@ void CheckerExecutor::Stop() { pool_.Stop(); }
 
 void CheckerExecutor::SetWakeScheduler(std::function<void()> wake) {
   wake_scheduler_ = std::move(wake);
+}
+
+void CheckerExecutor::SchedulerAwake() {
+  planned_wake_.store(INT64_MAX, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+}
+
+void CheckerExecutor::SchedulerSleepsUntil(TimeNs wake) {
+  planned_wake_.store(wake, std::memory_order_relaxed);
 }
 
 DispatchBatch* CheckerExecutor::AcquireBatch(size_t capacity) {
@@ -120,39 +130,46 @@ bool CheckerExecutor::AbandonBatch(ExecutionBatch& batch) {
 }
 
 void CheckerExecutor::RunBatch(DispatchBatch* slab) {
+  // The earliest time the scheduler must look at this batch's results.
+  TimeNs wake_by = INT64_MAX;
   for (size_t i = 0; i < slab->count; ++i) {
     Execution& exec = slab->storage[i];
     if (slab->control.abandoned.load(std::memory_order_acquire)) {
       // The scheduler abandoned this batch while a previous execution hung;
       // the remaining siblings were cancelled for re-dispatch. This thread is
-      // already parked off the pool — just stop doing work.
+      // already parked off the pool — just stop doing work. The wake lets
+      // the scheduler drain the hung execution and resume its checker.
+      wake_by = INT64_MIN;
       break;
     }
     if (!CasState(exec, ExecState::kPending, ExecState::kRunning)) {
       continue;  // cancelled by the scheduler (or defensively: never ours)
     }
-    RunOne(exec);
+    wake_by = std::min(wake_by, RunOne(exec));
     const bool completed_cleanly = CasState(exec, ExecState::kRunning, ExecState::kDone);
     completed_.fetch_add(1, std::memory_order_relaxed);
     if (!completed_cleanly) {
       // The scheduler claimed this execution as hung (we finished barely past
       // the deadline) and abandoned the batch ticket: the pool has respawned
       // past this thread, so it must not run the remaining executions.
+      wake_by = INT64_MIN;
       break;
     }
   }
   // Last touch of the slab: after this (release) the scheduler may recycle it
-  // once its own references drain. One wake per finished batch covers all the
-  // completions above. Dispatches wake nobody: the scheduler never sleeps past
-  // launch + deadline for an undispatched execution, and from there it reads
-  // the dispatch time and arms the exact deadline.
+  // once its own references drain. Dispatches wake nobody: the scheduler never
+  // sleeps past launch + deadline for an undispatched execution, and from
+  // there it reads the dispatch time and arms the exact deadline. A finished
+  // batch wakes it only when it is needed before the planned wake (see
+  // SchedulerAwake for the handshake).
   slab->worker_released.store(true, std::memory_order_release);
-  if (wake_scheduler_) {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (wake_by < planned_wake_.load(std::memory_order_relaxed) && wake_scheduler_) {
     wake_scheduler_();
   }
 }
 
-void CheckerExecutor::RunOne(Execution& exec) {
+TimeNs CheckerExecutor::RunOne(Execution& exec) {
   const TimeNs dispatched_at = clock_.NowNs();
   exec.dispatch_time.store(dispatched_at, std::memory_order_release);
   dispatched_.fetch_add(1, std::memory_order_relaxed);
@@ -175,11 +192,18 @@ void CheckerExecutor::RunOne(Execution& exec) {
     what = "non-standard exception";
   }
 
+  const TimeNs completed_at = clock_.NowNs();
+  // Read before `done` is published: from then on the scheduler owns the
+  // result and may move it out.
+  const TimeNs wake_by = crashed || result.outcome == CheckOutcome::kFail
+                             ? completed_at
+                             : completed_at + exec.checker->options().interval;
   exec.result = std::move(result);
   exec.crashed = crashed;
   exec.crash_what = std::move(what);
-  exec.complete_time = clock_.NowNs();
+  exec.complete_time = completed_at;
   exec.done.store(true, std::memory_order_release);
+  return wake_by;
 }
 
 }  // namespace wdg

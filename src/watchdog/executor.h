@@ -141,9 +141,24 @@ class CheckerExecutor {
   // here — scheduler-held Execution pointers stay valid until destruction.
   void Stop();
 
-  // Invoked (without locks held) on each dispatch and once per finished batch
-  // so the scheduler can re-arm its deadline wait. Set before Start().
+  // Invoked (without locks held) after a finished batch that the scheduler
+  // must see before its planned wake: a run failed or crashed, the batch
+  // stopped early on abandon, or a run's next launch (complete_time +
+  // interval) comes before the wake. Any other batch wakes nobody: the
+  // scheduler reaps it on a wake it planned anyway and reschedules from the
+  // completion time, so the next run is not late. Set before Start().
   void SetWakeScheduler(std::function<void()> wake);
+
+  // The scheduler's half of the completion-wake handshake (shard scheduler
+  // thread only). SchedulerAwake() goes at the top of each pass, before the
+  // reap: until the next SchedulerSleepsUntil(), every finished batch wakes
+  // the scheduler. A worker publishes `done`, issues a seq_cst fence, then
+  // reads the planned wake; the fence here pairs with it, so either the
+  // worker sees "awake" and wakes the scheduler or the reap sees `done`. A
+  // wake that lands while the scheduler is still awake is kept by the
+  // Event's sticky flag and only costs one extra pass.
+  void SchedulerAwake();
+  void SchedulerSleepsUntil(TimeNs wake);
 
   // --- slab lifecycle (shard scheduler thread only; no locks) -------------
   // Returns a slab with at least `capacity` execution slots, recycled from
@@ -185,14 +200,19 @@ class CheckerExecutor {
   int64_t batches_submitted() const { return batches_.load(std::memory_order_relaxed); }
 
  private:
-  // Worker body for one batch task: claim → run → close out, serially.
+  // Worker body for one batch task: claim → run → close out, serially; then
+  // wakes the scheduler if the batch needs it before its planned wake.
   void RunBatch(DispatchBatch* slab);
   // Runs one claimed execution and publishes its result (done = true last).
-  void RunOne(Execution& exec);
+  // Returns when the scheduler must next look at it: its completion time if
+  // it failed or crashed, else its next launch (complete_time + interval).
+  TimeNs RunOne(Execution& exec);
 
   Clock& clock_;
   WorkerPool pool_;
   std::function<void()> wake_scheduler_;
+  // The scheduler's planned wake; INT64_MAX ("awake") while it runs a pass.
+  std::atomic<TimeNs> planned_wake_{INT64_MAX};
   Histogram* queue_delay_hist_;  // wdg.driver.queue_delay_ns (shared across shards)
   Gauge* workers_gauge_;         // wdg.driver[.shard.<i>].pool.workers
 

@@ -343,11 +343,11 @@ TEST(GeneratedCheckerTest, FailurePinpointsOpAndCarriesContext) {
   GeneratedChecker checker(TwoOpFunction(), &ctx, &registry);
   const wdg::CheckResult result = checker.Check();
   ASSERT_EQ(result.outcome, wdg::CheckOutcome::kFail);
-  EXPECT_EQ(result.signature.type, wdg::FailureType::kOperationError);
-  EXPECT_EQ(result.signature.location.function, "Flush");
-  EXPECT_EQ(result.signature.location.op_site, "disk.write");
-  EXPECT_EQ(result.signature.location.instr_id, 4);
-  EXPECT_NE(result.signature.context_dump.find("/sst/42"), std::string::npos);
+  EXPECT_EQ(result.signature->type, wdg::FailureType::kOperationError);
+  EXPECT_EQ(result.signature->location.function, "Flush");
+  EXPECT_EQ(result.signature->location.op_site, "disk.write");
+  EXPECT_EQ(result.signature->location.instr_id, 4);
+  EXPECT_NE(result.signature->context_dump.find("/sst/42"), std::string::npos);
 }
 
 TEST(GeneratedCheckerTest, TimeoutClassifiedAsLiveness) {

@@ -211,10 +211,10 @@ TEST(KeyedSignalCheckerTest, LeakFailureCarriesComponentPinpoint) {
   ctx.MarkReady(++seq);
   const CheckResult result = checker.Check();
   ASSERT_EQ(result.outcome, CheckOutcome::kFail);
-  EXPECT_EQ(result.signature.type, FailureType::kSafetyViolation);
-  EXPECT_EQ(result.signature.code, StatusCode::kResourceExhausted);
-  EXPECT_EQ(result.signature.location.component, "kvs.compaction");
-  EXPECT_EQ(result.signature.location.Level(), LocalizationLevel::kComponent);
+  EXPECT_EQ(result.signature->type, FailureType::kSafetyViolation);
+  EXPECT_EQ(result.signature->code, StatusCode::kResourceExhausted);
+  EXPECT_EQ(result.signature->location.component, "kvs.compaction");
+  EXPECT_EQ(result.signature->location.Level(), LocalizationLevel::kComponent);
 }
 
 TEST(ThresholdCheckerTest, BelowModeCatchesThreadDeath) {

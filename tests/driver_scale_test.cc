@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include <string>
@@ -671,6 +672,32 @@ TEST(DriverScaleTest, SteadyStateDispatchIsAllocationFree) {
   EXPECT_GT(runs_after, runs_before + 100);  // the window really dispatched
   EXPECT_TRUE(driver.Stop().ok());
   EXPECT_TRUE(driver.Failures().empty());
+}
+
+// A passing probe run costs only its probe: it publishes no op pinpoint and
+// builds no signature, so even a checker's first run allocates nothing that
+// a 10^5-checker fleet would pay once per checker.
+TEST(DriverScaleTest, FirstProbeRunsAllocateTheSameAtAnyFleetSize) {
+  const auto first_run_allocs = [](int checkers) {
+    std::vector<std::unique_ptr<ProbeChecker>> fleet;
+    for (int i = 0; i < checkers; ++i) {
+      fleet.push_back(std::make_unique<ProbeChecker>(
+          StrFormat("first%04d", i), "scale.first.run.component",
+          [] { return Status::Ok(); }));
+    }
+    g_alloc_trace_budget.store(6, std::memory_order_relaxed);
+    const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    for (auto& checker : fleet) {
+      EXPECT_EQ(checker->Check().outcome, CheckOutcome::kPass);
+    }
+    const int64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
+    g_alloc_trace_budget.store(0, std::memory_order_relaxed);
+    return allocs;
+  };
+  const int64_t at_10 = first_run_allocs(10);
+  const int64_t at_1000 = first_run_allocs(1000);
+  EXPECT_EQ(at_1000, at_10) << at_10 << " allocations over 10 first runs, " << at_1000
+                            << " over 1000";
 }
 
 // The hook plane allocates nothing in steady state either: an armed Fire

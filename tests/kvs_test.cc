@@ -723,6 +723,64 @@ TEST_F(PartitionTest, RangeOrderInvariant) {
   EXPECT_FALSE(partitions_.CheckRangesSorted().ok());
 }
 
+using MaintenanceTest = KvsDiskFixture;
+
+// Waits until `pred` holds or 5 s pass; returns whether it held.
+template <typename Pred>
+bool WaitUntil(Pred pred) {
+  const wdg::TimeNs deadline = wdg::RealClock::Instance().NowNs() + wdg::Sec(5);
+  while (!pred()) {
+    if (wdg::RealClock::Instance().NowNs() > deadline) {
+      return false;
+    }
+    wdg::RealClock::Instance().SleepFor(wdg::Ms(2));
+  }
+  return true;
+}
+
+TEST_F(MaintenanceTest, PartitionUnregisteredMidValidationIsNotAFailure) {
+  wdg::SimNet net(clock_, injector_);
+  KvsOptions options;
+  options.in_memory = true;  // no flusher or compaction of its own
+  options.maintenance_poll = wdg::Ms(5);
+  KvsNode node(clock_, disk_, net, options);
+  const std::string gone = "/kvs/sst/gone.sst";
+  ASSERT_TRUE(SsTable::Write(disk_, gone, {{"a", {"1", false}}}).ok());
+  ASSERT_TRUE(node.partitions().Register(gone, "a", "a").ok());
+  // Hold the maintenance loop inside Validate, after it took its snapshot,
+  // and unregister the partition there, as a compaction would.
+  wdg::FaultSpec hold;
+  hold.id = "hold";
+  hold.site_pattern = "kvs.partition.validate";
+  hold.kind = wdg::FaultKind::kHang;
+  injector_.Inject(hold);
+  // No ASSERT until the hold is removed: Stop() would wait on the held loop.
+  EXPECT_TRUE(node.Start().ok());
+  const bool held = WaitUntil([&] { return injector_.parked_thread_count() == 1; });
+  node.partitions().Unregister(gone);
+  EXPECT_TRUE(disk_.Delete(gone).ok());
+  wdg::Gauge* tick = node.metrics().GetGauge("kvs.maintenance.last_tick_ns");
+  const double held_tick = tick->Value();
+  injector_.Remove("hold");
+  ASSERT_TRUE(held);
+  // The next tick starts after the held validation was judged.
+  ASSERT_TRUE(WaitUntil([&] { return tick->Value() > held_tick; }));
+  wdg::Counter* failures = node.metrics().GetCounter("kvs.partition.validate_failures");
+  EXPECT_EQ(failures->Value(), 0);
+
+  // A registered partition whose bytes changed still counts, by CRC and by size.
+  const std::string live = "/kvs/sst/live.sst";
+  ASSERT_TRUE(SsTable::Write(disk_, live, {{"m", {"2", false}}}).ok());
+  ASSERT_TRUE(node.partitions().Register(live, "m", "m").ok());
+  disk_.MarkBadRange(live, 1, 1);
+  EXPECT_TRUE(WaitUntil([&] { return failures->Value() >= 1; }));
+  disk_.ClearBadRanges();
+  ASSERT_TRUE(disk_.Append(live, "x").ok());
+  const int64_t after_crc = failures->Value();
+  EXPECT_TRUE(WaitUntil([&] { return failures->Value() > after_crc; }));
+  node.Stop();
+}
+
 class FlusherTest : public KvsDiskFixture {
  protected:
   FlusherTest()
@@ -978,7 +1036,7 @@ TEST_F(CompactionTest, FailureStreakLogsOnce) {
   injector_.Inject(spec);
   compaction_.Start();
   wdg::Counter* errors = metrics_.GetCounter("kvs.compaction.errors");
-  while (errors->Value() < 10) {
+  while (errors->Value() < 2) {  // the same tables are retried once a second
     clock_.SleepFor(wdg::Ms(5));
   }
   injector_.ClearAll();
@@ -994,6 +1052,34 @@ TEST_F(CompactionTest, FailureStreakLogsOnce) {
                                                static_cast<long long>(errors->Value()))),
             1u);
   EXPECT_EQ(index_.Tables().size(), 1u);
+}
+
+TEST_F(CompactionTest, CorruptTableIsNotReReadEveryPoll) {
+  WriteTable("/sst/1", "a", "1");
+  WriteTable("/sst/2", "b", "2");
+  WriteTable("/sst/3", "c", "3");
+  disk_.MarkBadRange("/sst/2", 1, 1);  // stays corrupt: every attempt fails
+  wdg::Counter* errors = metrics_.GetCounter("kvs.compaction.errors");
+  wdg::Counter* bytes_read = disk_.metrics().GetCounter("disk.bytes_read");
+  wdg::Gauge* tick = metrics_.GetGauge("kvs.compaction.last_tick_ns");
+  compaction_.Start();
+  ASSERT_TRUE(WaitUntil([&] { return errors->Value() >= 1; }));
+  const wdg::TimeNs failed_at = clock_.NowNs();
+  const int64_t bytes_after_failure = bytes_read->Value();
+  // 20 polls of 5 ms over the same tables: no attempt, so no read.
+  for (int poll = 0; poll < 20; ++poll) {
+    const double seen = tick->Value();
+    ASSERT_TRUE(WaitUntil([&] { return tick->Value() > seen; }));
+  }
+  ASSERT_LT(clock_.NowNs() - failed_at, wdg::Ms(900)) << "too slow to stay inside the retry period";
+  EXPECT_EQ(bytes_read->Value(), bytes_after_failure);
+  EXPECT_EQ(errors->Value(), 1);
+  // A new flush changes the table set: the next poll tries again.
+  WriteTable("/sst/4", "d", "4");
+  const int64_t bytes_after_flush = bytes_read->Value();
+  ASSERT_TRUE(WaitUntil([&] { return errors->Value() >= 2; }));
+  EXPECT_GT(bytes_read->Value(), bytes_after_flush);
+  compaction_.Stop();
 }
 
 TEST_F(CompactionTest, BackgroundLoopCompacts) {

@@ -3,8 +3,10 @@
 // crash isolation, dedup, probe-validation escalation, recovery actions).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/strings.h"
@@ -278,10 +280,10 @@ TEST(ProbeCheckerTest, PassAndFail) {
   healthy = false;
   const CheckResult result = checker.Check();
   ASSERT_EQ(result.outcome, CheckOutcome::kFail);
-  EXPECT_EQ(result.signature.type, FailureType::kLivenessTimeout);
+  EXPECT_EQ(result.signature->type, FailureType::kLivenessTimeout);
   // Probes see only the public API: localization stops at the process level.
-  EXPECT_EQ(result.signature.location.Level(), LocalizationLevel::kComponent);
-  EXPECT_TRUE(result.signature.impact_confirmed);  // probe == client impact
+  EXPECT_EQ(result.signature->location.Level(), LocalizationLevel::kComponent);
+  EXPECT_TRUE(result.signature->impact_confirmed);  // probe == client impact
 }
 
 TEST(SignalCheckerTest, DebouncesTransientSpikes) {
@@ -298,7 +300,7 @@ TEST(SignalCheckerTest, DebouncesTransientSpikes) {
   EXPECT_EQ(checker.Check().outcome, CheckOutcome::kPass);
   const CheckResult result = checker.Check();  // 3rd consecutive → alarm
   ASSERT_EQ(result.outcome, CheckOutcome::kFail);
-  EXPECT_EQ(result.signature.location.component, "kvs.listener");
+  EXPECT_EQ(result.signature->location.component, "kvs.listener");
 }
 
 TEST(MimicCheckerTest, RefusesUnreadyContext) {
@@ -331,8 +333,8 @@ TEST(MimicCheckerTest, BodySeesContextValues) {
                        });
   const CheckResult result = checker.Check();
   ASSERT_EQ(result.outcome, CheckOutcome::kFail);
-  EXPECT_EQ(result.signature.location.Level(), LocalizationLevel::kOperation);
-  EXPECT_NE(result.signature.context_dump.find("/sst/3"), std::string::npos);
+  EXPECT_EQ(result.signature->location.Level(), LocalizationLevel::kOperation);
+  EXPECT_NE(result.signature->context_dump.find("/sst/3"), std::string::npos);
 }
 
 // -------------------------------------------------------------- signatures
@@ -595,6 +597,102 @@ TEST(WatchdogDriverTest, HungCheckerSuspendedNotRestacked) {
   clock.SleepFor(Ms(300));
   EXPECT_TRUE(driver.Stop().ok());
   EXPECT_EQ(entries.load(), 1);  // exactly one execution entered the hang
+}
+
+TEST(WatchdogDriverTest, HungProbeLivenessSignatureNamesItsComponent) {
+  // A probe publishes no op, so its hang signature falls back to the
+  // checker's component: component-level, and the same bytes as when probes
+  // published their component as the op on every run.
+  RealClock& clock = RealClock::Instance();
+  FaultInjector injector(clock);
+  FaultSpec hang;
+  hang.id = "h";
+  hang.site_pattern = "api.get";
+  hang.kind = FaultKind::kHang;
+  injector.Inject(hang);
+  WatchdogDriver::Options options;
+  options.release_on_stop = [&] { injector.ClearAll(); };
+  WatchdogDriver driver(clock, options);
+  driver.AddChecker(std::make_unique<ProbeChecker>(
+      "api_probe", "kvs.api", [&] { return injector.Act("api.get"); }, FastChecker()));
+  ASSERT_TRUE(driver.Start().ok());
+  ASSERT_TRUE(driver.WaitForFailure(Sec(2)));
+  const FailureSignature failure = *driver.FirstFailure();
+  EXPECT_TRUE(driver.Stop().ok());
+  EXPECT_EQ(failure.type, FailureType::kLivenessTimeout);
+  EXPECT_EQ(failure.location.component, "kvs.api");
+  EXPECT_EQ(failure.location.Level(), LocalizationLevel::kComponent);
+  EXPECT_EQ(failure.ToString(),
+            "[LIVENESS_TIMEOUT] checker=api_probe loc=kvs.api code=TIMEOUT "
+            "msg=\"checker exceeded 60 ms deadline\"");
+}
+
+TEST(WatchdogDriverTest, LoneCheckerRunsAtItsIntervalWithAFarDeadline) {
+  // A passing batch wakes the scheduler only when its next run is due before
+  // the planned wake. With one checker nothing else is on the wheel, so while
+  // it runs the planned wake is its 5 s deadline (capped at 250 ms): a lost
+  // completion wake would space its runs 250 ms apart, and rescheduling from
+  // the reap instead of the run's end about 20 ms apart.
+  RealClock& clock = RealClock::Instance();
+  WatchdogDriver driver(clock);
+  std::vector<TimeNs> starts;  // runs are serialized; read after Stop()
+  starts.reserve(1000);
+  CheckerOptions options;
+  options.interval = Ms(10);
+  options.timeout = Sec(5);
+  driver.AddChecker(std::make_unique<ProbeChecker>(
+      "lone", "sys",
+      [&] {
+        starts.push_back(clock.NowNs());
+        return Status::Ok();
+      },
+      options));
+  ASSERT_TRUE(driver.Start().ok());
+  clock.SleepFor(Ms(500));
+  EXPECT_TRUE(driver.Stop().ok());
+  ASSERT_GE(starts.size(), 5u);
+  std::vector<DurationNs> gaps;
+  for (size_t i = 1; i < starts.size(); ++i) {
+    gaps.push_back(starts[i] - starts[i - 1]);
+  }
+  std::nth_element(gaps.begin(), gaps.begin() + gaps.size() / 2, gaps.end());
+  EXPECT_LT(gaps[gaps.size() / 2], Ms(15)) << starts.size() << " runs in 500 ms";
+  EXPECT_EQ(driver.StatsFor("lone").passes, driver.StatsFor("lone").runs);
+}
+
+TEST(WatchdogDriverTest, FailureReachesListenerWithinATickOfItsRun) {
+  // A failed run wakes the scheduler at once, even though nothing is due on
+  // the wheel for 10 s and the scheduler planned to sleep 250 ms.
+  RealClock& clock = RealClock::Instance();
+  constexpr DurationNs kTick = Ms(50);
+  WatchdogDriver::Options options;
+  options.wheel_tick = kTick;
+  WatchdogDriver driver(clock, options);
+  std::atomic<TimeNs> run_end{0};
+  struct StampingListener : FailureListener {
+    void OnFailure(const FailureSignature&) override {
+      received.store(RealClock::Instance().NowNs());
+    }
+    std::atomic<TimeNs> received{0};
+  } listener;
+  driver.AddListener(&listener);
+  CheckerOptions copts;
+  copts.interval = Sec(10);
+  copts.timeout = Sec(20);
+  driver.AddChecker(std::make_unique<ProbeChecker>(
+      "slow_fail", "sys",
+      [&] {
+        clock.SleepFor(Ms(30));  // the scheduler is asleep by now
+        run_end.store(clock.NowNs());
+        return IoError("broken");
+      },
+      copts));
+  ASSERT_TRUE(driver.Start().ok());
+  ASSERT_TRUE(driver.WaitForFailure(Sec(2)));
+  EXPECT_TRUE(driver.Stop().ok());
+  ASSERT_GT(run_end.load(), 0);
+  ASSERT_GT(listener.received.load(), 0);
+  EXPECT_LT(listener.received.load() - run_end.load(), kTick);
 }
 
 TEST(WatchdogDriverTest, PauseAndResumeChecker) {

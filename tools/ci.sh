@@ -114,11 +114,14 @@ run_leg build-ci-asan address "$@"
 # the signal-suite/fusion tests (FusionDetector::OnFailure runs on scheduler
 # threads; the suite test drives a live driver against a publisher thread),
 # the kvs unit suite (MergeProbe against a concurrent CompactOnce, the
-# background flusher, compaction and replication loops), and the suites that
+# background flusher, compaction and replication loops), the suites that
 # run the bounded lock mimic against live threads (minizk, kvs integration,
-# autowd).
+# autowd), and the core watchdog suite, whose live drivers exercise the
+# completion-wake handshake between workers and the scheduler (a batch wakes
+# the scheduler only when it fails, is abandoned or is due before the
+# planned wake).
 run_leg build-ci-tsan thread \
-  -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal|kvs_test|minizk_test|kvs_integration_test|autowd_test' \
+  -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal|kvs_test|minizk_test|kvs_integration_test|autowd_test|watchdog_test' \
   "$@"
 # UBSan leg: the byte-level code (CRC fold kernel and sliced tail, SSTable
 # record walker, block map and merge cursors, WAL framing, block store, the standard mimic executors'
