@@ -1,9 +1,9 @@
 #include "src/eval/supervised.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "src/common/strings.h"
 #include "src/common/threading.h"
@@ -256,21 +256,9 @@ TrialResult RunSupervisedTrial(const SupervisedTrialOptions& options) {
   TrialResult result;
   result.scenario = StrFormat("supervised-disk-hang-%s", SupervisedSystemName(options.system));
 
-  std::mutex event_mu;
-  TimeNs t_inject = 0;
-  TimeNs first_event_at = 0;
-  std::vector<std::string> causes;
-
   WdogdOptions wdogd_options;
   wdogd_options.policy = options.policy;
   wdogd_options.journal_disk = &journal_disk;
-  wdogd_options.on_event = [&](const ResetRecord& record) {
-    std::lock_guard<std::mutex> lock(event_mu);
-    if (t_inject != 0 && first_event_at == 0 && record.at >= t_inject) {
-      first_event_at = record.at;
-    }
-    causes.push_back(ResetCauseName(record.cause));
-  };
   Wdogd wdogd(clock, wdogd_options);
 
   DetectorOutcome& outcome = result.outcomes[kDetSupervisor];
@@ -279,6 +267,7 @@ TrialResult RunSupervisedTrial(const SupervisedTrialOptions& options) {
   if (!wdogd.Start().ok()) {
     return result;
   }
+  TimeNs t_inject = 0;
   {
     SupervisedProcess process(options, clock, injector, disk, net, wdogd);
     if (!process.Boot().ok()) {
@@ -287,10 +276,7 @@ TrialResult RunSupervisedTrial(const SupervisedTrialOptions& options) {
     }
 
     clock.SleepFor(options.warmup);
-    {
-      std::lock_guard<std::mutex> lock(event_mu);
-      t_inject = clock.NowNs();
-    }
+    t_inject = clock.NowNs();
     injector.Inject(DiskHang());
 
     // Observe until the ladder has been fully walked (reboot + the post-
@@ -313,11 +299,16 @@ TrialResult RunSupervisedTrial(const SupervisedTrialOptions& options) {
   result.supervisor_restarts = wdogd.restart_count();
   result.supervisor_reboots = wdogd.reboot_count();
   result.supervisor_escalated = wdogd.restart_count() + wdogd.reboot_count() > 0;
-  {
-    std::lock_guard<std::mutex> lock(event_mu);
-    result.reset_causes = causes;
-    if (first_event_at != 0) {
-      result.supervisor_detection_latency = first_event_at - t_inject;
+  // The reset-cause journal is the trial's record: the causes in ladder
+  // order, and the first escalation after the injection for the latency.
+  if (auto journal = wdogd.ReadJournal(); journal.ok()) {
+    for (const ResetRecord& record : *journal) {
+      result.reset_causes.push_back(ResetCauseName(record.cause));
+    }
+    const auto first = std::find_if(journal->begin(), journal->end(),
+                                    [&](const ResetRecord& r) { return r.at >= t_inject; });
+    if (first != journal->end()) {
+      result.supervisor_detection_latency = first->at - t_inject;
     }
   }
   outcome.detected = result.supervisor_escalated;

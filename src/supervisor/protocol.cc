@@ -164,10 +164,12 @@ Result<std::optional<Frame>> FrameReader::Next() {
     case FrameType::kUnsubscribeAck:
       break;
   }
-  if (!ok) {
+  // The payload must hold its fields exactly: a frame with bytes to spare
+  // does not re-encode to what was sent, so it is as malformed as a short one.
+  if (!ok || body.pos != payload_len) {
     poisoned_ = true;
-    return CorruptionError(std::string("truncated payload in ") +
-                           FrameTypeName(frame.type) + " frame");
+    return CorruptionError(std::string(ok ? "trailing bytes" : "truncated payload") +
+                           " in " + FrameTypeName(frame.type) + " frame");
   }
   buffer_.erase(0, 5 + payload_len);
   return std::optional<Frame>(std::move(frame));

@@ -57,6 +57,7 @@ class FrameReader {
   void Append(std::string_view bytes) { buffer_.append(bytes); }
   Result<std::optional<Frame>> Next();
   size_t buffered_bytes() const { return buffer_.size(); }
+  bool poisoned() const { return poisoned_; }
 
  private:
   std::string buffer_;

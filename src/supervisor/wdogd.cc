@@ -102,8 +102,8 @@ struct Wdogd::Conn {
   FrameReader reader;
   SimProcess process;
   DurationNs deadline = 0;
-  std::unique_ptr<WatchdogTimer> timer;
   TimeNs last_kick = 0;
+  bool warned = false;  // warn rung fired in this silence episode
   int64_t kicks = 0;
   bool subscribed = false;
   bool unsubscribed = false;
@@ -129,14 +129,6 @@ Wdogd::~Wdogd() {
   if (running_.load(std::memory_order_acquire)) {
     (void)Stop();
   }
-  // Connections that never saw a running daemon (or were registered after
-  // Stop) still hold pipes + timers; release them off the lock.
-  std::map<uint64_t, std::unique_ptr<Conn>> leftovers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    leftovers.swap(conns_);
-  }
-  leftovers.clear();
 }
 
 Status Wdogd::Start() {
@@ -162,15 +154,9 @@ Status Wdogd::Stop() {
   stop_.Request();
   wake_.Notify();
   thread_.Join();
-  std::map<uint64_t, std::unique_ptr<Conn>> leftovers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    leftovers.swap(conns_);
-  }
-  // Conn teardown stops per-client timers (joins their threads) and closes
-  // the supervisor pipe ends, so clients observe EOF. Must run off mu_: a
-  // timer stage may be blocked in EnqueueLadder on that lock.
-  leftovers.clear();
+  // Closing the supervisor pipe ends lets clients observe EOF.
+  std::lock_guard<std::mutex> lock(mu_);
+  conns_.clear();
   return Status::Ok();
 }
 
@@ -203,14 +189,6 @@ DurationNs Wdogd::BackoffFor(int respawns) const {
   return static_cast<DurationNs>(backoff);
 }
 
-void Wdogd::EnqueueLadder(uint64_t conn_id, ResetCause rung) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ladder_.push_back(LadderEvent{conn_id, rung});
-  }
-  wake_.Notify();
-}
-
 void Wdogd::Journal(const ResetRecord& record) {
   if (options_.journal_disk != nullptr) {
     const Status append = options_.journal_disk->Append(
@@ -218,9 +196,6 @@ void Wdogd::Journal(const ResetRecord& record) {
     if (!append.ok()) {
       WDG_LOG(kWarn) << "wdogd journal append failed: " << append.ToString();
     }
-  }
-  if (options_.on_event) {
-    options_.on_event(record);
   }
 }
 
@@ -246,33 +221,8 @@ void Wdogd::HandleFrame(Conn& conn, const Frame& frame, TimeNs now,
       conn.deadline = std::clamp(requested, options_.policy.min_deadline,
                                  options_.policy.max_deadline);
       conn.last_kick = now;
-      if (!conn.subscribed) {
-        conn.subscribed = true;
-        // Ladder rungs ride the §2 multi-stage WatchdogTimer: stage k fires
-        // after (k+1) deadlines of silence, so rung positions map directly
-        // onto stage indexes. Intermediate rungs are no-op placeholders.
-        WatchdogTimerOptions timer_options;
-        timer_options.stage_interval = conn.deadline;
-        timer_options.poll = std::max<DurationNs>(Ms(1), conn.deadline / 8);
-        conn.timer = std::make_unique<WatchdogTimer>(clock_, timer_options);
-        const uint64_t conn_id = conn.id;
-        const int rungs =
-            std::max(options_.policy.restart_misses, options_.policy.warn_misses);
-        for (int rung = 1; rung <= rungs; ++rung) {
-          if (rung == options_.policy.restart_misses) {
-            conn.timer->AddStage("restart", [this, conn_id] {
-              EnqueueLadder(conn_id, ResetCause::kMissedKickRestart);
-            });
-          } else if (rung == options_.policy.warn_misses) {
-            conn.timer->AddStage("warn", [this, conn_id] {
-              EnqueueLadder(conn_id, ResetCause::kWarn);
-            });
-          } else {
-            conn.timer->AddStage("miss-" + std::to_string(rung), nullptr);
-          }
-        }
-        conn.timer->Start();
-      }
+      conn.warned = false;
+      conn.subscribed = true;
       Frame ack;
       ack.type = FrameType::kSubscribeAck;
       ack.client_id = conn.id;
@@ -285,12 +235,10 @@ void Wdogd::HandleFrame(Conn& conn, const Frame& frame, TimeNs now,
         break;
       }
       conn.last_kick = now;
+      conn.warned = false;
       ++conn.kicks;
       kicks_.fetch_add(1, std::memory_order_relaxed);
       metrics_->GetCounter("wdogd.kicks")->Increment();
-      if (conn.timer) {
-        conn.timer->Kick();
-      }
       // A live kick re-arms the ladder: a pending missed-kick restart whose
       // backoff has not yet fired is forgiven. Crash/protocol escalations
       // cannot be forgiven this way — their pipes are already broken.
@@ -323,6 +271,9 @@ void Wdogd::HandleFrame(Conn& conn, const Frame& frame, TimeNs now,
 }
 
 void Wdogd::DrainConn(Conn& conn, TimeNs now, std::vector<PendingAction>& actions) {
+  if (conn.reader.poisoned()) {
+    return;  // escalated when it went bad; only the restart is left to run
+  }
   bool eof = false;
   for (;;) {
     auto chunk = conn.pipe->TryRead(4096);
@@ -360,22 +311,17 @@ void Wdogd::DrainConn(Conn& conn, TimeNs now, std::vector<PendingAction>& action
 }
 
 void Wdogd::FireEscalations(TimeNs now, std::vector<PendingAction>& actions) {
-  // Drain ladder events produced by the per-client timers first.
-  std::deque<LadderEvent> events;
-  events.swap(ladder_);
-  for (const LadderEvent& event : events) {
-    const auto it = conns_.find(event.conn_id);
-    if (it == conns_.end()) {
-      continue;
-    }
-    Conn& conn = *it->second;
+  const EscalationPolicy& policy = options_.policy;
+  const bool warn_rung = policy.warn_misses >= 1 &&
+                         (policy.restart_misses < 1 || policy.warn_misses < policy.restart_misses);
+  for (auto& [id, conn_ptr] : conns_) {
+    Conn& conn = *conn_ptr;
     if (conn.dead || conn.unsubscribed || !conn.subscribed) {
       continue;
     }
-    if (event.rung == ResetCause::kWarn) {
-      if (conn.restart_pending) {
-        continue;  // already past the warn rung
-      }
+    const int64_t misses = (now - conn.last_kick) / std::max<DurationNs>(conn.deadline, 1);
+    if (warn_rung && !conn.warned && !conn.restart_pending && misses >= policy.warn_misses) {
+      conn.warned = true;
       warns_.fetch_add(1, std::memory_order_relaxed);
       metrics_->GetCounter("wdogd.warns")->Increment();
       ResetRecord record;
@@ -385,8 +331,7 @@ void Wdogd::FireEscalations(TimeNs now, std::vector<PendingAction>& actions) {
       record.silence = now - conn.last_kick;
       const auto respawn_it = respawns_by_name_.find(conn.name);
       record.respawns = respawn_it == respawns_by_name_.end() ? 0 : respawn_it->second;
-      record.detail = "missed " + std::to_string(options_.policy.warn_misses) +
-                      " kick deadline(s)";
+      record.detail = "missed " + std::to_string(policy.warn_misses) + " kick deadline(s)";
       Frame warn;
       warn.type = FrameType::kWarn;
       warn.message = record.detail;
@@ -399,8 +344,9 @@ void Wdogd::FireEscalations(TimeNs now, std::vector<PendingAction>& actions) {
         }
         Journal(record);
       }});
-    } else {
-      ScheduleRestart(conn, event.rung, now);
+    }
+    if (policy.restart_misses >= 1 && misses >= policy.restart_misses) {
+      ScheduleRestart(conn, ResetCause::kMissedKickRestart, now);  // no-op once pending
     }
   }
 
@@ -473,8 +419,8 @@ void Wdogd::Loop() {
         }
       }
       FireEscalations(now, actions);
-      // Sweep dead connections: ownership moves into an action so the timer
-      // join + pipe close happen off the lock, after any queued ack writes.
+      // Sweep dead connections: ownership moves into an action so the pipe
+      // closes off the lock, after any queued ack writes.
       for (auto it = conns_.begin(); it != conns_.end();) {
         if (it->second->dead) {
           std::shared_ptr<Conn> doomed(it->second.release());
@@ -489,7 +435,7 @@ void Wdogd::Loop() {
     for (PendingAction& action : actions) {
       action.run();
     }
-    actions.clear();  // destroys swept conns (timer joins) off the lock
+    actions.clear();  // destroys swept conns off the lock
     wake_.WaitFor(options_.poll);
   }
 }

@@ -12,13 +12,14 @@
 //
 // Processes here are simulated: a SimProcess is a bundle of supervisor-side
 // hooks (warn/restart/reboot) — the eval harness binds them to real
-// kvs/minizk/minihdfs node lifecycles. Each client connection gets its own
-// WatchdogTimer (§2 multi-stage WDT) whose stages enqueue ladder events into
-// the daemon loop; kicks arriving over the pipe re-arm it.
+// kvs/minizk/minihdfs node lifecycles. The ladder is the §2 multi-stage WDT
+// made passive: one daemon thread, whatever the number of subscribers, reads
+// each connection's silence (now - last kick) in units of its deadline on
+// every pass and fires the rungs that silence has reached. A kick or a
+// (re)subscribe starts a new silence episode.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -33,7 +34,6 @@
 #include "src/sim/sim_disk.h"
 #include "src/supervisor/protocol.h"
 #include "src/supervisor/transport.h"
-#include "src/supervisor/watchdog_timer.h"
 
 namespace wdg {
 
@@ -70,7 +70,8 @@ struct EscalationPolicy {
   DurationNs min_deadline = Ms(20);
   DurationNs max_deadline = Sec(5);
   // Ladder rungs in units of consecutive missed deadlines: warn fires after
-  // `warn_misses` deadlines of silence, restart after `restart_misses`.
+  // `warn_misses` deadlines of silence, restart after `restart_misses`. A
+  // rung <= 0 never fires, and warn fires only on a rung below restart.
   int warn_misses = 1;
   int restart_misses = 2;
   // Respawn budget per process name; the budget spent, the next escalation
@@ -99,9 +100,6 @@ struct WdogdOptions {
   std::string journal_path = "/wdogd/reset-causes.log";
   MetricsRegistry* metrics = nullptr;  // owns a private registry when null
   FaultInjector* injector = nullptr;   // threaded into client pipes
-  // Observer for every journaled event (called off the daemon thread with no
-  // locks held). The eval harness uses this for detection-latency stamps.
-  std::function<void(const ResetRecord&)> on_event;
 };
 
 class Wdogd {
@@ -148,10 +146,6 @@ class Wdogd {
 
  private:
   struct Conn;
-  struct LadderEvent {
-    uint64_t conn_id = 0;
-    ResetCause rung = ResetCause::kWarn;
-  };
   // Side effects collected under the lock, executed outside it.
   struct PendingAction {
     std::function<void()> run;
@@ -161,7 +155,6 @@ class Wdogd {
   void DrainConn(Conn& conn, TimeNs now, std::vector<PendingAction>& actions);
   void HandleFrame(Conn& conn, const Frame& frame, TimeNs now,
                    std::vector<PendingAction>& actions);
-  void EnqueueLadder(uint64_t conn_id, ResetCause rung);
   void ScheduleRestart(Conn& conn, ResetCause cause, TimeNs now);
   void FireEscalations(TimeNs now, std::vector<PendingAction>& actions);
   void Journal(const ResetRecord& record);
@@ -175,7 +168,6 @@ class Wdogd {
   mutable std::mutex mu_;
   std::map<uint64_t, std::unique_ptr<Conn>> conns_;
   std::map<std::string, int> respawns_by_name_;
-  std::deque<LadderEvent> ladder_;  // fed by WatchdogTimer stages
   uint64_t next_conn_id_ = 1;
 
   std::atomic<bool> running_{false};

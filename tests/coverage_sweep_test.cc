@@ -1,8 +1,8 @@
 // Coverage sweep: exercises surfaces the focused suites don't — workload
-// generator end-to-end, SimNet healing, WDT stage names, multi-follower
-// replication.
+// generator end-to-end, SimNet healing, multi-follower replication.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 
 #include "src/common/logging.h"
@@ -10,26 +10,9 @@
 #include "src/eval/workload.h"
 #include "src/kvs/client.h"
 #include "src/kvs/server.h"
-#include "src/supervisor/watchdog_timer.h"
 
 namespace wdg {
 namespace {
-
-TEST(WatchdogTimerTest, FiredStageNamesRecorded) {
-  RealClock& clock = RealClock::Instance();
-  WatchdogTimerOptions options;
-  options.stage_interval = Ms(20);
-  WatchdogTimer wdt(clock, options);
-  wdt.AddStage("warn", nullptr);   // null action is legal: log-only stage
-  wdt.AddStage("reset", nullptr);
-  wdt.Start();
-  clock.SleepFor(Ms(80));
-  wdt.Stop();
-  const auto names = wdt.FiredStageNames();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "warn");
-  EXPECT_EQ(names[1], "reset");
-}
 
 TEST(SimNetTest, HealAllRestoresEveryPartition) {
   RealClock& clock = RealClock::Instance();

@@ -1,7 +1,7 @@
 // Property-based tests (parameterized gtest): invariants of the fault
 // injector, WAL recovery, SSTable integrity, the compaction merge against a
-// reference, CRC detection, the reducer, and the bounded queue, swept over
-// randomized inputs and parameter grids.
+// reference, CRC detection, the reducer, the bounded queue, and the wdogd
+// frame reader, swept over randomized inputs and parameter grids.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include "src/kvs/sstable.h"
 #include "src/kvs/wal.h"
 #include "src/sim/sim_disk.h"
+#include "src/supervisor/protocol.h"
 
 namespace wdg {
 namespace {
@@ -613,6 +614,108 @@ INSTANTIATE_TEST_SUITE_P(
                       PatternCase{"a.*", "a", false}, PatternCase{"a.*", "ab.c", false},
                       PatternCase{"a.b", "a.b", true}, PatternCase{"a.b", "a.b.c", false},
                       PatternCase{"", "", true}, PatternCase{"", "x", false}));
+
+// --------------------------------------------------- frame reader mutation
+
+// Valid wdogd frame streams, damaged by seeded bit flips, cuts and splices,
+// fed to a FrameReader in random chunk sizes. Every Next() yields a frame
+// that re-encodes to exactly the bytes it consumed, nullopt (consuming
+// nothing), or an error; after the first error every Next() errors. An
+// undamaged stream decodes to exactly its frames, and no read strays past
+// the buffer (the sanitizer legs run this suite).
+class FrameReaderMutationProperty : public ::testing::TestWithParam<uint64_t> {};
+
+std::string RandomBytes(Rng& rng, int64_t max_size) {
+  std::string bytes(static_cast<size_t>(rng.Uniform(0, max_size)), '\0');
+  for (char& byte : bytes) {
+    byte = static_cast<char>(rng.Uniform(0, 255));
+  }
+  return bytes;
+}
+
+std::string RandomFrameStream(Rng& rng, int frames) {
+  std::string wire;
+  for (int i = 0; i < frames; ++i) {
+    Frame frame;
+    frame.type = static_cast<FrameType>(rng.Uniform(1, 7));
+    frame.name = RandomBytes(rng, 24);
+    frame.message = RandomBytes(rng, 40);
+    frame.deadline = static_cast<DurationNs>(rng.NextU64());
+    frame.client_id = rng.NextU64();
+    frame.seq = rng.NextU64();
+    wire += EncodeFrame(frame);
+  }
+  return wire;
+}
+
+TEST_P(FrameReaderMutationProperty, EveryNextIsAnExactFrameNulloptOrPoison) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 50; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const int frames = static_cast<int>(rng.Uniform(1, 12));
+    std::string stream = RandomFrameStream(rng, frames);
+    const bool damaged = trial % 5 != 0;  // every fifth stream stays intact
+    const auto offset = [&rng](const std::string& bytes) {  // in [0, size]
+      return static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(bytes.size())));
+    };
+    if (damaged) {
+      for (int64_t flips = rng.Uniform(0, 3); flips > 0; --flips) {
+        const size_t at = rng.NextU64() % stream.size();
+        stream[at] = static_cast<char>(stream[at] ^ (1 << rng.Uniform(0, 7)));
+      }
+      if (rng.Bernoulli(0.3)) {  // cut
+        stream.resize(offset(stream));
+      }
+      if (rng.Bernoulli(0.3)) {  // splice another stream's tail on at a random offset
+        const std::string other = RandomFrameStream(rng, static_cast<int>(rng.Uniform(1, 4)));
+        stream = stream.substr(0, offset(stream)) + other.substr(offset(other));
+      }
+    }
+
+    FrameReader reader;
+    size_t fed = 0;
+    size_t consumed = 0;
+    int decoded = 0;
+    bool poisoned = false;
+    while (fed < stream.size()) {
+      const size_t chunk =
+          std::min(stream.size() - fed, static_cast<size_t>(rng.Uniform(1, 48)));
+      reader.Append(std::string_view(stream).substr(fed, chunk));
+      fed += chunk;
+      for (;;) {
+        const size_t before = reader.buffered_bytes();
+        auto next = reader.Next();
+        if (poisoned) {
+          ASSERT_FALSE(next.ok()) << "Next() recovered from a poisoned stream";
+          break;
+        }
+        if (!next.ok()) {
+          poisoned = true;
+          continue;  // the very next call must error too
+        }
+        const size_t used = before - reader.buffered_bytes();
+        if (!next->has_value()) {
+          EXPECT_EQ(used, 0u) << "nullopt consumed bytes";
+          break;
+        }
+        ASSERT_EQ(EncodeFrame(**next), stream.substr(consumed, used))
+            << "frame " << decoded << " does not re-encode to the bytes it consumed";
+        consumed += used;
+        ++decoded;
+      }
+      if (!poisoned) {
+        EXPECT_EQ(consumed + reader.buffered_bytes(), fed);
+      }
+    }
+    if (!damaged) {
+      EXPECT_FALSE(poisoned);
+      EXPECT_EQ(decoded, frames);
+      EXPECT_EQ(reader.buffered_bytes(), 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FrameReaderMutationProperty, ::testing::Range<uint64_t>(1, 13));
 
 }  // namespace
 }  // namespace wdg

@@ -1,10 +1,12 @@
 // Supervisor-plane tests: frame codec and torn-frame handling, pipe
 // transport semantics (EOF ordering, leak oracle), the wdogd escalation
-// ladder (warn → restart → reboot with respawn budget), crash/protocol-error
-// paths, and the WatchdogDriver supervised mode end to end — including the
-// §3.3 scenario where a wedged executor silently withholds kicks and only
-// the out-of-process supervisor notices.
+// ladder (warn → restart → reboot with respawn budget; rung positions, one
+// warn per silence episode, renegotiated deadlines, one daemon thread),
+// crash/protocol-error paths, and the WatchdogDriver supervised mode end to
+// end — including the §3.3 scenario where a wedged executor silently
+// withholds kicks and only the out-of-process supervisor notices.
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -434,6 +436,22 @@ TEST(WdogdTest, GarbageBytesAreAProtocolError) {
   ASSERT_TRUE(wdogd.Stop().ok());
 }
 
+// A poisoned stream stays poisoned through the restart backoff; that is one
+// protocol error, not one per daemon pass.
+TEST(WdogdTest, PoisonedStreamCountsOneProtocolError) {
+  RealClock& clock = RealClock::Instance();
+  WdogdOptions options = FastOptions();
+  options.policy.restart_backoff = Ms(100);
+  Wdogd wdogd(clock, options);
+  ASSERT_TRUE(wdogd.Start().ok());
+  auto babbler = wdogd.Connect(SimProcess{});
+  ASSERT_TRUE(babbler.ok());
+  ASSERT_TRUE((*babbler)->Write(std::string("\xff\xff\xff\x7f""junk", 8)).ok());
+  ASSERT_TRUE(WaitUntil(clock, Sec(1), [&] { return wdogd.restart_count() > 0; }));
+  EXPECT_EQ(wdogd.protocol_error_count(), 1);
+  ASSERT_TRUE(wdogd.Stop().ok());
+}
+
 TEST(WdogdTest, RespawnBudgetExhaustionReboots) {
   RealClock& clock = RealClock::Instance();
   FaultInjector injector(clock);
@@ -521,6 +539,153 @@ TEST(WdogdTest, VoluntaryDisconnectBeatsPendingEscalation) {
   clock.SleepFor(Ms(400));  // backoff would have fired by now
   EXPECT_EQ(restarts.load(), 0);
   EXPECT_EQ(wdogd.restart_count(), 0);
+  ASSERT_TRUE(wdogd.Stop().ok());
+}
+
+// A re-subscribe renegotiates the deadline and starts a new silence episode:
+// the ladder runs on the granted 2 s, not on the 20 ms first asked for.
+TEST(WdogdTest, ResubscribeRenegotiatesTheDeadline) {
+  RealClock& clock = RealClock::Instance();
+  Wdogd wdogd(clock, FastOptions());
+  ASSERT_TRUE(wdogd.Start().ok());
+  auto pipe = wdogd.Connect(SimProcess{});
+  ASSERT_TRUE(pipe.ok());
+  Frame subscribe;
+  subscribe.type = FrameType::kSubscribe;
+  subscribe.name = "renegotiator";
+  subscribe.deadline = Ms(20);
+  std::string wire = EncodeFrame(subscribe);
+  subscribe.deadline = Sec(2);
+  wire += EncodeFrame(subscribe);
+  ASSERT_TRUE((*pipe)->Write(wire).ok());
+  ASSERT_TRUE(WaitUntil(clock, Sec(1), [&] {
+    const auto clients = wdogd.Clients();
+    return clients.size() == 1 && clients[0].deadline == Sec(2);
+  }));
+  clock.SleepFor(Ms(200));  // ten of the first deadline, a tenth of the granted one
+  EXPECT_EQ(wdogd.warn_count(), 0);
+  EXPECT_EQ(wdogd.restart_count(), 0);
+  ASSERT_TRUE(wdogd.Stop().ok());
+}
+
+TEST(WdogdTest, WarnFiresOncePerSilenceEpisode) {
+  RealClock& clock = RealClock::Instance();
+  WdogdOptions options = FastOptions();
+  options.policy.restart_misses = 1000;  // far past the end of the test
+  Wdogd wdogd(clock, options);
+  ASSERT_TRUE(wdogd.Start().ok());
+  auto pipe = wdogd.Connect(SimProcess{});
+  ASSERT_TRUE(pipe.ok());
+  WdogClient client(clock, std::move(*pipe));
+  ASSERT_TRUE(client.Subscribe("quiet", Ms(20), Ms(500)).ok());
+  clock.SleepFor(Ms(200));  // ten deadlines of silence, one episode
+  EXPECT_EQ(wdogd.warn_count(), 1);
+  EXPECT_EQ(wdogd.restart_count(), 0);
+  EXPECT_EQ(client.warns_received(), 1);
+  ASSERT_TRUE(client.Unsubscribe(Ms(500)).ok());
+  ASSERT_TRUE(wdogd.Stop().ok());
+}
+
+TEST(WdogdTest, KickAfterWarnRearmsTheLadder) {
+  RealClock& clock = RealClock::Instance();
+  std::atomic<int> restarts{0};
+  WdogdOptions options = FastOptions();
+  options.policy.restart_misses = 4;  // 200 ms: well behind each warn
+  Wdogd wdogd(clock, options);
+  ASSERT_TRUE(wdogd.Start().ok());
+  SimProcess process;
+  process.restart = [&] {
+    restarts.fetch_add(1);
+    return Status::Ok();
+  };
+  auto pipe = wdogd.Connect(process);
+  ASSERT_TRUE(pipe.ok());
+  WdogClient client(clock, std::move(*pipe));
+  ASSERT_TRUE(client.Subscribe("dozer", Ms(50), Ms(500)).ok());
+  // Two silence episodes, each ended by a kick right after its warn: each
+  // warns once, and neither reaches the restart rung.
+  for (int episode = 1; episode <= 2; ++episode) {
+    ASSERT_TRUE(WaitUntil(clock, Sec(1), [&] { return wdogd.warn_count() == episode; }));
+    ASSERT_TRUE(client.Kick().ok());
+    ASSERT_TRUE(WaitUntil(clock, Sec(1), [&] { return wdogd.kick_count() == episode; }));
+  }
+  EXPECT_EQ(wdogd.warn_count(), 2);
+  EXPECT_EQ(wdogd.restart_count(), 0);
+  EXPECT_EQ(restarts.load(), 0);
+  ASSERT_TRUE(client.Unsubscribe(Ms(500)).ok());
+  ASSERT_TRUE(wdogd.Stop().ok());
+}
+
+// Which rungs fire, in journal order, for a warn rung below, at, above and
+// off the restart rung.
+TEST(WdogdTest, RungPositionsDecideTheJournaledLadder) {
+  struct Case {
+    int warn_misses;
+    int restart_misses;
+    std::vector<std::string> causes;
+  };
+  const Case cases[] = {
+      {1, 2, {"warn", "missed-kick-restart"}},
+      {2, 2, {"missed-kick-restart"}},
+      {3, 2, {"missed-kick-restart"}},
+      {0, 2, {"missed-kick-restart"}},
+  };
+  RealClock& clock = RealClock::Instance();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "warn_misses=" << c.warn_misses
+                                    << " restart_misses=" << c.restart_misses);
+    FaultInjector injector(clock);
+    SimDisk journal(clock, injector);
+    WdogdOptions options = FastOptions();
+    options.policy.warn_misses = c.warn_misses;
+    options.policy.restart_misses = c.restart_misses;
+    options.journal_disk = &journal;
+    Wdogd wdogd(clock, options);
+    ASSERT_TRUE(wdogd.Start().ok());
+    auto pipe = wdogd.Connect(SimProcess{});
+    ASSERT_TRUE(pipe.ok());
+    WdogClient client(clock, std::move(*pipe));
+    ASSERT_TRUE(client.Subscribe("rungs", Ms(20), Ms(500)).ok());
+    ASSERT_TRUE(WaitUntil(clock, Sec(2), [&] { return wdogd.restart_count() > 0; }));
+    ASSERT_TRUE(wdogd.Stop().ok());  // joins the loop: every journal write is in
+    auto records = wdogd.ReadJournal();
+    ASSERT_TRUE(records.ok());
+    std::vector<std::string> causes;
+    for (const ResetRecord& record : *records) {
+      causes.push_back(ResetCauseName(record.cause));
+    }
+    EXPECT_EQ(causes, c.causes);
+  }
+}
+
+size_t ThreadCount() {
+  size_t threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+// The ladder is passive: wdogd runs one thread however many clients it
+// watches.
+TEST(WdogdTest, SubscribersAddNoThreads) {
+  RealClock& clock = RealClock::Instance();
+  Wdogd wdogd(clock, FastOptions());
+  ASSERT_TRUE(wdogd.Start().ok());
+  const size_t before = ThreadCount();
+  std::vector<std::unique_ptr<WdogClient>> clients;
+  for (int i = 0; i < 8; ++i) {
+    auto pipe = wdogd.Connect(SimProcess{});
+    ASSERT_TRUE(pipe.ok());
+    clients.push_back(std::make_unique<WdogClient>(clock, std::move(*pipe)));
+    ASSERT_TRUE(clients.back()->Subscribe("sub-" + std::to_string(i), Sec(1), Ms(500)).ok());
+  }
+  EXPECT_EQ(wdogd.Clients().size(), 8u);
+  EXPECT_EQ(ThreadCount(), before);
+  for (auto& client : clients) {
+    ASSERT_TRUE(client->Unsubscribe(Ms(500)).ok());
+  }
   ASSERT_TRUE(wdogd.Stop().ok());
 }
 

@@ -90,12 +90,13 @@ echo "=== campaign smoke: fusion fault matrix ==="
 # BENCH_fusion.json the trend gate reads.
 (cd build-ci && ./tools/wdg_campaign --smoke-fusion)
 echo "=== supervised smoke: wdogd escalation under a wedged process ==="
-# The §3.3 scenario the in-process plane cannot catch for itself: a kvs node
-# plus its watchdog driver wedge on an injected disk hang, kicks stop, and
-# the out-of-process wdogd must walk its ladder. wdogd exits nonzero when no
-# escalation fires. Runs in the build tree so the quick-mode JSON can't
-# clobber the committed full-run artifact the trend gate reads.
-(cd build-ci && ./tools/wdogd --quick --system kvs)
+# The §3.3 scenario the in-process plane cannot catch for itself: a kvs,
+# minizk and minihdfs node in turn, each with its watchdog driver, wedge on
+# an injected disk hang, kicks stop, and the out-of-process wdogd must walk
+# its ladder. wdogd exits nonzero when any system's trial fails to escalate.
+# Runs in the build tree so the quick-mode JSON can't clobber the committed
+# full-run artifact the trend gate reads.
+(cd build-ci && ./tools/wdogd --quick --all)
 echo "=== bench trend gate ==="
 # Headline metrics from the committed full-run artifacts; fails the build if
 # one regressed >25% against its best of the last three BENCH_TREND.json
