@@ -13,15 +13,22 @@
 // recycled-slab dispatch path. --smoke-10k runs only the 10k sharded config
 // and exits nonzero unless p99 queue delay and worker count stay in budget —
 // CI's fast fleet-scale gate; --smoke-1m is the downscaled 1M-shape gate
-// (200k checkers at the same offered rate).
+// (200k checkers at the same offered rate). --smoke-kvs runs the kvs driver
+// shape (11 checkers at 25 ms on 1 shard x 2 workers, default batching) and
+// exits nonzero unless the co-due checkers ride one batch and the scheduler
+// wakes at most 2.5 times per interval.
 //
-//   ./bench_driver_scale [--quick] [--smoke-10k] [--smoke-1m] [--only-1m]
+//   ./bench_driver_scale [--quick] [--smoke-10k] [--smoke-1m] [--smoke-kvs]
+//                        [--only-1m]
 //
 // --only-1m runs just the full 1M sharded row (no JSON) — the iteration loop
 // for tuning the million-checker shape without paying for the other configs.
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -403,12 +410,104 @@ int RunSmoke1M() {
   return ok ? 0 : 1;
 }
 
+// Thread ids of this process, from /proc/self/task.
+std::set<std::string> ThreadIds() {
+  std::set<std::string> tids;
+  std::error_code error;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task", error)) {
+    tids.insert(entry.path().filename().string());
+  }
+  return tids;
+}
+
+// CPU time (ns) the threads have run, from the first field of each
+// /proc/self/task/<tid>/schedstat; a thread that has exited counts 0.
+int64_t ThreadsCpuNs(const std::set<std::string>& tids) {
+  int64_t total = 0;
+  for (const std::string& tid : tids) {
+    std::ifstream in("/proc/self/task/" + tid + "/schedstat");
+    long long cpu_ns = 0;
+    if (in >> cpu_ns) {
+      total += cpu_ns;
+    }
+  }
+  return total;
+}
+
+// CI's wake-up gate for the kvs driver shape: 11 co-periodic checkers at
+// 25 ms on 1 shard x 2 workers with default options. It gates on counts,
+// which do not move with host load: checks per batch (the checkers launched
+// together stay one batch) and scheduler passes per interval. Watchdog
+// CPU-ns per check, from the schedstat of the threads Start() created, is
+// printed for the record only.
+int RunSmokeKvs() {
+  std::printf("=== driver scaling: kvs shape smoke (11 x 25 ms, 1 shard x 2 workers) ===\n");
+  constexpr int kCheckers = 11;
+  constexpr wdg::DurationNs kKvsInterval = wdg::Ms(25);
+  constexpr wdg::DurationNs kWindow = wdg::Sec(2);
+  wdg::RealClock& clock = wdg::RealClock::Instance();
+  wdg::WatchdogDriver::Options options;
+  options.executor.workers = 2;
+  wdg::WatchdogDriver driver(clock, options);
+  for (int i = 0; i < kCheckers; ++i) {
+    wdg::CheckerOptions checker;
+    checker.interval = kKvsInterval;
+    driver.AddChecker(std::make_unique<wdg::ProbeChecker>(
+        wdg::StrFormat("kvs%02d", i), "bench", [] { return wdg::Status::Ok(); },
+        checker));
+  }
+  const std::set<std::string> before = ThreadIds();
+  (void)driver.Start();
+  std::set<std::string> watchdog_threads;
+  for (const std::string& tid : ThreadIds()) {
+    if (before.count(tid) == 0) {
+      watchdog_threads.insert(tid);
+    }
+  }
+  clock.SleepFor(wdg::Ms(200));  // warm-up: slabs, wheel buckets, first batches
+  const wdg::DriverMetricsSnapshot m0 = driver.DriverMetrics();
+  const int64_t cpu0 = ThreadsCpuNs(watchdog_threads);
+  const wdg::TimeNs t0 = clock.NowNs();
+  clock.SleepFor(kWindow);
+  const wdg::DriverMetricsSnapshot m1 = driver.DriverMetrics();
+  const int64_t cpu1 = ThreadsCpuNs(watchdog_threads);
+  const wdg::TimeNs t1 = clock.NowNs();
+  (void)driver.Stop();
+
+  const int64_t checks = m1.executions_dispatched - m0.executions_dispatched;
+  const int64_t batches = m1.batches_dispatched - m0.batches_dispatched;
+  const int64_t passes = m1.scheduler_passes - m0.scheduler_passes;
+  const double intervals = static_cast<double>(t1 - t0) / static_cast<double>(kKvsInterval);
+  const double checks_per_batch =
+      batches > 0 ? static_cast<double>(checks) / static_cast<double>(batches) : 0;
+  const double passes_per_interval = static_cast<double>(passes) / intervals;
+  std::printf("checks %lld, batches %lld, checks/batch %.2f, scheduler passes/interval %.2f, "
+              "watchdog cpu %.0f ns/check (%zu threads)\n",
+              static_cast<long long>(checks), static_cast<long long>(batches),
+              checks_per_batch, passes_per_interval,
+              checks > 0 ? static_cast<double>(cpu1 - cpu0) / static_cast<double>(checks) : 0,
+              watchdog_threads.size());
+  bool ok = true;
+  if (checks_per_batch < 8.0) {
+    std::fprintf(stderr, "SMOKE FAIL: %.2f checks/batch < 8\n", checks_per_batch);
+    ok = false;
+  }
+  if (passes_per_interval > 2.5) {
+    std::fprintf(stderr, "SMOKE FAIL: %.2f scheduler passes/interval > 2.5\n",
+                 passes_per_interval);
+    ok = false;
+  }
+  std::printf("kvs shape smoke: %s\n", ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
   bool smoke_10k = false;
   bool smoke_1m = false;
+  bool smoke_kvs = false;
   bool only_1m = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -417,6 +516,8 @@ int main(int argc, char** argv) {
       smoke_10k = true;
     } else if (std::strcmp(argv[i], "--smoke-1m") == 0) {
       smoke_1m = true;
+    } else if (std::strcmp(argv[i], "--smoke-kvs") == 0) {
+      smoke_kvs = true;
     } else if (std::strcmp(argv[i], "--only-1m") == 0) {
       only_1m = true;
     }
@@ -426,6 +527,9 @@ int main(int argc, char** argv) {
   }
   if (smoke_1m) {
     return RunSmoke1M();
+  }
+  if (smoke_kvs) {
+    return RunSmokeKvs();
   }
   if (only_1m) {
     const ModeResult r = RunSharded(1000000, wdg::Sec(1));

@@ -24,24 +24,22 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
+// Lock-free: readers (signal checkers, FindGauge callers, the driver's own
+// lag gauge) never contend with the loop that sets it. Relaxed, like
+// Counter: a gauge publishes one value and orders nothing else.
 class Gauge {
  public:
-  void Set(double value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    value_ = value;
-  }
+  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
   void Add(double delta) {
-    std::lock_guard<std::mutex> lock(mu_);
-    value_ += delta;
+    double current = value_.load(std::memory_order_relaxed);
+    while (!value_.compare_exchange_weak(current, current + delta,
+                                         std::memory_order_relaxed)) {
+    }
   }
-  double Value() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return value_;
-  }
+  double Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  mutable std::mutex mu_;
-  double value_ = 0;
+  std::atomic<double> value_{0};
 };
 
 // Fixed-size reservoir histogram; good enough for p50/p99 over bench runs.

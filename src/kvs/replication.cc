@@ -15,7 +15,11 @@ ReplicationEngine::ReplicationEngine(wdg::Clock& clock, wdg::SimNet& net,
                                      wdg::NodeId leader_id, wdg::HookSet& hooks,
                                      wdg::MetricsRegistry& metrics, ReplicationOptions options)
     : clock_(clock), net_(net), leader_id_(std::move(leader_id)), hooks_(hooks),
-      metrics_(metrics), options_(std::move(options)),
+      metrics_(metrics),
+      queue_depth_(metrics_.GetGauge("kvs.replication.queue_depth")),
+      last_tick_ns_(metrics_.GetGauge("kvs.replication.last_tick_ns")),
+      acks_(metrics_.GetCounter("kvs.replication.acks")),
+      options_(std::move(options)),
       queue_(options_.queue_capacity) {
   endpoint_ = net_.CreateEndpoint(leader_id_ + ".repl");
 }
@@ -42,15 +46,14 @@ void ReplicationEngine::Enqueue(const Request& request) {
   if (!queue_.Push(request.Encode(), wdg::Ms(50))) {
     metrics_.GetCounter("kvs.replication.queue_overflow")->Increment();
   }
-  metrics_.GetGauge("kvs.replication.queue_depth")->Set(static_cast<double>(queue_.Size()));
+  queue_depth_->Set(static_cast<double>(queue_.Size()));
 }
 
 void ReplicationEngine::Loop() {
   // Logged once per streak of failed batches, like the flusher's failures.
   int64_t failed_streak = 0;
   while (!stop_.Requested()) {
-    metrics_.GetGauge("kvs.replication.last_tick_ns")
-        ->Set(static_cast<double>(clock_.NowNs()));
+    last_tick_ns_->Set(static_cast<double>(clock_.NowNs()));
     std::vector<std::string> batch;
     const auto first = queue_.Pop(options_.poll_interval);
     if (!first.has_value()) {
@@ -73,8 +76,7 @@ void ReplicationEngine::Loop() {
       WDG_LOG(kWarn) << "replication recovered after " << failed_streak << " failed batches";
       failed_streak = 0;
     }
-    metrics_.GetGauge("kvs.replication.queue_depth")
-        ->Set(static_cast<double>(queue_.Size()));
+    queue_depth_->Set(static_cast<double>(queue_.Size()));
   }
 }
 
@@ -100,7 +102,7 @@ wdg::Status ReplicationEngine::SendBatch(const std::vector<std::string>& batch) 
       result = ack.status();
       continue;
     }
-    metrics_.GetCounter("kvs.replication.acks")->Increment();
+    acks_->Increment();
   }
   batches_sent_.fetch_add(1);
   return result;

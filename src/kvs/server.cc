@@ -13,7 +13,15 @@ constexpr char kBatchSep = '\x1d';
 
 KvsNode::KvsNode(wdg::Clock& clock, wdg::SimDisk& disk, wdg::SimNet& net, KvsOptions options)
     : clock_(clock), disk_(disk), net_(net), options_(std::move(options)),
-      index_(disk_, memtable_), partitions_(disk_) {
+      index_(disk_, memtable_), partitions_(disk_),
+      listener_tick_ns_(metrics_.GetGauge("kvs.listener.last_tick_ns")),
+      listener_queue_depth_(metrics_.GetGauge("kvs.listener.queue_depth")),
+      memtable_bytes_(metrics_.GetGauge("kvs.memtable.bytes")),
+      requests_received_(metrics_.GetCounter("kvs.requests.received")),
+      requests_errors_(metrics_.GetCounter("kvs.requests.errors")),
+      requests_gets_(metrics_.GetCounter("kvs.requests.gets")),
+      requests_writes_(metrics_.GetCounter("kvs.requests.writes")),
+      replication_applied_(metrics_.GetCounter("kvs.replication.applied")) {
   wal_ = std::make_unique<Wal>(disk_, wal_path());
 
   FlusherOptions flusher_options;
@@ -111,7 +119,7 @@ void KvsNode::ListenerLoop() {
       ctx.Set(keys::Node(), options_.node_id);
       ctx.MarkReady(clock_.NowNs());
     });
-    metrics_.GetGauge("kvs.listener.last_tick_ns")->Set(static_cast<double>(clock_.NowNs()));
+    listener_tick_ns_->Set(static_cast<double>(clock_.NowNs()));
     // Kick-interval beat for the signal suite: a single-value publish per
     // iteration (one cell claim + publish, no lock), so a wedged listener — blocked in
     // Apply behind a hung WAL append or a held flush lock — stops the beat
@@ -125,10 +133,9 @@ void KvsNode::ListenerLoop() {
     if (!msg.has_value()) {
       continue;
     }
-    metrics_.GetGauge("kvs.listener.queue_depth")
-        ->Set(static_cast<double>(endpoint_->PendingCount()));
+    listener_queue_depth_->Set(static_cast<double>(endpoint_->PendingCount()));
     if (msg->type == kMsgRequest) {
-      metrics_.GetCounter("kvs.requests.received")->Increment();
+      requests_received_->Increment();
       const auto request = Request::Decode(msg->payload);
       Response response = request.ok() ? Apply(*request)
                                        : Response::Err(request.status());
@@ -153,13 +160,13 @@ Response KvsNode::Apply(const Request& request, bool from_replication) {
     });
     const auto value = index_.Get(request.key);
     if (!value.ok()) {
-      metrics_.GetCounter("kvs.requests.errors")->Increment();
+      requests_errors_->Increment();
       return Response::Err(value.status());
     }
     if (!value->has_value()) {
       return Response::Err(wdg::NotFoundError(request.key));
     }
-    metrics_.GetCounter("kvs.requests.gets")->Increment();
+    requests_gets_->Increment();
     return Response::Ok(**value);
   }
 
@@ -186,7 +193,7 @@ Response KvsNode::Apply(const Request& request, bool from_replication) {
       }
     }
     if (!status.ok()) {
-      metrics_.GetCounter("kvs.requests.errors")->Increment();
+      requests_errors_->Increment();
       return Response::Err(status);
     }
   }
@@ -203,9 +210,8 @@ Response KvsNode::Apply(const Request& request, bool from_replication) {
     case OpType::kGet:
       break;  // handled above
   }
-  metrics_.GetCounter("kvs.requests.writes")->Increment();
-  metrics_.GetGauge("kvs.memtable.bytes")
-      ->Set(static_cast<double>(memtable_.ApproximateBytes()));
+  requests_writes_->Increment();
+  memtable_bytes_->Set(static_cast<double>(memtable_.ApproximateBytes()));
   if (!from_replication) {
     replication_->Enqueue(request);
   }
@@ -220,7 +226,7 @@ void KvsNode::ApplyReplicatedBatch(const std::string& payload) {
     const auto request = Request::Decode(record);
     if (request.ok()) {
       Apply(*request, /*from_replication=*/true);
-      metrics_.GetCounter("kvs.replication.applied")->Increment();
+      replication_applied_->Increment();
     }
   }
 }
@@ -244,8 +250,7 @@ void KvsNode::MaintenanceLoop() {
         ->Set(static_cast<double>(clock_.NowNs()));
     metrics_.GetGauge("kvs.index.tables")
         ->Set(static_cast<double>(index_.Tables().size()));
-    metrics_.GetGauge("kvs.memtable.bytes")
-        ->Set(static_cast<double>(memtable_.ApproximateBytes()));
+    memtable_bytes_->Set(static_cast<double>(memtable_.ApproximateBytes()));
 
     // Resource sample for the signal suite. Everything — including the disk
     // List/Read the sample needs — happens inside Fire(), so an unarmed site

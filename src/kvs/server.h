@@ -99,6 +99,17 @@ class KvsNode {
   std::unique_ptr<ReplicationEngine> replication_;
   wdg::HookSet hooks_;
   wdg::MetricsRegistry metrics_;
+  // Registry entries the request path and the listener loop update, resolved
+  // once at construction: a request takes no registry lock and builds no
+  // metric name.
+  wdg::Gauge* listener_tick_ns_;
+  wdg::Gauge* listener_queue_depth_;
+  wdg::Gauge* memtable_bytes_;
+  wdg::Counter* requests_received_;
+  wdg::Counter* requests_errors_;
+  wdg::Counter* requests_gets_;
+  wdg::Counter* requests_writes_;
+  wdg::Counter* replication_applied_;
 
   wdg::Endpoint* endpoint_ = nullptr;
   std::atomic<bool> running_{false};

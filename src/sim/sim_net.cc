@@ -20,7 +20,7 @@ Status Endpoint::Send(const NodeId& dst, std::string type, std::string payload, 
 
 std::optional<Message> Endpoint::Recv(DurationNs timeout) {
   // Surface injected receive-side faults (e.g. a hung poll loop).
-  const Status gate = net_.injector().Act(StrFormat("net.recv.%s", id_.c_str()));
+  const Status gate = net_.injector().Act(recv_site_);
   if (!gate.ok()) {
     return std::nullopt;
   }

@@ -49,7 +49,8 @@ class SimNet;
 // the SimNet (stable pointer).
 class Endpoint {
  public:
-  Endpoint(SimNet& net, NodeId id) : net_(net), id_(std::move(id)) {}
+  Endpoint(SimNet& net, NodeId id)
+      : net_(net), id_(std::move(id)), recv_site_("net.recv." + id_) {}
 
   const NodeId& id() const { return id_; }
 
@@ -79,6 +80,7 @@ class Endpoint {
 
   SimNet& net_;
   NodeId id_;
+  std::string recv_site_;  // "net.recv.<id>", built once: Recv runs every poll
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

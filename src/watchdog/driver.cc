@@ -13,7 +13,7 @@ namespace wdg {
 
 namespace {
 // Retry delay after the executor queue rejected a submission (backpressure),
-// and after a cancelled batch sibling is pulled back for re-dispatch.
+// and for a cancelled execution that a reap found left behind.
 constexpr DurationNs kBackpressureRetry = Ms(2);
 constexpr int kMaxShards = 64;
 // Upper bound on one scheduler sleep. The scheduler normally wakes exactly at
@@ -46,6 +46,7 @@ std::map<std::string, double> DriverMetricsSnapshot::ToMap() const {
       {"wdg.driver.shards", static_cast<double>(shards)},
       {"wdg.driver.skipped_unchanged", static_cast<double>(skipped_unchanged)},
       {"wdg.driver.batches", static_cast<double>(batches_dispatched)},
+      {"wdg.driver.scheduler_passes", static_cast<double>(scheduler_passes)},
       {"wdg.driver.wheel.entries", static_cast<double>(wheel_entries)},
       {"wdg.driver.queue_delay.mean_ns", queue_delay_mean_ns},
       {"wdg.driver.queue_delay.p99_ns", queue_delay_p99_ns},
@@ -392,9 +393,10 @@ void WatchdogDriver::CancelBatchSiblingsLocked(Shard& shard, const ExecutionBatc
   // The hung execution's batch is abandoned: its not-yet-started siblings
   // would otherwise wait out the hang on the parked worker. Pull every
   // still-pending sibling back (kPending→kCancelled — the CAS loses cleanly
-  // if the worker claimed it first) and reschedule it shortly; the launch
-  // never happened, so it is not a run. Stale inflight entries are swept by
-  // the reap pass before the next launch step, so no slot appears twice.
+  // if the worker claimed it first) and reschedule it at once: this pass's
+  // launch step re-dispatches it to the replacement worker. The launch never
+  // happened, so it is not a run. The reap step drops the stale inflight
+  // entries before the launch step, so no slot appears twice.
   for (const size_t slot_index : shard.inflight) {
     Slot& slot = slots_[slot_index];
     if (slot.running == nullptr || slot.running->batch != batch) {
@@ -404,7 +406,7 @@ void WatchdogDriver::CancelBatchSiblingsLocked(Shard& shard, const ExecutionBatc
       --slot.stats.runs;
       shard.executor->ReleaseExecution(*slot.running);
       slot.running = nullptr;
-      ScheduleLocked(shard, slot, slot_index, now + kBackpressureRetry);
+      ScheduleLocked(shard, slot, slot_index, now);
     }
   }
 }
@@ -493,11 +495,19 @@ void WatchdogDriver::ReapLocked(Shard& shard, Slot& slot, size_t slot_index, Tim
   if (slot.latency_hist != nullptr) {
     slot.latency_hist->Record(static_cast<double>(latency));
   }
+  // From the batch's finish once the batch is over, so checkers launched
+  // together are due together again; from the run's own completion while
+  // its batch is still running (a later sibling is slow or hung). Never
+  // from `now`: a passing batch does not wake the scheduler, so the reap may
+  // come later than the run ended. Either base is at or after the run's
+  // end, so no run starts earlier than `interval` after its previous one.
+  const DispatchBatch& slab = *exec.slab;
+  const TimeNs base = slab.worker_released.load(std::memory_order_acquire)
+                          ? slab.finished_at
+                          : complete_time;
   shard.executor->ReleaseExecution(exec);
   slot.running = nullptr;
-  // From the completion, not from `now`: a passing batch does not wake the
-  // scheduler, so the reap may come later than the run ended.
-  ScheduleLocked(shard, slot, slot_index, complete_time + checker.options().interval);
+  ScheduleLocked(shard, slot, slot_index, base + checker.options().interval);
 
   if (crashed) {
     // Isolation (§3.2): the checker blew up, the watchdog did not. A crash
@@ -584,6 +594,7 @@ void WatchdogDriver::ShardLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   while (!stop_.Requested()) {
     shard.executor->SchedulerAwake();  // finished batches wake us until we sleep
+    shard.passes.fetch_add(1, std::memory_order_relaxed);
     const TimeNs now = clock_.NowNs();
     if (shard.planned_wake != 0 && now > shard.planned_wake) {
       scheduler_lag_gauge_->Set(static_cast<double>(now - shard.planned_wake));
@@ -593,17 +604,15 @@ void WatchdogDriver::ShardLoop(size_t shard_index) {
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       // (1) Reap in-flight executions: completions, hang deadlines, drains.
-      for (size_t i = 0; i < shard.inflight.size();) {
-        const size_t slot_index = shard.inflight[i];
-        Slot& slot = slots_[slot_index];
-        ReapLocked(shard, slot, slot_index, now, pending);
-        if (slot.running == nullptr && slot.drain.empty()) {
-          shard.inflight[i] = shard.inflight.back();
-          shard.inflight.pop_back();
-        } else {
-          ++i;
-        }
+      // Then drop the slots with nothing left in flight, including batch
+      // siblings an abandon cancelled, before step 2 may launch them again.
+      for (const size_t slot_index : shard.inflight) {
+        ReapLocked(shard, slots_[slot_index], slot_index, now, pending);
       }
+      std::erase_if(shard.inflight, [this](size_t slot_index) {
+        const Slot& slot = slots_[slot_index];
+        return slot.running == nullptr && slot.drain.empty();
+      });
       // (2) Pop everything due off the wheel; filter stale generations
       // (lazy deletion), disabled and suspended slots, and subscription
       // skips; launch the rest in dispatch_batch-sized batches.
@@ -648,6 +657,12 @@ void WatchdogDriver::ShardLoop(size_t shard_index) {
               slot.running->dispatch_time.load(std::memory_order_acquire);
           next_deadline = std::min(next_deadline, (dispatched != 0 ? dispatched : now) +
                                                       SlotDeadlineLocked(slot));
+          // The run was not done at the reap, so it ends no earlier than now
+          // and is due again no earlier than now + interval. Waking then
+          // reaps a finished batch without a notify from its worker, and the
+          // finished runs of a batch that is still going (a later sibling is
+          // slow or hung) in time for their cadence.
+          next_deadline = std::min(next_deadline, now + slot.checker->options().interval);
         }
       }
     }
@@ -958,6 +973,7 @@ DriverMetricsSnapshot WatchdogDriver::DriverMetrics() const {
     snapshot.queue_rejections += executor.rejected_count();
     snapshot.batches_dispatched += executor.batches_submitted();
     snapshot.skipped_unchanged += view.skipped_unchanged;
+    snapshot.scheduler_passes += shards_[s]->passes.load(std::memory_order_relaxed);
   }
   snapshot.pool_utilization =
       snapshot.pool_workers == 0

@@ -6,16 +6,19 @@
 //     hierarchical timer wheel (O(1) schedule, lazy cancellation by
 //     generation counters) and sleeps until the earliest deadline (a launch
 //     becoming due, or an in-flight execution reaching its hang deadline)
-//     instead of rescanning all slots on a fixed tick. A finished batch
-//     wakes it early only when a run failed, crashed or was abandoned, or
-//     is due again before the planned wake. Checkers are assigned to shards
+//     instead of rescanning all slots on a fixed tick. A finished batch's
+//     runs are rescheduled from the batch's finish, so checkers launched
+//     together stay one batch; the batch wakes the scheduler early only when
+//     a run failed, crashed or was abandoned, or the batch is due again
+//     before the planned wake. Checkers are assigned to shards
 //     by name hash or explicit CheckerOptions::shard_affinity, so 10⁵
 //     checkers split into independent scheduling domains with no shared hot
 //     lock.
 //   executor  — per shard, a pool of long-lived workers
 //     (src/watchdog/executor.h) fed by a bounded queue; a full queue is
-//     backpressure, not thread growth. Due cheap checks are dispatched in
-//     *batches*: one pool task claims and runs several executions serially.
+//     backpressure, not thread growth. Due checks are dispatched in
+//     *batches* (16 by default): one pool task claims and runs several
+//     executions serially.
 //
 // It is the isolation boundary of §3.2:
 //   - a checker that *throws* becomes a CHECKER_CRASH signature, never an
@@ -25,8 +28,8 @@
 //     hang itself into the detection); its worker is abandoned — parked off
 //     the pool and replaced so capacity never shrinks — and the checker is
 //     suspended until the stuck execution drains. Unstarted batch siblings
-//     are cancelled and re-dispatched on a healthy worker. The driver never
-//     blocks;
+//     wait for the hang's deadline, then are cancelled and re-dispatched on a
+//     healthy worker. The driver never blocks;
 //   - repeated identical signatures are deduplicated within a window so a
 //     persistent fault doesn't "bark" once per interval;
 //   - optionally (§5.1), a mimic-detected fault is escalated to a probe
@@ -129,6 +132,7 @@ struct DriverMetricsSnapshot {
   int shards = 1;
   int64_t skipped_unchanged = 0;   // runs skipped: subscribed keys unchanged
   int64_t batches_dispatched = 0;  // pool tasks submitted (≥1 execution each)
+  int64_t scheduler_passes = 0;    // scheduler loop passes (wake-ups), all shards
   size_t wheel_entries = 0;        // scheduled wheel entries across shards
 
   double queue_delay_mean_ns = 0;
@@ -222,12 +226,15 @@ struct WatchdogDriverOptions {
   // added scheduling latency and the per-pass tick work. Must divide well
   // into typical intervals; 1 ms suits Ms(10)..Sec(n) checker intervals.
   DurationNs wheel_tick = Ms(1);
-  // Executions handed to one pool task at a time. 1 (default) dispatches
-  // exactly like the classic driver; cheap mimic fleets amortize the queue
-  // round-trip with 8–16. Hang isolation is preserved at any batch size:
-  // abandoning a hung execution cancels the batch's unstarted siblings for
-  // immediate re-dispatch.
-  int dispatch_batch = 1;
+  // Executions handed to one pool task at a time: checkers due on the same
+  // tick run serially in one task, which costs one queue round-trip and one
+  // worker wake-up per batch instead of per check. Passing runs reschedule
+  // from the batch's finish, so a co-periodic group stays one batch. 1
+  // dispatches one task per check. Hang isolation holds at any size, at one
+  // cost: a hung run delays the unstarted siblings queued behind it in its
+  // batch until its deadline; then they are cancelled and re-dispatched on
+  // a healthy worker.
+  int dispatch_batch = 16;
   // Per-checker latency histograms + deadline map in DriverMetrics(). On by
   // default; 10⁵-checker fleets turn it off (the shared queue-delay and
   // aggregate counters remain).
@@ -347,6 +354,7 @@ class WatchdogDriver {
     JoiningThread scheduler;
     TimeNs planned_wake = 0;  // scheduler-thread state
     std::atomic<int64_t> skipped_unchanged{0};
+    std::atomic<int64_t> passes{0};     // ShardLoop passes, one per wake-up
     std::vector<uint64_t> due;          // scheduler-thread scratch
     std::vector<size_t> launch_scratch; // scheduler-thread scratch
     // Shard-local failure lane: failures detected on this shard are recorded

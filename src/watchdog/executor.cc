@@ -130,8 +130,10 @@ bool CheckerExecutor::AbandonBatch(ExecutionBatch& batch) {
 }
 
 void CheckerExecutor::RunBatch(DispatchBatch* slab) {
-  // The earliest time the scheduler must look at this batch's results.
-  TimeNs wake_by = INT64_MAX;
+  // A failure, crash or abandon needs the scheduler at once; passing runs
+  // need it by their next launch, which counts from the batch's finish.
+  bool urgent = false;
+  DurationNs next_interval = INT64_MAX;  // shortest interval among passing runs
   for (size_t i = 0; i < slab->count; ++i) {
     Execution& exec = slab->storage[i];
     if (slab->control.abandoned.load(std::memory_order_acquire)) {
@@ -139,37 +141,50 @@ void CheckerExecutor::RunBatch(DispatchBatch* slab) {
       // the remaining siblings were cancelled for re-dispatch. This thread is
       // already parked off the pool — just stop doing work. The wake lets
       // the scheduler drain the hung execution and resume its checker.
-      wake_by = INT64_MIN;
+      urgent = true;
       break;
     }
     if (!CasState(exec, ExecState::kPending, ExecState::kRunning)) {
       continue;  // cancelled by the scheduler (or defensively: never ours)
     }
-    wake_by = std::min(wake_by, RunOne(exec));
+    const DurationNs interval = RunOne(exec);
+    if (interval == 0) {
+      urgent = true;
+    } else {
+      next_interval = std::min(next_interval, interval);
+    }
     const bool completed_cleanly = CasState(exec, ExecState::kRunning, ExecState::kDone);
     completed_.fetch_add(1, std::memory_order_relaxed);
     if (!completed_cleanly) {
       // The scheduler claimed this execution as hung (we finished barely past
       // the deadline) and abandoned the batch ticket: the pool has respawned
       // past this thread, so it must not run the remaining executions.
-      wake_by = INT64_MIN;
+      urgent = true;
       break;
     }
   }
-  // Last touch of the slab: after this (release) the scheduler may recycle it
-  // once its own references drain. Dispatches wake nobody: the scheduler never
-  // sleeps past launch + deadline for an undispatched execution, and from
-  // there it reads the dispatch time and arms the exact deadline. A finished
-  // batch wakes it only when it is needed before the planned wake (see
-  // SchedulerAwake for the handshake).
+  // Last touch of the slab: after this (release) the scheduler may read
+  // finished_at, and recycle the slab once its own references drain.
+  // Dispatches wake nobody: the scheduler never sleeps past launch + deadline
+  // for an undispatched execution, and from there it reads the dispatch time
+  // and arms the exact deadline. A finished batch wakes it only when it is
+  // needed before the planned wake (see SchedulerAwake for the handshake).
+  const TimeNs finished_at = clock_.NowNs();
+  slab->finished_at = finished_at;
   slab->worker_released.store(true, std::memory_order_release);
   std::atomic_thread_fence(std::memory_order_seq_cst);
+  TimeNs wake_by = INT64_MAX;
+  if (urgent) {
+    wake_by = finished_at;
+  } else if (next_interval != INT64_MAX) {
+    wake_by = finished_at + next_interval;
+  }
   if (wake_by < planned_wake_.load(std::memory_order_relaxed) && wake_scheduler_) {
     wake_scheduler_();
   }
 }
 
-TimeNs CheckerExecutor::RunOne(Execution& exec) {
+DurationNs CheckerExecutor::RunOne(Execution& exec) {
   const TimeNs dispatched_at = clock_.NowNs();
   exec.dispatch_time.store(dispatched_at, std::memory_order_release);
   dispatched_.fetch_add(1, std::memory_order_relaxed);
@@ -195,15 +210,15 @@ TimeNs CheckerExecutor::RunOne(Execution& exec) {
   const TimeNs completed_at = clock_.NowNs();
   // Read before `done` is published: from then on the scheduler owns the
   // result and may move it out.
-  const TimeNs wake_by = crashed || result.outcome == CheckOutcome::kFail
-                             ? completed_at
-                             : completed_at + exec.checker->options().interval;
+  const DurationNs next_interval = crashed || result.outcome == CheckOutcome::kFail
+                                       ? 0
+                                       : exec.checker->options().interval;
   exec.result = std::move(result);
   exec.crashed = crashed;
   exec.crash_what = std::move(what);
   exec.complete_time = completed_at;
   exec.done.store(true, std::memory_order_release);
-  return wake_by;
+  return next_interval;
 }
 
 }  // namespace wdg

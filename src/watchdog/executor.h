@@ -11,7 +11,8 @@
 //     checking instead of ballooning threads;
 //   - a batch of due executions is one pool task: the worker claims and runs
 //     them serially, so a fleet of cheap mimic checks pays one queue
-//     round-trip per batch instead of one per check (docs/DRIVER.md,
+//     round-trip per batch instead of one per check, and stamps the batch's
+//     finish, from which the scheduler reschedules its runs (docs/DRIVER.md,
 //     "Batched dispatch");
 //   - batches live in recycled slabs (`DispatchBatch`) drawn from a per-
 //     executor freelist, and the pool queue is a fixed ring, so a steady-state
@@ -108,6 +109,11 @@ struct DispatchBatch {
   size_t capacity = 0;
   size_t count = 0;     // live prefix of storage for this dispatch round
   int sched_refs = 0;   // scheduler-only: outstanding Execution* references
+  // Worker-side timestamp of the batch's end, written just before
+  // worker_released; the scheduler reads it only after an acquire load of
+  // worker_released == true. Passing runs reschedule from it, so checkers
+  // that were launched together stay together.
+  TimeNs finished_at = 0;
   // Set (release) by the worker as its last touch of the slab — or never, if
   // the batch was discarded unrun at Stop or its worker is still hung.
   std::atomic<bool> worker_released{true};
@@ -143,10 +149,11 @@ class CheckerExecutor {
 
   // Invoked (without locks held) after a finished batch that the scheduler
   // must see before its planned wake: a run failed or crashed, the batch
-  // stopped early on abandon, or a run's next launch (complete_time +
-  // interval) comes before the wake. Any other batch wakes nobody: the
-  // scheduler reaps it on a wake it planned anyway and reschedules from the
-  // completion time, so the next run is not late. Set before Start().
+  // stopped early on abandon, or the batch's next launch (finished_at + the
+  // shortest interval among its passing runs) comes before the wake. Any
+  // other batch wakes nobody: the scheduler reaps it on a wake it planned
+  // anyway and reschedules its runs from finished_at, so the next launch is
+  // not late. Set before Start().
   void SetWakeScheduler(std::function<void()> wake);
 
   // The scheduler's half of the completion-wake handshake (shard scheduler
@@ -201,12 +208,14 @@ class CheckerExecutor {
 
  private:
   // Worker body for one batch task: claim → run → close out, serially; then
-  // wakes the scheduler if the batch needs it before its planned wake.
+  // stamps finished_at and wakes the scheduler if the batch needs it before
+  // its planned wake.
   void RunBatch(DispatchBatch* slab);
   // Runs one claimed execution and publishes its result (done = true last).
-  // Returns when the scheduler must next look at it: its completion time if
-  // it failed or crashed, else its next launch (complete_time + interval).
-  TimeNs RunOne(Execution& exec);
+  // Returns the checker's interval for a run that passed (or was not ready
+  // or skipped), 0 for one that failed or crashed: the scheduler must see
+  // that one at once.
+  DurationNs RunOne(Execution& exec);
 
   Clock& clock_;
   WorkerPool pool_;

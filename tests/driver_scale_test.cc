@@ -12,9 +12,10 @@
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <new>
-
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -503,6 +504,195 @@ TEST(DriverShardingTest, BatchHangAbandonsOnceAndRedispatchesSiblings) {
     EXPECT_EQ(stats.runs, stats.passes + stats.fails + stats.context_not_ready +
                               stats.timeouts + stats.crashes)
         << name;
+  }
+}
+
+// Start and end times of every run of one checker, stamped by its body.
+class RunLog {
+ public:
+  void Record(TimeNs start, TimeNs end) {
+    std::lock_guard<std::mutex> lock(mu_);
+    runs_.emplace_back(start, end);
+  }
+  std::vector<std::pair<TimeNs, TimeNs>> Runs() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return runs_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::pair<TimeNs, TimeNs>> runs_;
+};
+
+// A probe that sleeps `body` and logs each run's start and end.
+std::unique_ptr<ProbeChecker> LoggedProbe(const std::string& name, DurationNs interval,
+                                          DurationNs body, RunLog& log) {
+  CheckerOptions copts;
+  copts.interval = interval;
+  RealClock& clock = RealClock::Instance();
+  return std::make_unique<ProbeChecker>(
+      name, "cadence",
+      [&clock, &log, body] {
+        const TimeNs start = clock.NowNs();
+        if (body > 0) {
+          clock.SleepFor(body);
+        }
+        log.Record(start, clock.NowNs());
+        return Status::Ok();
+      },
+      copts);
+}
+
+// The kvs driver shape: 11 checkers launched on one tick at one interval, on
+// default options. They must stay one batch period after period (one pool
+// task, one worker wake-up), and the scheduler must not wake more than a
+// couple of times per interval. With one task per check this read 1 check
+// per batch.
+TEST(DriverShardingTest, CoPeriodicCheckersRideOneBatch) {
+  RealClock& clock = RealClock::Instance();
+  WatchdogDriver::Options options;
+  options.executor.workers = 2;
+  WatchdogDriver driver(clock, options);
+  constexpr int kCheckers = 11;
+  constexpr DurationNs kInterval = Ms(25);
+  for (int i = 0; i < kCheckers; ++i) {
+    CheckerOptions copts;
+    copts.interval = kInterval;
+    driver.AddChecker(std::make_unique<ProbeChecker>(
+        StrFormat("copt%02d", i), "scale", [] { return Status::Ok(); }, copts));
+  }
+  ASSERT_TRUE(driver.Start().ok());
+  clock.SleepFor(Ms(150));  // warm-up
+  const DriverMetricsSnapshot before = driver.DriverMetrics();
+  const TimeNs t0 = clock.NowNs();
+  clock.SleepFor(Ms(500));
+  const DriverMetricsSnapshot after = driver.DriverMetrics();
+  const TimeNs t1 = clock.NowNs();
+  EXPECT_TRUE(driver.Stop().ok());
+
+  const int64_t checks = after.executions_dispatched - before.executions_dispatched;
+  const int64_t batches = after.batches_dispatched - before.batches_dispatched;
+  ASSERT_GT(batches, 0);
+  EXPECT_GE(checks, 8 * batches) << checks << " checks in " << batches << " batches";
+  const double intervals = static_cast<double>(t1 - t0) / static_cast<double>(kInterval);
+  const double passes = static_cast<double>(after.scheduler_passes - before.scheduler_passes);
+  EXPECT_LE(passes / intervals, 2.5) << passes << " scheduler passes in " << intervals
+                                     << " intervals";
+  EXPECT_EQ(after.ToMap().at("wdg.driver.scheduler_passes"),
+            static_cast<double>(after.scheduler_passes));
+  EXPECT_TRUE(driver.Failures().empty());
+}
+
+// Fixed delay holds for every member of a batch: no run starts earlier than
+// its interval after its own previous run ended, whatever its siblings
+// cost. Rescheduling from the batch's dispatch would start the 2 ms body's
+// next run about 2 ms early.
+TEST(DriverShardingTest, BatchSiblingsNeverStartEarly) {
+  RealClock& clock = RealClock::Instance();
+  WatchdogDriver::Options options;
+  options.executor.workers = 2;
+  WatchdogDriver driver(clock, options);
+  constexpr DurationNs kInterval = Ms(10);
+  const std::vector<DurationNs> bodies = {0, Us(200), Ms(2)};
+  std::vector<RunLog> logs(bodies.size());
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    driver.AddChecker(LoggedProbe(StrFormat("sib%zu", i), kInterval, bodies[i], logs[i]));
+  }
+  ASSERT_TRUE(driver.Start().ok());
+  clock.SleepFor(Ms(400));
+  const DriverMetricsSnapshot metrics = driver.DriverMetrics();
+  EXPECT_TRUE(driver.Stop().ok());
+
+  // They shared batches rather than one task per check.
+  EXPECT_GE(metrics.executions_dispatched, 2 * metrics.batches_dispatched);
+  for (size_t i = 0; i < logs.size(); ++i) {
+    const auto runs = logs[i].Runs();
+    EXPECT_GE(runs.size(), 5u) << "body " << bodies[i];
+    for (size_t r = 1; r < runs.size(); ++r) {
+      EXPECT_GE(runs[r].first - runs[r - 1].second, kInterval)
+          << "body " << bodies[i] << " ns, run " << r << " started "
+          << (kInterval - (runs[r].first - runs[r - 1].second)) << " ns early";
+    }
+  }
+}
+
+// A hang in the middle of a batch: the siblings that ran before it keep
+// their cadence (their runs are reaped without waiting for the batch), and
+// the siblings queued behind it wait for its deadline, then are cancelled
+// and rerun on the replacement worker within the deadline plus a tick.
+TEST(DriverShardingTest, HangKeepsEarlierSiblingsOnCadence) {
+  RealClock& clock = RealClock::Instance();
+  FaultInjector injector(clock);
+  FaultSpec hang;
+  hang.id = "stuck";
+  hang.site_pattern = "cadence.op";
+  hang.kind = FaultKind::kHang;
+  injector.Inject(hang);
+
+  WatchdogDriver::Options options;
+  options.executor.workers = 2;
+  options.release_on_stop = [&injector] { injector.ClearAll(); };
+  WatchdogDriver driver(clock, options);
+
+  constexpr DurationNs kInterval = Ms(20);
+  constexpr DurationNs kDeadline = Ms(200);
+  // Scheduling slack on a loaded (or sanitized) box; far below kDeadline,
+  // which is what the earlier siblings would wait if only the batch's finish
+  // or the hang's deadline reaped them.
+  constexpr DurationNs kSlack = Ms(30);
+  RunLog early0;
+  RunLog early1;
+  RunLog late0;
+  RunLog late1;
+  // Registration order is batch order: early0, early1, hung, late0, late1.
+  driver.AddChecker(LoggedProbe("early0", kInterval, 0, early0));
+  driver.AddChecker(LoggedProbe("early1", kInterval, 0, early1));
+  std::atomic<TimeNs> hang_start{0};
+  std::atomic<size_t> late_runs_before_hang{1};
+  CheckerOptions hung_options;
+  hung_options.interval = kInterval;
+  hung_options.timeout = kDeadline;
+  driver.AddChecker(std::make_unique<MimicChecker>(
+      "hung", "cadence", nullptr,
+      [&](const CheckContext&, MimicChecker&) {
+        late_runs_before_hang.store(late0.Runs().size() + late1.Runs().size());
+        hang_start.store(clock.NowNs());
+        (void)injector.Act("cadence.op");
+        return CheckResult::Pass();
+      },
+      hung_options));
+  driver.AddChecker(LoggedProbe("late0", kInterval, 0, late0));
+  driver.AddChecker(LoggedProbe("late1", kInterval, 0, late1));
+  ASSERT_TRUE(driver.Start().ok());
+
+  ASSERT_TRUE(driver.WaitForFailure(Sec(5), [](const FailureSignature& sig) {
+    return sig.type == FailureType::kLivenessTimeout && sig.checker_name == "hung";
+  }));
+  clock.SleepFor(Ms(100));
+  EXPECT_TRUE(driver.Stop().ok());
+  EXPECT_EQ(injector.parked_thread_count(), 0);
+
+  const TimeNs hung_at = hang_start.load();
+  ASSERT_NE(hung_at, 0);
+  EXPECT_EQ(late_runs_before_hang.load(), 0u);  // the late siblings were queued behind it
+  for (const RunLog* log : {&early0, &early1}) {
+    const auto runs = log->Runs();
+    ASSERT_FALSE(runs.empty());
+    EXPECT_LT(runs.front().first, hung_at);  // ran in the hung batch, before the hang
+    int runs_during_hang = 0;
+    for (size_t r = 1; r < runs.size(); ++r) {
+      if (runs[r].first > hung_at + kDeadline) {
+        break;
+      }
+      ++runs_during_hang;
+      EXPECT_LE(runs[r].first - runs[r - 1].second, kInterval + kSlack) << "run " << r;
+    }
+    EXPECT_GE(runs_during_hang, 3);
+  }
+  for (const RunLog* log : {&late0, &late1}) {
+    const auto runs = log->Runs();
+    ASSERT_FALSE(runs.empty());
+    EXPECT_LE(runs.front().first, hung_at + kDeadline + options.wheel_tick + kSlack);
   }
 }
 

@@ -78,6 +78,13 @@ echo "=== bench smoke: 1M-shape sharded fleet (downscaled) ==="
 # sub-second per round: the allocation-free dispatch path must sustain at
 # least half the offered rate with p99 queue delay in budget.
 (cd build-ci/bench && ./bench_driver_scale --smoke-1m)
+echo "=== bench smoke: kvs driver shape wake-ups ==="
+# The kvs watchdog's shape (11 checkers at 25 ms, 1 shard x 2 workers,
+# default options) for 2 s. Gates on counts, not wall time: the co-due
+# checkers must ride one batch (>= 8 checks per batch) and the scheduler
+# must wake at most 2.5 times per interval. Also prints watchdog CPU-ns per
+# check (schedstat), ungated. Self-checks and exits nonzero on a miss.
+(cd build-ci/bench && ./bench_driver_scale --smoke-kvs)
 echo "=== bench smoke: context read path ==="
 # Runs in the build tree so the quick-mode JSON can't clobber the committed
 # full-run artifact the trend gate below reads.
@@ -118,9 +125,10 @@ run_leg build-ci-asan address "$@"
 # background flusher, compaction and replication loops), the suites that
 # run the bounded lock mimic against live threads (minizk, kvs integration,
 # autowd), and the core watchdog suite, whose live drivers exercise the
-# completion-wake handshake between workers and the scheduler (a batch wakes
-# the scheduler only when it fails, is abandoned or is due before the
-# planned wake).
+# completion-wake handshake between workers and the scheduler (a batch
+# stamps finished_at before its worker_released release store, and wakes the
+# scheduler only when it fails, is abandoned or is due before the planned
+# wake).
 run_leg build-ci-tsan thread \
   -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal|kvs_test|minizk_test|kvs_integration_test|autowd_test|watchdog_test' \
   "$@"
