@@ -254,8 +254,7 @@ class CompactionBench {
     const std::string path =
         wdg::StrFormat("/kvs/sst/%06lld.sst", static_cast<long long>(tables_++));
     (void)kvs::SsTable::Write(disk_, path, entries);
-    index_.AddTable(path);
-    (void)partitions_.Register(path, entries.front().first, entries.back().first);
+    partitions_.Register(index_.AddTable(path), entries.front().first, entries.back().first);
   }
   kvs::CompactionManager& compaction() { return compaction_; }
   kvs::Index& index() { return index_; }
@@ -300,8 +299,9 @@ void BM_IndexGet(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexGet)->Arg(1)->Arg(10);
 
-// One kvs.partition.validate mimic run on the merged table: one window of
-// stripes, rotating through the table.
+// One kvs.partition.validate mimic run on the merged table: the whole blocks
+// of one 8 KB window, CRC-checked against the index's block map, rotating
+// through the table.
 void BM_PartitionValidateProbe(benchmark::State& state) {
   CompactionBench bench(state.range(0));
   const std::string merged = bench.index().Tables().front();

@@ -134,14 +134,14 @@ wdg::Status CompactionManager::CompactOnce(bool force) {
                      static_cast<long long>(merged_seq_.fetch_add(1)));
   WDG_RETURN_IF_ERROR(merged.Write(disk_, merged_path));
 
-  index_.ReplaceTables(tables, merged_path);
+  Index::TableRef merged_table = index_.ReplaceTables(tables, merged_path);
   for (const std::string& path : tables) {
     partitions_.Unregister(path);
     (void)disk_.Delete(path);
   }
   if (survivors.count > 0) {
-    WDG_RETURN_IF_ERROR(partitions_.Register(merged_path, std::string(survivors.first_key),
-                                             std::string(survivors.last_key)));
+    partitions_.Register(std::move(merged_table), std::string(survivors.first_key),
+                         std::string(survivors.last_key));
   }
   compaction_count_.fetch_add(1);
   metrics_.GetCounter("kvs.compaction.compactions")->Increment();

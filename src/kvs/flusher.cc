@@ -84,9 +84,10 @@ wdg::Status Flusher::FlushOnce(bool force) {
     memtable_.AbortFlush();
     return status;
   }
-  index_.AddTable(path);
+  // The table is registered even if its verification read failed: it is
+  // indexed, so it is a partition, and both verify it again on next use.
+  partitions_.Register(index_.AddTable(path), entries.front().first, entries.back().first);
   memtable_.EndFlush();
-  WDG_RETURN_IF_ERROR(partitions_.Register(path, entries.front().first, entries.back().first));
   flush_count_.fetch_add(1);
   metrics_.GetCounter("kvs.flusher.flushes")->Increment();
   metrics_.GetGauge("kvs.flusher.last_flush_ns")->Set(static_cast<double>(clock_.NowNs()));

@@ -4,26 +4,26 @@
 
 namespace kvs {
 
-namespace {
-Index::TableRef VerifyTable(const wdg::SimDisk& disk, const std::string& path) {
-  return std::make_shared<const Index::Table>(Index::Table{path, SsBlockMap::Build(disk, path)});
+Index::TableRef Index::Verify(const wdg::SimDisk& disk, const std::string& path) {
+  return std::make_shared<const Table>(Table{path, SsBlockMap::Build(disk, path)});
 }
-}  // namespace
 
-void Index::AddTable(const std::string& path) {
-  TableRef table = VerifyTable(disk_, path);
+Index::TableRef Index::AddTable(const std::string& path) {
+  TableRef table = Verify(disk_, path);
   std::lock_guard<std::mutex> lock(mu_);
-  tables_.push_back(std::move(table));
+  tables_.push_back(table);
+  return table;
 }
 
-void Index::ReplaceTables(const std::vector<std::string>& old_paths,
-                          const std::string& merged_path) {
-  TableRef merged = VerifyTable(disk_, merged_path);
+Index::TableRef Index::ReplaceTables(const std::vector<std::string>& old_paths,
+                                     const std::string& merged_path) {
+  TableRef merged = Verify(disk_, merged_path);
   std::lock_guard<std::mutex> lock(mu_);
   std::erase_if(tables_, [&](const TableRef& t) {
     return std::find(old_paths.begin(), old_paths.end(), t->path) != old_paths.end();
   });
-  tables_.insert(tables_.begin(), std::move(merged));  // merged data is oldest
+  tables_.insert(tables_.begin(), merged);  // merged data is oldest
+  return merged;
 }
 
 std::vector<std::string> Index::Tables() const {
@@ -43,7 +43,7 @@ std::vector<Index::TableRef> Index::Snapshot() const {
 
 wdg::Result<const SsBlockMap*> Index::Verified(TableRef& table) const {
   if (!table->map.ok()) {
-    TableRef again = VerifyTable(disk_, table->path);
+    TableRef again = Verify(disk_, table->path);
     WDG_RETURN_IF_ERROR(again->map.status());
     std::lock_guard<std::mutex> lock(mu_);
     std::replace(tables_.begin(), tables_.end(), table, again);

@@ -31,10 +31,17 @@ class Index {
 
   Index(wdg::SimDisk& disk, Memtable& memtable) : disk_(disk), memtable_(memtable) {}
 
+  // Reads `path` whole and verifies it: the table with its block map, or with
+  // the error verification met.
+  static TableRef Verify(const wdg::SimDisk& disk, const std::string& path);
+
   // Newest table last in registration order; lookups scan newest-first.
-  void AddTable(const std::string& path);
+  // Both return the new table as verified, so the caller can register it as
+  // a partition without reading it again.
+  TableRef AddTable(const std::string& path);
   // Compaction: atomically swap `old_paths` for `merged_path`.
-  void ReplaceTables(const std::vector<std::string>& old_paths, const std::string& merged_path);
+  TableRef ReplaceTables(const std::vector<std::string>& old_paths,
+                         const std::string& merged_path);
   std::vector<std::string> Tables() const;
   // The registered tables, oldest first.
   std::vector<TableRef> Snapshot() const;

@@ -132,7 +132,7 @@ awd::RedirectionPlan DescribeRedirections() {
           {"disk.read", RedirectMode::kReadOnly, "reads the first registered SSTable"},
           {"index.lookup", RedirectMode::kReadOnly, "watchdog-keyspace index probe"},
           {"compact.merge", RedirectMode::kScratchRedirect, "CompactionManager::MergeProbe"},
-          {"kvs.partition.validate", RedirectMode::kReadOnly, "stripe-window fsck of real data"},
+          {"kvs.partition.validate", RedirectMode::kReadOnly, "block-window fsck of real data"},
       });
   return plan;
 }
@@ -196,7 +196,7 @@ void RegisterOpExecutors(awd::OpExecutorRegistry& registry, KvsNode& node) {
       });
 
   // Partition checksum validation against real data (read-only fsck), a
-  // fixed-size window of stripes per run.
+  // fixed-size window of the table's CRC'd blocks per run.
   registry.Register(
       "kvs.partition.validate",
       [&node](const awd::ReducedOp&, const wdg::CheckContext& ctx, const std::string&) {

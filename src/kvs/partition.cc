@@ -1,53 +1,16 @@
 #include "src/kvs/partition.h"
 
 #include <algorithm>
-#include <array>
-#include <span>
 
-#include "src/common/checksum.h"
 #include "src/common/strings.h"
 
 namespace kvs {
 
-namespace {
-constexpr size_t kWindowStripes = PartitionManager::kWindowBytes / kPartitionStripeBytes;
-
-// Checks `bytes`, which start at stripe `first` of the partition file, against
-// `crcs`, the checksums of the stripes it covers; callers have checked that
-// `bytes` is as long as those stripes.
-wdg::Status CheckStripes(const std::string& path, std::string_view bytes, size_t first,
-                         std::span<const uint32_t> crcs) {
-  for (size_t i = 0; i < crcs.size(); ++i) {
-    const uint32_t crc = wdg::Crc32(bytes.substr(i * kPartitionStripeBytes, kPartitionStripeBytes));
-    if (crc != crcs[i]) {
-      return wdg::CorruptionError(
-          wdg::StrFormat("partition %s checksum mismatch at stripe %zu (expected %08x, got %08x)",
-                         path.c_str(), first + i, crcs[i], crc));
-    }
-  }
-  return wdg::Status::Ok();
-}
-
-wdg::Status SizeChanged(const std::string& path) {
-  return wdg::CorruptionError("partition " + path + " size changed");
-}
-}  // namespace
-
-wdg::Status PartitionManager::Register(const std::string& path, const std::string& min_key,
-                                       const std::string& max_key) {
-  PartitionInfo info;
-  info.path = path;
-  info.min_key = min_key;
-  info.max_key = max_key;
-  WDG_ASSIGN_OR_RETURN(const std::string data, disk_.ReadAll(path));
-  info.size = data.size();
-  for (size_t at = 0; at < data.size(); at += kPartitionStripeBytes) {
-    info.stripe_crcs.push_back(
-        wdg::Crc32(std::string_view(data).substr(at, kPartitionStripeBytes)));
-  }
+void PartitionManager::Register(Index::TableRef table, std::string min_key,
+                                std::string max_key) {
+  PartitionInfo info{table->path, std::move(min_key), std::move(max_key), std::move(table)};
   std::lock_guard<std::mutex> lock(mu_);
   partitions_.push_back(std::move(info));
-  return wdg::Status::Ok();
 }
 
 void PartitionManager::Unregister(const std::string& path) {
@@ -66,34 +29,12 @@ bool PartitionManager::Registered(const std::string& path) const {
                      [&](const PartitionInfo& p) { return p.path == path; });
 }
 
-wdg::Status PartitionManager::Validate(const std::string& path) const {
+wdg::Status PartitionManager::Check(std::string_view path, bool whole) {
   // Instrumented site so campaigns can wedge/disable validation itself.
   WDG_RETURN_IF_ERROR(disk_.injector().Act("kvs.partition.validate"));
-  PartitionInfo info;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = std::find_if(partitions_.begin(), partitions_.end(),
-                                 [&](const PartitionInfo& p) { return p.path == path; });
-    if (it == partitions_.end()) {
-      return wdg::NotFoundError("unknown partition: " + path);
-    }
-    info = *it;
-  }
-  WDG_ASSIGN_OR_RETURN(const std::string data, disk_.ReadAll(info.path));
-  if (data.size() != info.size) {
-    return SizeChanged(info.path);
-  }
-  return CheckStripes(info.path, data, 0, info.stripe_crcs);
-}
-
-wdg::Status PartitionManager::ValidateWindow(std::string_view path) {
-  WDG_RETURN_IF_ERROR(disk_.injector().Act("kvs.partition.validate"));
-  std::string file;
+  Index::TableRef table;
   size_t first = 0;
-  std::array<uint32_t, kWindowStripes> crcs{};
   size_t count = 0;
-  size_t length = 0;
-  bool to_end = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = partitions_.begin();
@@ -109,30 +50,28 @@ wdg::Status PartitionManager::ValidateWindow(std::string_view path) {
         return wdg::NotFoundError("unknown partition: " + std::string(path));
       }
     }
-    PartitionInfo& info = *it;
-    const size_t stripes = info.stripe_crcs.size();
-    first = stripes == 0 ? 0 : info.next_stripe % stripes;
-    count = std::min(kWindowStripes, stripes - first);
-    std::copy_n(info.stripe_crcs.begin() + static_cast<std::ptrdiff_t>(first), count,
-                crcs.begin());
-    to_end = first + count == stripes;
-    length = to_end ? info.size - first * kPartitionStripeBytes : count * kPartitionStripeBytes;
-    info.next_stripe = to_end ? 0 : first + count;
-    file = info.path;
+    table = it->table;
+    if (table->map.ok()) {
+      const size_t blocks = table->map->blocks().size();
+      first = whole || it->next_block >= blocks ? 0 : it->next_block;
+      count = whole ? blocks : table->map->BlocksWithin(first, kWindowBytes);
+      it->next_block = whole ? it->next_block : first + count;
+    }
   }
-  // A window that ends the file reads one byte past it: a file that grew
-  // fails here, as the whole-file check would fail it.
-  const auto read = disk_.Read(file, static_cast<int64_t>(first * kPartitionStripeBytes),
-                               static_cast<int64_t>(length + (to_end ? 1 : 0)));
-  if (read.status().code() == wdg::StatusCode::kInvalidArgument) {
-    // Read refuses an offset past the end: the file shrank under the window.
-    return wdg::CorruptionError("partition " + file + " truncated");
+  if (table->map.ok()) {
+    return table->map->Check(disk_, first, count);
   }
-  WDG_RETURN_IF_ERROR(read.status());
-  if (read->size() != length) {
-    return SizeChanged(file);
+  // Verification failed at registration or at the last check: verify the
+  // table again, as a whole, and on success keep the new map.
+  Index::TableRef again = Index::Verify(disk_, table->path);
+  WDG_RETURN_IF_ERROR(again->map.status());
+  std::lock_guard<std::mutex> lock(mu_);
+  for (PartitionInfo& info : partitions_) {
+    if (info.table == table) {
+      info.table = again;
+    }
   }
-  return CheckStripes(file, *read, first, std::span(crcs.data(), count));
+  return wdg::Status::Ok();
 }
 
 wdg::Status PartitionManager::CheckRangesSorted() const {

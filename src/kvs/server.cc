@@ -21,7 +21,14 @@ KvsNode::KvsNode(wdg::Clock& clock, wdg::SimDisk& disk, wdg::SimNet& net, KvsOpt
       requests_errors_(metrics_.GetCounter("kvs.requests.errors")),
       requests_gets_(metrics_.GetCounter("kvs.requests.gets")),
       requests_writes_(metrics_.GetCounter("kvs.requests.writes")),
-      replication_applied_(metrics_.GetCounter("kvs.replication.applied")) {
+      replication_applied_(metrics_.GetCounter("kvs.replication.applied")),
+      heartbeats_received_(metrics_.GetCounter("kvs.heartbeats.received")),
+      request_loop_site_(hooks_.Site("RequestLoop:2")),
+      resource_beat_site_(hooks_.Site("ResourceBeat:1")),
+      apply_request_site_(hooks_.Site("ApplyRequest:2")),
+      wal_append_site_(hooks_.Site("WalAppend:1")),
+      resource_sample_site_(hooks_.Site("ResourceSample:1")),
+      partition_maintenance_site_(hooks_.Site("PartitionMaintenance:2")) {
   wal_ = std::make_unique<Wal>(disk_, wal_path());
 
   FlusherOptions flusher_options;
@@ -115,7 +122,7 @@ void KvsNode::Stop() {
 
 void KvsNode::ListenerLoop() {
   while (!stop_.Requested()) {
-    hooks_.Site("RequestLoop:2")->Fire([&](wdg::CheckContext& ctx) {
+    request_loop_site_->Fire([&](wdg::CheckContext& ctx) {
       ctx.Set(keys::Node(), options_.node_id);
       ctx.MarkReady(clock_.NowNs());
     });
@@ -124,7 +131,7 @@ void KvsNode::ListenerLoop() {
     // iteration (one cell claim + publish, no lock), so a wedged listener — blocked in
     // Apply behind a hung WAL append or a held flush lock — stops the beat
     // and the jitter checker sees the gap.
-    hooks_.Site("ResourceBeat:1")->Fire([&](wdg::CheckContext& ctx) {
+    resource_beat_site_->Fire([&](wdg::CheckContext& ctx) {
       const wdg::TimeNs beat = clock_.NowNs();
       ctx.Set(keys::ResLastBeatNs(), static_cast<int64_t>(beat));
       ctx.MarkReady(beat);
@@ -147,14 +154,14 @@ void KvsNode::ListenerLoop() {
       // The watchdog's cross-node liveness channel.
       (void)endpoint_->Reply(*msg, "ok");
     } else if (msg->type == kMsgHeartbeat) {
-      metrics_.GetCounter("kvs.heartbeats.received")->Increment();
+      heartbeats_received_->Increment();
     }
   }
 }
 
 Response KvsNode::Apply(const Request& request, bool from_replication) {
   if (request.op == OpType::kGet) {
-    hooks_.Site("ApplyRequest:2")->Fire([&](wdg::CheckContext& ctx) {
+    apply_request_site_->Fire([&](wdg::CheckContext& ctx) {
       ctx.Set(keys::Key(), request.key);
       ctx.MarkReady(clock_.NowNs());
     });
@@ -176,7 +183,7 @@ Response KvsNode::Apply(const Request& request, bool from_replication) {
   std::unique_lock<std::timed_mutex> write_guard(memtable_.flush_lock());
   if (!options_.in_memory && !from_replication) {
     const std::string record = request.Encode();
-    hooks_.Site("WalAppend:1")->Fire([&](wdg::CheckContext& ctx) {
+    wal_append_site_->Fire([&](wdg::CheckContext& ctx) {
       ctx.Set(keys::WalPath(), wal_path());
       ctx.Set(keys::RecordBytes(), static_cast<int64_t>(record.size()));
       ctx.MarkReady(clock_.NowNs());
@@ -255,7 +262,7 @@ void KvsNode::MaintenanceLoop() {
     // Resource sample for the signal suite. Everything — including the disk
     // List/Read the sample needs — happens inside Fire(), so an unarmed site
     // costs one relaxed load and no disk traffic.
-    hooks_.Site("ResourceSample:1")->Fire([&](wdg::CheckContext& ctx) {
+    resource_sample_site_->Fire([&](wdg::CheckContext& ctx) {
       // Open handles ≈ files under this node's table dir: compaction leaks
       // (failed deletes) show up as a monotone climb here.
       const int64_t open_handles =
@@ -305,7 +312,7 @@ void KvsNode::MaintenanceLoop() {
     const auto partitions = partitions_.Partitions();
     if (!partitions.empty()) {
       const size_t i = maintenance_cursor_.fetch_add(1) % partitions.size();
-      hooks_.Site("PartitionMaintenance:2")->Fire([&](wdg::CheckContext& ctx) {
+      partition_maintenance_site_->Fire([&](wdg::CheckContext& ctx) {
         ctx.Set(keys::Table(), partitions[i].path);
         ctx.MarkReady(clock_.NowNs());
       });

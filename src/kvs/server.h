@@ -99,9 +99,9 @@ class KvsNode {
   std::unique_ptr<ReplicationEngine> replication_;
   wdg::HookSet hooks_;
   wdg::MetricsRegistry metrics_;
-  // Registry entries the request path and the listener loop update, resolved
-  // once at construction: a request takes no registry lock and builds no
-  // metric name.
+  // Registry entries and hook sites the request path and the node's loops
+  // use, resolved once at construction: a request takes no registry or hook
+  // set lock and builds no name.
   wdg::Gauge* listener_tick_ns_;
   wdg::Gauge* listener_queue_depth_;
   wdg::Gauge* memtable_bytes_;
@@ -110,6 +110,13 @@ class KvsNode {
   wdg::Counter* requests_gets_;
   wdg::Counter* requests_writes_;
   wdg::Counter* replication_applied_;
+  wdg::Counter* heartbeats_received_;
+  wdg::HookSite* request_loop_site_;
+  wdg::HookSite* resource_beat_site_;
+  wdg::HookSite* apply_request_site_;
+  wdg::HookSite* wal_append_site_;
+  wdg::HookSite* resource_sample_site_;
+  wdg::HookSite* partition_maintenance_site_;
 
   wdg::Endpoint* endpoint_ = nullptr;
   std::atomic<bool> running_{false};

@@ -136,25 +136,34 @@ wdg::Result<SsBlockMap> SsBlockMap::Build(const wdg::SimDisk& disk, const std::s
     block.crc = wdg::Crc32(std::string_view(data).substr(block.offset, block.size));
   }
   map.last_key_.assign(data, last_key_at, last_key_len);
+  map.size_ = data.size();
+  map.footer_.assign(data, data.size() - kFooterSize);
   return map;
 }
 
-wdg::Result<std::string> SsBlockMap::ReadBlocks(const wdg::SimDisk& disk, size_t first,
-                                                size_t count) const {
-  if (count == 0) {
+wdg::Result<std::string> SsBlockMap::ReadChecked(const wdg::SimDisk& disk, size_t first,
+                                                 size_t count, bool to_end) const {
+  if (count == 0 && !to_end) {
     return std::string();
   }
-  const SsBlock& last = blocks_[first + count - 1];
-  const size_t offset = blocks_[first].offset;
-  const size_t size = last.offset + last.size - offset;
-  auto read = disk.Read(path_, static_cast<int64_t>(offset), static_cast<int64_t>(size));
+  const size_t body_size = size_ - footer_.size();
+  const size_t offset = first < blocks_.size() ? blocks_[first].offset : body_size;
+  const size_t end =
+      to_end ? size_ : blocks_[first + count - 1].offset + blocks_[first + count - 1].size;
+  // Reading to the end asks for one byte more: it comes back only if the
+  // file grew.
+  auto read = disk.Read(path_, static_cast<int64_t>(offset),
+                        static_cast<int64_t>(end - offset + (to_end ? 1 : 0)));
   if (read.status().code() == wdg::StatusCode::kInvalidArgument) {
     // Read refuses an offset past the end: the file shrank under the map.
     return wdg::CorruptionError("sstable truncated: " + path_);
   }
   WDG_RETURN_IF_ERROR(read.status());
   const std::string_view bytes(*read);
-  bool intact = bytes.size() == size;
+  if (bytes.size() != end - offset) {
+    return wdg::CorruptionError("sstable size changed: " + path_);
+  }
+  bool intact = !to_end || bytes.substr(body_size - offset) == footer_;
   for (size_t i = first; intact && i < first + count; ++i) {
     intact = wdg::Crc32(bytes.substr(blocks_[i].offset - offset, blocks_[i].size)) ==
              blocks_[i].crc;
@@ -163,6 +172,18 @@ wdg::Result<std::string> SsBlockMap::ReadBlocks(const wdg::SimDisk& disk, size_t
     return wdg::CorruptionError("sstable block checksum mismatch: " + path_);
   }
   return std::move(*read);
+}
+
+size_t SsBlockMap::BlocksWithin(size_t first, size_t budget) const {
+  const auto end_of = [&](size_t i) {
+    return i + 1 < blocks_.size() ? blocks_[i + 1].offset : size_;
+  };
+  size_t count = first < blocks_.size() ? 1 : 0;
+  while (first + count < blocks_.size() &&
+         end_of(first + count) - blocks_[first].offset <= budget) {
+    ++count;
+  }
+  return count;
 }
 
 wdg::Result<std::optional<MemEntry>> SsBlockMap::Lookup(const wdg::SimDisk& disk,
@@ -198,13 +219,7 @@ wdg::Result<SsRun> SsRun::Read(const wdg::SimDisk& disk, const std::string& path
 
 wdg::Result<SsRun> SsRun::ReadPrefix(const wdg::SimDisk& disk, const SsBlockMap& map,
                                      size_t budget) {
-  const std::vector<SsBlock>& blocks = map.blocks();
-  size_t count = 0;
-  size_t bytes = 0;
-  while (count < blocks.size() && (count == 0 || bytes + blocks[count].size <= budget)) {
-    bytes += blocks[count++].size;
-  }
-  WDG_ASSIGN_OR_RETURN(std::string data, map.ReadBlocks(disk, 0, count));
+  WDG_ASSIGN_OR_RETURN(std::string data, map.ReadBlocks(disk, 0, map.BlocksWithin(0, budget)));
   // The CRCs matched the map, but the merge cursors trust the framing and
   // the order, so the prefix is walked as a table would be.
   KeyOrder order;

@@ -1,5 +1,6 @@
-// Immutable sorted string tables on SimDisk, with a CRC footer the partition
-// manager validates — the "complex fsck-like checks" watchdogs run (§2).
+// Immutable sorted string tables on SimDisk, with a CRC footer and a per-block
+// CRC map the partition manager validates — the "complex fsck-like checks"
+// watchdogs run (§2).
 #pragma once
 
 #include <cstddef>
@@ -70,15 +71,33 @@ class SsBlockMap {
   // Reads blocks [first, first + count) with one SimDisk::Read and checks
   // each against its CRC in the map.
   wdg::Result<std::string> ReadBlocks(const wdg::SimDisk& disk, size_t first,
-                                      size_t count) const;
+                                      size_t count) const {
+    return ReadChecked(disk, first, count, false);
+  }
+
+  // ReadBlocks as an integrity check. A range that ends the table also reads
+  // the footer and one byte past the file, so footer rot and a file that grew
+  // or shrank since the build fail as CORRUPTION too.
+  wdg::Status Check(const wdg::SimDisk& disk, size_t first, size_t count) const {
+    return ReadChecked(disk, first, count, first + count == blocks_.size()).status();
+  }
+
+  // How many whole blocks from `first` fit in `budget` bytes, the footer
+  // counted with the last block: at least one, while any remain.
+  size_t BlocksWithin(size_t first, size_t budget) const;
 
   const std::string& path() const { return path_; }
   const std::vector<SsBlock>& blocks() const { return blocks_; }
 
  private:
+  wdg::Result<std::string> ReadChecked(const wdg::SimDisk& disk, size_t first, size_t count,
+                                       bool to_end) const;
+
   std::string path_;
   std::string last_key_;
   std::vector<SsBlock> blocks_;
+  size_t size_ = 0;
+  std::string footer_;
 };
 
 // A verified table held in its read buffer: the input of SsMerge. Read also
@@ -87,9 +106,9 @@ class SsRun {
  public:
   static wdg::Result<SsRun> Read(const wdg::SimDisk& disk, const std::string& path);
 
-  // The whole blocks of `map` that fit in `budget` bytes (at least the
-  // first), read from the start of the table and each CRC-checked against
-  // the map: a bounded, still verified, prefix of the table.
+  // The whole blocks of `map` that fit in `budget` bytes (BlocksWithin),
+  // read from the start of the table and each CRC-checked against the map:
+  // a bounded, still verified, prefix of the table.
   static wdg::Result<SsRun> ReadPrefix(const wdg::SimDisk& disk, const SsBlockMap& map,
                                        size_t budget);
 

@@ -638,36 +638,57 @@ TEST_F(IndexTest, InjectedLookupFaultSurfaces) {
 class PartitionTest : public KvsDiskFixture {
  protected:
   PartitionTest() : partitions_(disk_) {}
+  // Replaces `path` with its first `size` bytes.
+  void Truncate(const std::string& path, size_t size) {
+    const auto bytes = disk_.ReadAll(path);
+    ASSERT_TRUE(bytes.ok());
+    ASSERT_TRUE(disk_.Delete(path).ok());
+    ASSERT_TRUE(disk_.Create(path).ok());
+    ASSERT_TRUE(disk_.Write(path, 0, std::string_view(*bytes).substr(0, size)).ok());
+  }
+  // The codes of one sweep of `runs` windows over `path`.
+  std::vector<wdg::StatusCode> Sweep(const std::string& path, int runs) {
+    std::vector<wdg::StatusCode> codes;
+    for (int run = 0; run < runs; ++run) {
+      codes.push_back(partitions_.ValidateWindow(path).code());
+    }
+    return codes;
+  }
   PartitionManager partitions_;
 };
 
 TEST_F(PartitionTest, ValidatePassesOnIntactData) {
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/p1", {{"a", {"1", false}}}).ok());
-  ASSERT_TRUE(partitions_.Register("/sst/p1", "a", "a").ok());
+  partitions_.Register(Index::Verify(disk_, "/sst/p1"), "a", "a");
   EXPECT_TRUE(partitions_.Validate("/sst/p1").ok());
   EXPECT_TRUE(partitions_.ValidateWindow("/sst/p1").ok());
   EXPECT_TRUE(partitions_.ValidateWindow().ok());
 }
 
-TEST_F(PartitionTest, ValidateWindowSweepsEveryStripeInBoundedReads) {
-  // 300 x 118 B records + footer: 35408 bytes, stripes 0..8, the last short.
+// 300 x 118 B records + footer: 35408 bytes. Blocks 0..7 hold 34 records
+// (4012 B) each; block 8 holds 28 (3304 B) and the 8 B footer follows it.
+// Windows of at most kWindowBytes: {0,1} {2,3} {4,5} {6,7} {8 + footer}.
+constexpr int64_t kSweptFileBytes = 35408;
+constexpr int kSweepWindows = 5;
+
+TEST_F(PartitionTest, ValidateWindowSweepsEveryBlockInBoundedReads) {
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/p1", UniformEntries(300)).ok());
-  ASSERT_TRUE(partitions_.Register("/sst/p1", "key000000", "key000299").ok());
-  ASSERT_EQ(partitions_.Partitions()[0].stripe_crcs.size(), 9u);
+  partitions_.Register(Index::Verify(disk_, "/sst/p1"), "key000000", "key000299");
+  ASSERT_EQ(partitions_.Partitions()[0].table->map->blocks().size(), 9u);
   wdg::Counter* bytes_read = disk_.metrics().GetCounter("disk.bytes_read");
   int64_t swept = 0;
-  for (int run = 0; run < 5; ++run) {  // windows {0,1} {2,3} {4,5} {6,7} {8}
+  for (int run = 0; run < kSweepWindows; ++run) {
     const int64_t before = bytes_read->Value();
     EXPECT_TRUE(partitions_.ValidateWindow("/sst/p1").ok()) << run;
     const int64_t read = bytes_read->Value() - before;
     EXPECT_LE(read, static_cast<int64_t>(PartitionManager::kWindowBytes)) << run;
     swept += read;
   }
-  EXPECT_EQ(swept, 35408);
+  EXPECT_EQ(swept, kSweptFileBytes);
 
-  // Rot in stripe 7: the whole-file check fails, and so does the one window
-  // of each sweep that covers stripe 7.
-  disk_.MarkBadRange("/sst/p1", 7 * 4096 + 100, 1);
+  // Rot in block 7: the whole-file check fails, and so does the one window
+  // of each sweep that covers block 7.
+  disk_.MarkBadRange("/sst/p1", 7 * 4012 + 100, 1);
   EXPECT_EQ(partitions_.Validate("/sst/p1").code(), wdg::StatusCode::kCorruption);
   std::vector<bool> failed;
   for (int run = 0; run < 10; ++run) {
@@ -681,19 +702,69 @@ TEST_F(PartitionTest, ValidateWindowSweepsEveryStripeInBoundedReads) {
   // A file that grew fails the window that ends it, and the whole-file check.
   ASSERT_TRUE(disk_.Append("/sst/p1", "x").ok());
   EXPECT_EQ(partitions_.Validate("/sst/p1").code(), wdg::StatusCode::kCorruption);
-  std::vector<wdg::StatusCode> codes;
-  for (int run = 0; run < 5; ++run) {
-    codes.push_back(partitions_.ValidateWindow("/sst/p1").code());
-  }
+  std::vector<wdg::StatusCode> codes = Sweep("/sst/p1", kSweepWindows);
   EXPECT_EQ(codes.back(), wdg::StatusCode::kCorruption);
   EXPECT_EQ(std::count(codes.begin(), codes.end(), wdg::StatusCode::kOk), 4);
+}
+
+TEST_F(PartitionTest, ValidateWindowCatchesFooterRotAndTruncation) {
+  using wdg::StatusCode;
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/p1", UniformEntries(300)).ok());
+  partitions_.Register(Index::Verify(disk_, "/sst/p1"), "key000000", "key000299");
+
+  // Rot in the footer: only the window that ends the file reads it.
+  disk_.MarkBadRange("/sst/p1", kSweptFileBytes - 3, 1);
+  EXPECT_EQ(partitions_.Validate("/sst/p1").code(), StatusCode::kCorruption);
+  EXPECT_EQ(Sweep("/sst/p1", kSweepWindows),
+            std::vector<StatusCode>({StatusCode::kOk, StatusCode::kOk, StatusCode::kOk,
+                                     StatusCode::kOk, StatusCode::kCorruption}));
+  disk_.ClearBadRanges();
+
+  // The footer's last byte gone: the window that ends the file reads short.
+  Truncate("/sst/p1", kSweptFileBytes - 1);
+  EXPECT_EQ(partitions_.Validate("/sst/p1").code(), StatusCode::kCorruption);
+  EXPECT_EQ(Sweep("/sst/p1", kSweepWindows),
+            std::vector<StatusCode>({StatusCode::kOk, StatusCode::kOk, StatusCode::kOk,
+                                     StatusCode::kOk, StatusCode::kCorruption}));
+
+  // Cut inside block 4: that window reads short, and the windows after it
+  // start past the end.
+  Truncate("/sst/p1", 20000);
+  EXPECT_EQ(partitions_.Validate("/sst/p1").code(), StatusCode::kCorruption);
+  EXPECT_EQ(Sweep("/sst/p1", kSweepWindows),
+            std::vector<StatusCode>({StatusCode::kOk, StatusCode::kOk, StatusCode::kCorruption,
+                                     StatusCode::kCorruption, StatusCode::kCorruption}));
+}
+
+TEST_F(PartitionTest, FailedVerificationIsRetriedByTheNextValidation) {
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/p1", UniformEntries(300)).ok());
+  wdg::FaultSpec spec;
+  spec.id = "rerr";
+  spec.site_pattern = "disk.read";
+  spec.kind = wdg::FaultKind::kError;
+  spec.error_code = wdg::StatusCode::kUnavailable;
+  spec.max_fires = 1;
+  injector_.Inject(spec);
+  partitions_.Register(Index::Verify(disk_, "/sst/p1"), "key000000", "key000299");
+  ASSERT_EQ(injector_.FireCount("rerr"), 1);
+  EXPECT_TRUE(partitions_.Registered("/sst/p1"));
+  // The first window verifies the table again, whole; the rest are windows.
+  wdg::Counter* bytes_read = disk_.metrics().GetCounter("disk.bytes_read");
+  int64_t before = bytes_read->Value();
+  EXPECT_TRUE(partitions_.ValidateWindow("/sst/p1").ok());
+  EXPECT_EQ(bytes_read->Value() - before, kSweptFileBytes);
+  before = bytes_read->Value();
+  EXPECT_TRUE(partitions_.ValidateWindow("/sst/p1").ok());
+  EXPECT_EQ(bytes_read->Value() - before, 2 * 4012);
+  disk_.MarkBadRange("/sst/p1", 100, 1);
+  EXPECT_EQ(partitions_.Validate("/sst/p1").code(), wdg::StatusCode::kCorruption);
 }
 
 TEST_F(PartitionTest, PathlessWindowsRotateThroughPartitions) {
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/p1", {{"a", {"1", false}}}).ok());
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/p2", {{"m", {"2", false}}}).ok());
-  ASSERT_TRUE(partitions_.Register("/sst/p1", "a", "a").ok());
-  ASSERT_TRUE(partitions_.Register("/sst/p2", "m", "m").ok());
+  partitions_.Register(Index::Verify(disk_, "/sst/p1"), "a", "a");
+  partitions_.Register(Index::Verify(disk_, "/sst/p2"), "m", "m");
   disk_.MarkBadRange("/sst/p2", 1, 1);
   EXPECT_TRUE(partitions_.ValidateWindow().ok());
   EXPECT_EQ(partitions_.ValidateWindow().code(), wdg::StatusCode::kCorruption);
@@ -703,7 +774,7 @@ TEST_F(PartitionTest, PathlessWindowsRotateThroughPartitions) {
 
 TEST_F(PartitionTest, ValidateCatchesCorruption) {
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/p1", {{"a", {"payload", false}}}).ok());
-  ASSERT_TRUE(partitions_.Register("/sst/p1", "a", "a").ok());
+  partitions_.Register(Index::Verify(disk_, "/sst/p1"), "a", "a");
   disk_.MarkBadRange("/sst/p1", 1, 2);
   EXPECT_EQ(partitions_.Validate("/sst/p1").code(), wdg::StatusCode::kCorruption);
 }
@@ -715,11 +786,11 @@ TEST_F(PartitionTest, UnknownPartitionIsNotFound) {
 TEST_F(PartitionTest, RangeOrderInvariant) {
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/p1", {{"a", {"1", false}}}).ok());
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/p2", {{"m", {"2", false}}}).ok());
-  ASSERT_TRUE(partitions_.Register("/sst/p1", "a", "f").ok());
-  ASSERT_TRUE(partitions_.Register("/sst/p2", "m", "z").ok());
+  partitions_.Register(Index::Verify(disk_, "/sst/p1"), "a", "f");
+  partitions_.Register(Index::Verify(disk_, "/sst/p2"), "m", "z");
   EXPECT_TRUE(partitions_.CheckRangesSorted().ok());
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/p3", {{"c", {"3", false}}}).ok());
-  ASSERT_TRUE(partitions_.Register("/sst/p3", "c", "d").ok());  // out of order
+  partitions_.Register(Index::Verify(disk_, "/sst/p3"), "c", "d");  // out of order
   EXPECT_FALSE(partitions_.CheckRangesSorted().ok());
 }
 
@@ -746,7 +817,7 @@ TEST_F(MaintenanceTest, PartitionUnregisteredMidValidationIsNotAFailure) {
   KvsNode node(clock_, disk_, net, options);
   const std::string gone = "/kvs/sst/gone.sst";
   ASSERT_TRUE(SsTable::Write(disk_, gone, {{"a", {"1", false}}}).ok());
-  ASSERT_TRUE(node.partitions().Register(gone, "a", "a").ok());
+  node.partitions().Register(Index::Verify(disk_, gone), "a", "a");
   // Hold the maintenance loop inside Validate, after it took its snapshot,
   // and unregister the partition there, as a compaction would.
   wdg::FaultSpec hold;
@@ -771,7 +842,7 @@ TEST_F(MaintenanceTest, PartitionUnregisteredMidValidationIsNotAFailure) {
   // A registered partition whose bytes changed still counts, by CRC and by size.
   const std::string live = "/kvs/sst/live.sst";
   ASSERT_TRUE(SsTable::Write(disk_, live, {{"m", {"2", false}}}).ok());
-  ASSERT_TRUE(node.partitions().Register(live, "m", "m").ok());
+  node.partitions().Register(Index::Verify(disk_, live), "m", "m");
   disk_.MarkBadRange(live, 1, 1);
   EXPECT_TRUE(WaitUntil([&] { return failures->Value() >= 1; }));
   disk_.ClearBadRanges();
@@ -832,6 +903,63 @@ TEST_F(FlusherTest, FailedFlushRestoresMemtable) {
   EXPECT_EQ(memtable_.EntryCount(), 1u);  // data restored, not lost
   ASSERT_TRUE(flusher_.FlushOnce().ok());
   EXPECT_EQ(**index_.Get("k1"), std::string(100, 'x'));
+}
+
+// A one-shot error on the `after`-th disk.read from now (after_n_hits counts
+// a site's hits since the injector started).
+static wdg::FaultSpec ReadErrorAfter(wdg::FaultInjector& injector, const std::string& id,
+                                     int64_t after) {
+  wdg::FaultSpec spec;
+  spec.id = id;
+  spec.site_pattern = "disk.read";
+  spec.kind = wdg::FaultKind::kError;
+  spec.error_code = wdg::StatusCode::kUnavailable;
+  spec.after_n_hits = injector.SiteHits("disk.read") + after;
+  spec.max_fires = 1;
+  return spec;
+}
+
+// A registered table whose verification read may have failed: once the
+// fault is spent the table validates, and a rotten byte still fails it.
+static void ExpectValidatesOnceFaultIsSpent(wdg::FaultInjector& injector,
+                                            wdg::SimDisk& disk, PartitionManager& partitions,
+                                            const std::string& fault_id,
+                                            const std::string& path) {
+  EXPECT_TRUE(partitions.Registered(path));
+  if (injector.FireCount(fault_id) == 0) {  // the fault waits for the next read
+    EXPECT_EQ(partitions.Validate(path).code(), wdg::StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(injector.FireCount(fault_id), 1);
+  EXPECT_TRUE(partitions.Validate(path).ok());
+  disk.MarkBadRange(path, 5, 1);
+  EXPECT_EQ(partitions.Validate(path).code(), wdg::StatusCode::kCorruption);
+  disk.ClearBadRanges();
+}
+
+TEST_F(FlusherTest, FailedVerificationReadStillRegistersTheTable) {
+  // The table is written and indexed before it is read back: a read that
+  // fails then does not fail the flush or leave the table unchecked.
+  for (const int64_t after : {0, 1}) {
+    SCOPED_TRACE(after);
+    const std::string key = wdg::StrFormat("k%lld", static_cast<long long>(after));
+    memtable_.Set(key, std::string(100, 'x'));
+    const std::string id = wdg::StrFormat("rerr%lld", static_cast<long long>(after));
+    injector_.Inject(ReadErrorAfter(injector_, id, after));
+    ASSERT_TRUE(flusher_.FlushOnce().ok());
+    ExpectValidatesOnceFaultIsSpent(injector_, disk_, partitions_, id, index_.Tables().back());
+    EXPECT_EQ(**index_.Get(key), std::string(100, 'x'));
+  }
+}
+
+TEST_F(FlusherTest, FlushReadsTheNewTableOnce) {
+  for (int i = 0; i < 40; ++i) {
+    memtable_.Set(wdg::StrFormat("k%02d", i), std::string(200, 'x'));
+  }
+  wdg::Counter* bytes_read = disk_.metrics().GetCounter("disk.bytes_read");
+  const int64_t before = bytes_read->Value();
+  ASSERT_TRUE(flusher_.FlushOnce().ok());
+  EXPECT_EQ(bytes_read->Value() - before, *disk_.Size(index_.Tables().back()));
+  EXPECT_EQ(partitions_.Partitions().size(), 1u);
 }
 
 TEST_F(FlusherTest, KeyStaysReadableThroughoutFlush) {
@@ -921,8 +1049,7 @@ class CompactionTest : public KvsDiskFixture {
   void WriteTable(const std::string& path, const std::string& key, const std::string& value,
                   bool tombstone = false) {
     ASSERT_TRUE(SsTable::Write(disk_, path, {{key, {value, tombstone}}}).ok());
-    index_.AddTable(path);
-    ASSERT_TRUE(partitions_.Register(path, key, key).ok());
+    partitions_.Register(index_.AddTable(path), key, key);
   }
   Memtable memtable_;
   Index index_;
@@ -942,6 +1069,48 @@ TEST_F(CompactionTest, MergesTablesAndDropsTombstones) {
   EXPECT_FALSE(index_.Get("b")->has_value());
   EXPECT_FALSE(disk_.Exists("/sst/1"));
   EXPECT_EQ(compaction_.compaction_count(), 1);
+}
+
+TEST_F(CompactionTest, FailedVerificationReadStillRegistersTheMergedTable) {
+  // The merged table is written and swapped into the index before it is
+  // read back: a read that fails then does not fail the compaction.
+  for (const int64_t after : {0, 1}) {
+    SCOPED_TRACE(after);
+    for (const char* key : {"a", "b", "c"}) {
+      WriteTable(wdg::StrFormat("/sst/%s%lld", key, static_cast<long long>(after)), key,
+                 "v");
+    }
+    // CompactOnce reads each input once before it writes the merged table.
+    const auto inputs = static_cast<int64_t>(index_.Tables().size());
+    const std::string id = wdg::StrFormat("rerr%lld", static_cast<long long>(after));
+    injector_.Inject(ReadErrorAfter(injector_, id, inputs + after));
+    ASSERT_TRUE(compaction_.CompactOnce().ok());
+    ASSERT_EQ(index_.Tables().size(), 1u);
+    ExpectValidatesOnceFaultIsSpent(injector_, disk_, partitions_, id, index_.Tables().front());
+    EXPECT_EQ(**index_.Get("b"), "v");
+  }
+}
+
+TEST_F(CompactionTest, CompactionReadsEachTableOnce) {
+  for (int t = 0; t < 3; ++t) {
+    std::vector<std::pair<std::string, MemEntry>> entries;
+    for (int i = t; i < 60; i += 2) {
+      entries.emplace_back(wdg::StrFormat("k%02d", i), MemEntry{std::string(150, 'x'), false});
+    }
+    const std::string path = wdg::StrFormat("/sst/%d", t);
+    ASSERT_TRUE(SsTable::Write(disk_, path, entries).ok());
+    partitions_.Register(index_.AddTable(path), entries.front().first, entries.back().first);
+  }
+  int64_t inputs = 0;
+  for (const std::string& path : index_.Tables()) {
+    inputs += *disk_.Size(path);
+  }
+  wdg::Counter* bytes_read = disk_.metrics().GetCounter("disk.bytes_read");
+  const int64_t before = bytes_read->Value();
+  ASSERT_TRUE(compaction_.CompactOnce().ok());
+  ASSERT_EQ(index_.Tables().size(), 1u);
+  EXPECT_EQ(bytes_read->Value() - before, inputs + *disk_.Size(index_.Tables().front()));
+  EXPECT_EQ(partitions_.Partitions().size(), 1u);
 }
 
 TEST_F(CompactionTest, AtOrBelowMaxIsNoop) {
@@ -1122,8 +1291,8 @@ static std::map<std::string, MimicCost> TableMimicCosts(int scale) {
     }
     const std::string path = wdg::StrFormat("/kvs/sst/%06d.sst", stride);
     EXPECT_TRUE(SsTable::Write(disk, path, entries).ok());
-    node.index().AddTable(path);
-    EXPECT_TRUE(node.partitions().Register(path, entries.front().first, entries.back().first).ok());
+    node.partitions().Register(node.index().AddTable(path), entries.front().first,
+                               entries.back().first);
   }
   wdg::CheckContext ctx("mimic");
   ctx.Set(keys::Key(), "key000003");
@@ -1159,10 +1328,11 @@ TEST(TableMimicBoundTest, TableMimicsReadAndAllocateTheSameAtAnyDataSize) {
     EXPECT_GT(cost.bytes_read, 0) << site;
   }
   // One block of each table; two blocks of each of the two tables; one
-  // window of stripes.
+  // window of the older table's blocks: two blocks of 34 118-byte records.
   EXPECT_LE(at_1x.at("index.lookup").bytes_read, static_cast<int64_t>(2 * kSsBlockBytes));
   EXPECT_LE(at_1x.at("compact.merge").bytes_read, static_cast<int64_t>(4 * kSsBlockBytes));
-  EXPECT_EQ(at_1x.at("kvs.partition.validate").bytes_read,
+  EXPECT_EQ(at_1x.at("kvs.partition.validate").bytes_read, 2 * 34 * 118);
+  EXPECT_LE(at_1x.at("kvs.partition.validate").bytes_read,
             static_cast<int64_t>(PartitionManager::kWindowBytes));
   // The merge allocates two read buffers and the table snapshot, run and
   // cursor vectors, whatever the table size.

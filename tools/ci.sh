@@ -89,6 +89,14 @@ echo "=== bench smoke: context read path ==="
 # Runs in the build tree so the quick-mode JSON can't clobber the committed
 # full-run artifact the trend gate below reads.
 (cd build-ci/bench && ./bench_context_read --quick)
+echo "=== bench smoke: table paths ==="
+# One short pass over the table-path micro benches (compaction, the merge,
+# index.lookup and partition-validate mimics, at 1x and 10x data), so a
+# crash or hang in those paths fails CI. Gates on the exit status only: the
+# timings print but are not judged.
+timeout 300 ./build-ci/bench/bench_micro_overhead \
+  --benchmark_filter='BM_(CompactOnce|PartitionValidateProbe|MergeProbe|IndexGet)' \
+  --benchmark_min_time=0.01
 echo "=== campaign smoke: fusion fault matrix ==="
 # Downscaled fault-matrix campaign (1 seed per class): the fused detector must
 # detect all four fault classes, beat-or-tie the best single family on >= 3/4,
