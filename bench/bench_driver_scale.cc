@@ -13,7 +13,10 @@
 // recycled-slab dispatch path. --smoke-10k runs only the 10k sharded config
 // and exits nonzero unless p99 queue delay and worker count stay in budget —
 // CI's fast fleet-scale gate; --smoke-1m is the downscaled 1M-shape gate
-// (200k checkers at the same offered rate). --smoke-kvs runs the kvs driver
+// (200k checkers at the same offered rate); it also prints the fleet's
+// registration-plus-Start() wall time (ungated) and its heap allocations per
+// registered checker, and exits nonzero when those exceed
+// kSetupAllocsPerCheckerLimit. --smoke-kvs runs the kvs driver
 // shape (11 checkers at 25 ms on 1 shard x 2 workers, default batching) and
 // exits nonzero unless the co-due checkers ride one batch and the scheduler
 // wakes at most 2.5 times per interval.
@@ -23,11 +26,15 @@
 //
 // --only-1m runs just the full 1M sharded row (no JSON) — the iteration loop
 // for tuning the million-checker shape without paying for the other configs.
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <set>
 #include <string>
 #include <vector>
@@ -40,6 +47,30 @@
 #include "src/watchdog/builtin_checkers.h"
 #include "src/watchdog/context.h"
 #include "src/watchdog/driver.h"
+
+// Heap allocations of the whole process, counted by a relaxed counter in the
+// replaced global operator new: the sharded rows read it around registration
+// and Start(). The operators are out of line on purpose: inlined into a
+// caller, `malloc` and `free` would meet pointers GCC tracks as
+// `new`-allocated and trip -Wmismatched-new-delete.
+static std::atomic<int64_t> g_heap_allocs{0};
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* ptr = std::malloc(size == 0 ? 1 : size)) {
+    return ptr;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete[](void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete(void* ptr, std::size_t) noexcept {
+  std::free(ptr);
+}
+[[gnu::noinline]] void operator delete[](void* ptr, std::size_t) noexcept {
+  std::free(ptr);
+}
 
 namespace {
 
@@ -61,6 +92,9 @@ struct ModeResult {
   int64_t batches_dispatched = 0;
   int64_t skipped_unchanged = 0;
   int64_t interval_ms = 0;
+  // Registration of the whole fleet plus Start() (sharded rows).
+  double setup_ms = 0;
+  int64_t setup_allocs = 0;
 };
 
 // The fleet-scale driver shape: 8 scheduler shards x 2 fixed workers, 16
@@ -105,6 +139,8 @@ ModeResult RunShardedWith(const wdg::WatchdogDriver::Options& options,
                           wdg::DurationNs duration) {
   wdg::RealClock& clock = wdg::RealClock::Instance();
   wdg::WatchdogDriver driver(clock, options);
+  const int64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+  const wdg::TimeNs setup_start = clock.NowNs();
   for (int i = 0; i < checkers; ++i) {
     wdg::CheckerOptions checker;
     checker.interval = interval;
@@ -122,6 +158,7 @@ ModeResult RunShardedWith(const wdg::WatchdogDriver::Options& options,
   // arenas) — folding it into the window understates steady-state capacity.
   (void)driver.Start();
   const wdg::TimeNs start = clock.NowNs();
+  const int64_t setup_allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
   // duration + one interval: even a quick run lets every checker complete at
   // least one full scheduling cycle.
   clock.SleepFor(duration + interval);
@@ -142,6 +179,8 @@ ModeResult RunShardedWith(const wdg::WatchdogDriver::Options& options,
   result.batches_dispatched = metrics.batches_dispatched;
   result.skipped_unchanged = metrics.skipped_unchanged;
   result.interval_ms = interval / wdg::kNsPerMs;
+  result.setup_ms = static_cast<double>(start - setup_start) / wdg::kNsPerMs;
+  result.setup_allocs = setup_allocs;
   return result;
 }
 
@@ -380,6 +419,14 @@ int RunSmoke10k() {
 // so the gate stays fast. Registration alone for a true 1M fleet takes longer
 // than CI wants; capacity per core is what the row actually proves, and that
 // is preserved by holding offered-rate and driver shape constant.
+//
+// Setup allocations per checker: the bench's own ProbeChecker is one; the
+// rest is the driver (the slots vector, the name index and the shard member
+// lists grow by doubling) and Start()'s wheel buckets. The flat name index
+// measures 1.02; a node-based index adds one allocation per checker (2.02).
+// The limit is that 1.02 plus a margin of 0.08.
+constexpr double kSetupAllocsPerCheckerLimit = 1.10;
+
 int RunSmoke1M() {
   std::printf("=== driver scaling: 1M-shape sharded smoke (200k @ 400ms) ===\n");
   const ModeResult r = RunShardedWith(ShardedMillionOptions(), 200000,
@@ -390,6 +437,17 @@ int RunSmoke1M() {
               "(cap %d), batches %lld\n",
               r.checks_per_sec, r.p99_queue_delay_us, r.pool_workers,
               worker_cap, static_cast<long long>(r.batches_dispatched));
+  const double allocs_per_checker =
+      static_cast<double>(r.setup_allocs) / static_cast<double>(r.checkers);
+  std::printf("registration + Start(): %.1f ms, %.3f heap allocations per checker "
+              "(limit %.2f)\n",
+              r.setup_ms, allocs_per_checker, kSetupAllocsPerCheckerLimit);
+  if (allocs_per_checker > kSetupAllocsPerCheckerLimit) {
+    std::fprintf(stderr,
+                 "SMOKE FAIL: %.3f heap allocations per registered checker > %.2f\n",
+                 allocs_per_checker, kSetupAllocsPerCheckerLimit);
+    ok = false;
+  }
   if (r.checks_per_sec < 250000.0) {
     std::fprintf(stderr,
                  "SMOKE FAIL: %.0f checks/sec < 250k at the 1M driver shape\n",

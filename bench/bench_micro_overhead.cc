@@ -3,6 +3,8 @@
 // fault-site gating, and the AutoWatchdog generation pipeline itself.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+
 #include "src/autowd/autowatchdog.h"
 #include "src/common/checksum.h"
 #include "src/common/strings.h"
@@ -15,6 +17,21 @@
 #include "src/watchdog/context.h"
 
 namespace {
+
+// Set when a timed op returned an error; main() then exits 1. A table path
+// that starts failing fast would otherwise pass a smoke run (which gates on
+// the exit status) and even read as faster.
+std::atomic<bool> g_op_failed{false};
+
+// Ends the benchmark with an error when `status` is not OK; returns true then.
+bool Failed(benchmark::State& state, const wdg::Status& status) {
+  if (status.ok()) {
+    return false;
+  }
+  g_op_failed.store(true);
+  state.SkipWithError(status.ToString().c_str());
+  return true;
+}
 
 // The inert hook: the cost every instrumented site pays when no checker is
 // armed — the number that must be ~zero for pervasive instrumentation.
@@ -196,30 +213,49 @@ class SsTableBench {
       entries.emplace_back(wdg::StrFormat("key%04d", i),
                            kvs::MemEntry{std::string(512, 'v'), false});
     }
-    (void)kvs::SsTable::Write(disk_, kPath, entries);
+    status_ = kvs::SsTable::Write(disk_, kPath, entries);
   }
   static constexpr const char* kPath = "/sst/000001.sst";
   wdg::SimDisk& disk() { return disk_; }
+  const wdg::Status& status() const { return status_; }
 
  private:
   wdg::FaultInjector injector_;
   wdg::SimDisk disk_;
+  wdg::Status status_;
 };
 
 void BM_SsTableLookup(benchmark::State& state) {
   SsTableBench table;
+  if (Failed(state, table.status())) {
+    return;
+  }
   const auto map = kvs::SsBlockMap::Build(table.disk(), SsTableBench::kPath);
+  if (Failed(state, map.status())) {
+    return;
+  }
   const std::string key = "key0075";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(map->Lookup(table.disk(), key));
+    const auto found = map->Lookup(table.disk(), key);
+    benchmark::DoNotOptimize(found);
+    if (Failed(state, found.status())) {
+      break;
+    }
   }
 }
 BENCHMARK(BM_SsTableLookup);
 
 void BM_SsTableValidate(benchmark::State& state) {
   SsTableBench table;
+  if (Failed(state, table.status())) {
+    return;
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kvs::SsTable::Validate(table.disk(), SsTableBench::kPath));
+    const wdg::Status status = kvs::SsTable::Validate(table.disk(), SsTableBench::kPath);
+    benchmark::DoNotOptimize(status);
+    if (Failed(state, status)) {
+      break;
+    }
   }
 }
 BENCHMARK(BM_SsTableValidate);
@@ -238,13 +274,17 @@ class CompactionBench {
         partitions_(disk_),
         compaction_(wdg::RealClock::Instance(), disk_, index_, partitions_, hooks_, metrics_),
         keys_(640 * scale) {
-    AddTable(1);
-    AddTable(5);
-    (void)compaction_.CompactOnce(/*force=*/true);
-    AddTable(5);
+    status_ = [this]() -> wdg::Status {
+      WDG_RETURN_IF_ERROR(AddTable(1));
+      WDG_RETURN_IF_ERROR(AddTable(5));
+      WDG_RETURN_IF_ERROR(compaction_.CompactOnce(/*force=*/true));
+      return AddTable(5);
+    }();
   }
+  // The first error of setting the tables up, or OK.
+  const wdg::Status& status() const { return status_; }
   // Flushes a table holding every `stride`-th key, as the newest table.
-  void AddTable(int64_t stride) {
+  wdg::Status AddTable(int64_t stride) {
     std::vector<std::pair<std::string, kvs::MemEntry>> entries;
     for (int64_t key = 0; key < keys_; key += stride) {
       entries.emplace_back(wdg::StrFormat("key%08lld", static_cast<long long>(key)),
@@ -253,8 +293,9 @@ class CompactionBench {
     }
     const std::string path =
         wdg::StrFormat("/kvs/sst/%06lld.sst", static_cast<long long>(tables_++));
-    (void)kvs::SsTable::Write(disk_, path, entries);
+    WDG_RETURN_IF_ERROR(kvs::SsTable::Write(disk_, path, entries));
     partitions_.Register(index_.AddTable(path), entries.front().first, entries.back().first);
+    return wdg::Status::Ok();
   }
   kvs::CompactionManager& compaction() { return compaction_; }
   kvs::Index& index() { return index_; }
@@ -276,14 +317,22 @@ class CompactionBench {
   kvs::CompactionManager compaction_;
   int64_t keys_;
   int64_t tables_ = 0;
+  wdg::Status status_;
 };
 
 // One compact.merge mimic run: read and verify a two-block prefix of both
 // tables, merge, discard the survivors.
 void BM_MergeProbe(benchmark::State& state) {
   CompactionBench bench(state.range(0));
+  if (Failed(state, bench.status())) {
+    return;
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bench.compaction().MergeProbe("bench"));
+    const wdg::Status status = bench.compaction().MergeProbe("bench");
+    benchmark::DoNotOptimize(status);
+    if (Failed(state, status)) {
+      break;
+    }
   }
 }
 BENCHMARK(BM_MergeProbe)->Arg(1)->Arg(10);
@@ -292,9 +341,16 @@ BENCHMARK(BM_MergeProbe)->Arg(1)->Arg(10);
 // one block of each table.
 void BM_IndexGet(benchmark::State& state) {
   CompactionBench bench(state.range(0));
+  if (Failed(state, bench.status())) {
+    return;
+  }
   const std::string key = bench.MissInNewestKey();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bench.index().Get(key));
+    const auto value = bench.index().Get(key);
+    benchmark::DoNotOptimize(value);
+    if (Failed(state, value.status())) {
+      break;
+    }
   }
 }
 BENCHMARK(BM_IndexGet)->Arg(1)->Arg(10);
@@ -304,9 +360,16 @@ BENCHMARK(BM_IndexGet)->Arg(1)->Arg(10);
 // through the table.
 void BM_PartitionValidateProbe(benchmark::State& state) {
   CompactionBench bench(state.range(0));
+  if (Failed(state, bench.status())) {
+    return;
+  }
   const std::string merged = bench.index().Tables().front();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bench.partitions().ValidateWindow(merged));
+    const wdg::Status status = bench.partitions().ValidateWindow(merged);
+    benchmark::DoNotOptimize(status);
+    if (Failed(state, status)) {
+      break;
+    }
   }
 }
 BENCHMARK(BM_PartitionValidateProbe)->Arg(1)->Arg(10);
@@ -315,11 +378,18 @@ BENCHMARK(BM_PartitionValidateProbe)->Arg(1)->Arg(10);
 // one merged table of the same size for the next iteration.
 void BM_CompactOnce(benchmark::State& state) {
   CompactionBench bench(state.range(0));
+  if (Failed(state, bench.status())) {
+    return;
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bench.compaction().CompactOnce(/*force=*/true));
+    const wdg::Status status = bench.compaction().CompactOnce(/*force=*/true);
+    benchmark::DoNotOptimize(status);
     state.PauseTiming();
-    bench.AddTable(5);
-    state.ResumeTiming();
+    const wdg::Status added = status.ok() ? bench.AddTable(5) : wdg::Status::Ok();
+    state.ResumeTiming();  // before any SkipWithError: it must not resume a skipped run
+    if (Failed(state, status) || Failed(state, added)) {
+      break;
+    }
   }
 }
 BENCHMARK(BM_CompactOnce)->Arg(1)->Arg(10);
@@ -357,4 +427,12 @@ BENCHMARK(BM_AutoWatchdog_AnalyzeKvs);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return g_op_failed.load() ? 1 : 0;
+}

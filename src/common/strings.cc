@@ -5,14 +5,20 @@
 namespace wdg {
 
 std::string StrFormat(const char* fmt, ...) {
+  // One vsnprintf into a stack buffer covers almost every call; only a
+  // result that does not fit is formatted again, into a string of the size
+  // the first pass reported.
+  char buffer[256];
   va_list args;
   va_start(args, fmt);
   va_list args_copy;
   va_copy(args_copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  const int needed = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
   va_end(args);
   std::string out;
-  if (needed > 0) {
+  if (needed > 0 && static_cast<size_t>(needed) < sizeof(buffer)) {
+    out.assign(buffer, static_cast<size_t>(needed));
+  } else if (needed > 0) {
     out.resize(static_cast<size_t>(needed));
     std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
   }

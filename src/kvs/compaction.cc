@@ -16,7 +16,8 @@ CompactionManager::CompactionManager(wdg::Clock& clock, wdg::SimDisk& disk, Inde
                                      PartitionManager& partitions, wdg::HookSet& hooks,
                                      wdg::MetricsRegistry& metrics, CompactionOptions options)
     : clock_(clock), disk_(disk), index_(index), partitions_(partitions), hooks_(hooks),
-      metrics_(metrics), options_(options) {}
+      metrics_(metrics), last_tick_ns_(metrics_.GetGauge("kvs.compaction.last_tick_ns")),
+      options_(options) {}
 
 void CompactionManager::Start() {
   if (started_) {
@@ -44,7 +45,7 @@ void CompactionManager::Loop() {
   wdg::TimeNs failed_at = 0;
   while (!stop_.WaitFor(options_.poll_interval)) {
     const wdg::TimeNs now = clock_.NowNs();
-    metrics_.GetGauge("kvs.compaction.last_tick_ns")->Set(static_cast<double>(now));
+    last_tick_ns_->Set(static_cast<double>(now));
     std::vector<std::string> tables = index_.Tables();
     if (tables.size() <= options_.max_tables ||
         (failed_streak > 0 && tables == failed_tables && now - failed_at < kRetryPeriod)) {

@@ -55,6 +55,7 @@ class CompactionManager {
   PartitionManager& partitions_;
   wdg::HookSet& hooks_;
   wdg::MetricsRegistry& metrics_;
+  wdg::Gauge* last_tick_ns_;  // resolved once: Loop stamps it every poll
   CompactionOptions options_;
 
   std::atomic<int64_t> compaction_count_{0};

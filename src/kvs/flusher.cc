@@ -12,7 +12,8 @@ Flusher::Flusher(wdg::Clock& clock, wdg::SimDisk& disk, Memtable& memtable, Inde
                  PartitionManager& partitions, wdg::HookSet& hooks,
                  wdg::MetricsRegistry& metrics, FlusherOptions options)
     : clock_(clock), disk_(disk), memtable_(memtable), index_(index), partitions_(partitions),
-      hooks_(hooks), metrics_(metrics), options_(options) {}
+      hooks_(hooks), metrics_(metrics),
+      last_tick_ns_(metrics_.GetGauge("kvs.flusher.last_tick_ns")), options_(options) {}
 
 void Flusher::Start() {
   if (started_) {
@@ -33,7 +34,7 @@ void Flusher::Loop() {
   // and its length on recovery, not one line per pass.
   int64_t failed_streak = 0;
   while (!stop_.WaitFor(options_.poll_interval)) {
-    metrics_.GetGauge("kvs.flusher.last_tick_ns")->Set(static_cast<double>(clock_.NowNs()));
+    last_tick_ns_->Set(static_cast<double>(clock_.NowNs()));
     if (memtable_.ApproximateBytes() >= options_.flush_threshold_bytes) {
       const wdg::Status status = FlushOnce();
       if (!status.ok()) {

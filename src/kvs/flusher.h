@@ -56,6 +56,7 @@ class Flusher {
   PartitionManager& partitions_;
   wdg::HookSet& hooks_;
   wdg::MetricsRegistry& metrics_;
+  wdg::Gauge* last_tick_ns_;  // resolved once: Loop stamps it every poll
   FlusherOptions options_;
   std::function<void()> on_flushed_;
 

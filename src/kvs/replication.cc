@@ -19,6 +19,7 @@ ReplicationEngine::ReplicationEngine(wdg::Clock& clock, wdg::SimNet& net,
       queue_depth_(metrics_.GetGauge("kvs.replication.queue_depth")),
       last_tick_ns_(metrics_.GetGauge("kvs.replication.last_tick_ns")),
       acks_(metrics_.GetCounter("kvs.replication.acks")),
+      replicate_batch_site_(hooks_.Site("ReplicateBatch:1")),
       options_(std::move(options)),
       queue_(options_.queue_capacity) {
   endpoint_ = net_.CreateEndpoint(leader_id_ + ".repl");
@@ -88,7 +89,7 @@ wdg::Status ReplicationEngine::SendBatch(const std::vector<std::string>& batch) 
   }
   wdg::Status result = wdg::Status::Ok();
   for (const wdg::NodeId& follower : options_.followers) {
-    hooks_.Site("ReplicateBatch:1")->Fire([&](wdg::CheckContext& ctx) {
+    replicate_batch_site_->Fire([&](wdg::CheckContext& ctx) {
       ctx.Set(keys::Follower(), follower);
       ctx.Set(keys::BatchSize(), static_cast<int64_t>(batch.size()));
       ctx.MarkReady(clock_.NowNs());

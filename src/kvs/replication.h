@@ -55,10 +55,12 @@ class ReplicationEngine {
   wdg::Endpoint* endpoint_ = nullptr;  // dedicated "<leader>.repl" endpoint
   wdg::HookSet& hooks_;
   wdg::MetricsRegistry& metrics_;
-  // Resolved once: Enqueue runs on every write, Loop on every batch.
+  // Resolved once: Enqueue runs on every write, Loop and SendBatch on every
+  // batch.
   wdg::Gauge* queue_depth_;
   wdg::Gauge* last_tick_ns_;
   wdg::Counter* acks_;
+  wdg::HookSite* replicate_batch_site_;
   ReplicationOptions options_;
 
   wdg::BoundedQueue<std::string> queue_;

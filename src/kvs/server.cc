@@ -17,6 +17,8 @@ KvsNode::KvsNode(wdg::Clock& clock, wdg::SimDisk& disk, wdg::SimNet& net, KvsOpt
       listener_tick_ns_(metrics_.GetGauge("kvs.listener.last_tick_ns")),
       listener_queue_depth_(metrics_.GetGauge("kvs.listener.queue_depth")),
       memtable_bytes_(metrics_.GetGauge("kvs.memtable.bytes")),
+      maintenance_tick_ns_(metrics_.GetGauge("kvs.maintenance.last_tick_ns")),
+      index_tables_(metrics_.GetGauge("kvs.index.tables")),
       requests_received_(metrics_.GetCounter("kvs.requests.received")),
       requests_errors_(metrics_.GetCounter("kvs.requests.errors")),
       requests_gets_(metrics_.GetCounter("kvs.requests.gets")),
@@ -253,10 +255,8 @@ void KvsNode::HeartbeatLoop() {
 
 void KvsNode::MaintenanceLoop() {
   while (!stop_.WaitFor(options_.maintenance_poll)) {
-    metrics_.GetGauge("kvs.maintenance.last_tick_ns")
-        ->Set(static_cast<double>(clock_.NowNs()));
-    metrics_.GetGauge("kvs.index.tables")
-        ->Set(static_cast<double>(index_.Tables().size()));
+    maintenance_tick_ns_->Set(static_cast<double>(clock_.NowNs()));
+    index_tables_->Set(static_cast<double>(index_.Tables().size()));
     memtable_bytes_->Set(static_cast<double>(memtable_.ApproximateBytes()));
 
     // Resource sample for the signal suite. Everything — including the disk

@@ -105,6 +105,8 @@ class KvsNode {
   wdg::Gauge* listener_tick_ns_;
   wdg::Gauge* listener_queue_depth_;
   wdg::Gauge* memtable_bytes_;
+  wdg::Gauge* maintenance_tick_ns_;
+  wdg::Gauge* index_tables_;
   wdg::Counter* requests_received_;
   wdg::Counter* requests_errors_;
   wdg::Counter* requests_gets_;

@@ -88,7 +88,8 @@ std::optional<Message> Endpoint::PopMatching(const std::function<bool(const Mess
 
 SimNet::SimNet(Clock& clock, FaultInjector& injector, NetOptions options, uint64_t seed)
     : clock_(clock), injector_(injector), options_(options),
-      drop_probability_(options.drop_probability), rng_(seed) {}
+      drop_probability_(options.drop_probability), rng_(seed),
+      messages_sent_(metrics_.GetCounter("net.messages_sent")) {}
 
 Endpoint* SimNet::CreateEndpoint(const NodeId& id) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -131,19 +132,22 @@ void SimNet::set_drop_probability(double p) {
 }
 
 Status SimNet::Route(Message msg) {
-  metrics_.GetCounter("net.messages_sent")->Increment();
+  messages_sent_->Increment();
 
   // Injected faults on the send path. Corruption mangles the payload in
-  // flight; hang blocks the *sender* — exactly the ZK-2201 shape.
+  // flight; hang blocks the *sender* — exactly the ZK-2201 shape. A known
+  // destination's endpoint carries its site name; endpoints are never
+  // removed, so `dst` stays valid.
+  Endpoint* dst = GetEndpoint(msg.dst);
+  const std::string unknown_site = dst == nullptr ? "net.send." + msg.dst : std::string();
+  const std::string& site = dst != nullptr ? dst->send_site_ : unknown_site;
   bool dropped = false;
-  WDG_RETURN_IF_ERROR(
-      injector_.Act(StrFormat("net.send.%s", msg.dst.c_str()), &msg.payload, &dropped));
+  WDG_RETURN_IF_ERROR(injector_.Act(site, &msg.payload, &dropped));
   if (dropped) {
     metrics_.GetCounter("net.messages_dropped")->Increment();
     return Status::Ok();
   }
 
-  Endpoint* dst = nullptr;
   DurationNs latency = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -155,11 +159,13 @@ Status SimNet::Route(Message msg) {
       metrics_.GetCounter("net.messages_dropped")->Increment();
       return Status::Ok();
     }
-    const auto it = endpoints_.find(msg.dst);
-    if (it == endpoints_.end()) {
-      return UnavailableError(StrFormat("no such node %s", msg.dst.c_str()));
+    if (dst == nullptr) {
+      const auto it = endpoints_.find(msg.dst);
+      if (it == endpoints_.end()) {
+        return UnavailableError(StrFormat("no such node %s", msg.dst.c_str()));
+      }
+      dst = it->second.get();
     }
-    dst = it->second.get();
     latency = options_.base_latency +
               options_.per_kb_latency *
                   static_cast<DurationNs>(msg.payload.size() / 1024 + 1);

@@ -50,7 +50,8 @@ class SimNet;
 class Endpoint {
  public:
   Endpoint(SimNet& net, NodeId id)
-      : net_(net), id_(std::move(id)), recv_site_("net.recv." + id_) {}
+      : net_(net), id_(std::move(id)), recv_site_("net.recv." + id_),
+        send_site_("net.send." + id_) {}
 
   const NodeId& id() const { return id_; }
 
@@ -81,6 +82,7 @@ class Endpoint {
   SimNet& net_;
   NodeId id_;
   std::string recv_site_;  // "net.recv.<id>", built once: Recv runs every poll
+  std::string send_site_;  // "net.send.<id>", built once: every send to this node
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -126,6 +128,7 @@ class SimNet {
   Rng rng_;
   std::atomic<uint64_t> corr_counter_{0};
   MetricsRegistry metrics_;
+  Counter* messages_sent_;  // resolved once: Route counts every message
 };
 
 }  // namespace wdg

@@ -176,10 +176,10 @@ Result<std::unique_ptr<Checker>> CheckerBuilder::Build() {
                       name_.c_str()));
       }
       auto probe = debounce_set_
-                       ? std::make_unique<ProbeChecker>(name_, component_,
+                       ? std::make_unique<ProbeChecker>(std::move(name_), std::move(component_),
                                                         std::move(probe_), options,
                                                         debounce_)
-                       : std::make_unique<ProbeChecker>(name_, component_,
+                       : std::make_unique<ProbeChecker>(std::move(name_), std::move(component_),
                                                         std::move(probe_), options);
       if (!subscribe_slots_.empty()) {
         probe->SubscribeKeys(context, subscribe_slots_);
@@ -195,8 +195,8 @@ Result<std::unique_ptr<Checker>> CheckerBuilder::Build() {
       }
       const int needed = debounce_set_ ? debounce_ : 3;  // SignalChecker default
       auto signal = std::make_unique<SignalChecker>(
-          name_, component_, indicator_, std::move(sample_), std::move(healthy_), needed,
-          options);
+          std::move(name_), std::move(component_), std::move(indicator_), std::move(sample_),
+          std::move(healthy_), needed, options);
       if (!subscribe_slots_.empty()) {
         signal->SubscribeKeys(context, subscribe_slots_);
       }
@@ -214,8 +214,8 @@ Result<std::unique_ptr<Checker>> CheckerBuilder::Build() {
                       "ContextFactory",
                       name_.c_str()));
       }
-      auto mimic = std::make_unique<MimicChecker>(name_, component_, context,
-                                                  std::move(mimic_), options);
+      auto mimic = std::make_unique<MimicChecker>(std::move(name_), std::move(component_),
+                                                  context, std::move(mimic_), options);
       if (!subscribe_slots_.empty()) {
         mimic->SubscribeKeys(context, subscribe_slots_);
       }

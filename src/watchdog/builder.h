@@ -105,6 +105,8 @@ class CheckerBuilder {
   // Validates the configuration and constructs the checker.
   // kInvalidArgument on any inconsistency (empty name, no/multiple bodies,
   // non-positive interval/deadline/debounce, context rules violated).
+  // A successful Build() moves the name, component and body into the
+  // checker, so a builder builds one checker.
   Result<std::unique_ptr<Checker>> Build();
 
   // Build() + driver registration (+ escalation-probe install, if set).

@@ -27,6 +27,12 @@ bool CasState(Execution& exec, ExecState from, ExecState to) {
                                             std::memory_order_acq_rel,
                                             std::memory_order_acquire);
 }
+
+// The name index's stored hash: std::hash of the name, folded to 32 bits.
+uint32_t FoldHash(size_t name_hash) {
+  return static_cast<uint32_t>(static_cast<uint64_t>(name_hash) ^
+                               (static_cast<uint64_t>(name_hash) >> 32));
+}
 }  // namespace
 
 std::map<std::string, double> DriverMetricsSnapshot::ToMap() const {
@@ -111,22 +117,53 @@ WatchdogDriver::WatchdogDriver(Clock& clock, Options options)
 
 WatchdogDriver::~WatchdogDriver() { (void)Stop(); }
 
-int WatchdogDriver::ShardFor(const Checker& checker) const {
+int WatchdogDriver::ShardFor(const Checker& checker, size_t name_hash) const {
   const int shards = static_cast<int>(shards_.size());
   const int affinity = checker.options().shard_affinity;
   if (affinity >= 0) {
     return affinity % shards;
   }
-  return static_cast<int>(std::hash<std::string>{}(checker.name()) %
-                          static_cast<size_t>(shards));
+  return static_cast<int>(name_hash % static_cast<size_t>(shards));
+}
+
+size_t WatchdogDriver::ProbeNameLocked(const std::string& name, size_t name_hash) const {
+  const uint32_t folded = FoldHash(name_hash);
+  const size_t mask = name_index_.size() - 1;
+  for (size_t i = folded & mask;; i = (i + 1) & mask) {
+    const NameEntry& entry = name_index_[i];
+    if (entry.slot == kNoSlot ||
+        (entry.hash == folded && slots_[entry.slot].checker->name() == name)) {
+      return i;
+    }
+  }
+}
+
+void WatchdogDriver::GrowNameIndexLocked() {
+  std::vector<NameEntry> old(std::max<size_t>(16, name_index_.size() * 2));
+  old.swap(name_index_);
+  const size_t mask = name_index_.size() - 1;
+  for (const NameEntry& entry : old) {
+    if (entry.slot == kNoSlot) {
+      continue;
+    }
+    size_t i = entry.hash & mask;
+    while (name_index_[i].slot != kNoSlot) {
+      i = (i + 1) & mask;
+    }
+    name_index_[i] = entry;
+  }
 }
 
 std::optional<size_t> WatchdogDriver::FindSlotLocked(const std::string& checker_name) const {
-  const auto it = index_by_name_.find(checker_name);
-  if (it == index_by_name_.end()) {
+  if (name_index_.empty()) {
     return std::nullopt;
   }
-  return it->second;
+  const NameEntry& entry =
+      name_index_[ProbeNameLocked(checker_name, std::hash<std::string>{}(checker_name))];
+  if (entry.slot == kNoSlot) {
+    return std::nullopt;
+  }
+  return entry.slot;
 }
 
 Checker* WatchdogDriver::AddChecker(std::unique_ptr<Checker> checker) {
@@ -144,19 +181,23 @@ Status WatchdogDriver::TryAddChecker(std::unique_ptr<Checker> checker) {
         StrFormat("cannot register checker '%s': driver already running",
                   checker->name().c_str()));
   }
+  // The one hash of this registration: the duplicate probe, the insert and
+  // the shard all use it.
+  const size_t name_hash = std::hash<std::string>{}(checker->name());
   std::lock_guard<std::mutex> reg_lock(reg_mu_);
-  if (index_by_name_.count(std::string_view(checker->name())) != 0) {
+  if ((slots_.size() + 1) * 2 > name_index_.size()) {
+    GrowNameIndexLocked();
+  }
+  NameEntry& entry = name_index_[ProbeNameLocked(checker->name(), name_hash)];
+  if (entry.slot != kNoSlot) {
     return AlreadyExistsError(
         StrFormat("checker '%s' is already registered", checker->name().c_str()));
   }
-  Slot slot;
-  slot.checker = std::move(checker);
-  slot.shard = static_cast<uint16_t>(ShardFor(*slot.checker));
   const size_t index = slots_.size();
-  // Key is a view into the heap-stable Checker name.
-  index_by_name_.emplace(std::string_view(slot.checker->name()), index);
-  shards_[slot.shard]->members.push_back(index);
-  slots_.push_back(std::move(slot));
+  const auto shard = static_cast<uint16_t>(ShardFor(*checker, name_hash));
+  slots_.emplace_back(std::move(checker), shard);
+  shards_[shard]->members.push_back(index);
+  entry = NameEntry{FoldHash(name_hash), static_cast<uint32_t>(index)};
   return Status::Ok();
 }
 

@@ -55,8 +55,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -320,6 +318,9 @@ class WatchdogDriver {
   // executor's slab freelist — raw pointers, released back exactly once via
   // ReleaseExecution when the scheduler drops them.
   struct Slot {
+    Slot(std::unique_ptr<Checker> owned, uint16_t home)
+        : shard(home), checker(std::move(owned)) {}
+
     TimeNs next_run = 0;
     Execution* running = nullptr;  // in-deadline execution (slab-owned)
     // Subscription-epoch baseline: the key-epoch fingerprint observed at the
@@ -407,10 +408,16 @@ class WatchdogDriver {
   // Supervised-mode heartbeat, run once per shard-0 pass (no locks held):
   // kicks wdogd when due and the all-shards liveness proof holds.
   void MaybeKickSupervisor(TimeNs now);
-  // Shard assignment for a checker about to be registered.
-  int ShardFor(const Checker& checker) const;
+  // Shard assignment for a checker about to be registered; `name_hash` is
+  // std::hash<std::string> of its name.
+  int ShardFor(const Checker& checker, size_t name_hash) const;
   // Slot index for a name, under reg_mu_; nullopt when unknown.
   std::optional<size_t> FindSlotLocked(const std::string& checker_name) const;
+  // Position in name_index_ of the entry for `name`, or of the empty entry
+  // where it would go (reg_mu_ held; name_index_ not empty).
+  size_t ProbeNameLocked(const std::string& name, size_t name_hash) const;
+  // Doubles name_index_ from the stored hashes alone (reg_mu_ held).
+  void GrowNameIndexLocked();
 
   Clock& clock_;
   Options options_;
@@ -428,10 +435,22 @@ class WatchdogDriver {
   // vector without it). Slot *state* is guarded by the owning shard's mutex.
   // Lock order: reg_mu_ → shard.mu; never the reverse.
   mutable std::mutex reg_mu_;
+  // In registration order (CheckerNames() lists them so). Each Slot is built
+  // in place; a registration allocates nothing per checker here, only when
+  // the vector doubles.
   std::vector<Slot> slots_;
-  // Keys view into each slot's checker->name() — the Checker object is heap-
-  // stable even as slots_ reallocates, so the views never dangle.
-  std::unordered_map<std::string_view, size_t> index_by_name_;
+  // Name index: open addressing with linear probing over one vector, a power
+  // of two in size and at most half full. An entry holds the name's
+  // std::hash folded to 32 bits and its slot index. Names are compared,
+  // through the heap-stable Checker, only when the stored hashes match, and
+  // growing rehashes from the stored hashes without touching a Checker.
+  // Slot indices fit 32 bits, as the wheel entries' payloads already assume.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  struct NameEntry {
+    uint32_t hash = 0;
+    uint32_t slot = kNoSlot;
+  };
+  std::vector<NameEntry> name_index_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
 

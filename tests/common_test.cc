@@ -2,6 +2,9 @@
 // metrics, rng, clock, threading.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdarg>
+#include <cstdio>
 #include <set>
 #include <thread>
 
@@ -74,6 +77,42 @@ TEST(ResultTest, AssignOrReturnPropagates) {
 TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%s=%d", "x", 7), "x=7");
   EXPECT_EQ(StrFormat("%s", ""), "");
+}
+
+// The pre-sizing two-pass formatter StrFormat must match byte for byte.
+std::string TwoPassFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+std::string TwoPassFormat(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list args_copy;
+  va_copy(args_copy, args);
+  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  va_end(args);
+  std::string out(static_cast<size_t>(std::max(needed, 0)), '\0');
+  if (needed > 0) {
+    std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
+  }
+  va_end(args_copy);
+  return out;
+}
+
+// StrFormat formats once into a 256-byte stack buffer and again only when
+// the result does not fit: 255 characters (plus the terminator) fill it, 256
+// and up take the second pass.
+TEST(StringsTest, StrFormatMatchesTwoPassAroundTheStackBuffer) {
+  EXPECT_EQ(StrFormat("%s", ""), TwoPassFormat("%s", ""));
+  EXPECT_EQ(StrFormat("%s", ""), "");
+  for (const size_t length : {size_t{1}, size_t{255}, size_t{256}, size_t{257},
+                              size_t{10 * 1024}}) {
+    std::string body(length - 1, 'x');
+    for (size_t i = 0; i < body.size(); ++i) {
+      body[i] = static_cast<char>('a' + i % 26);
+    }
+    const std::string formatted = StrFormat("%s%d", body.c_str(), 7);
+    EXPECT_EQ(formatted.size(), length);
+    EXPECT_EQ(formatted, TwoPassFormat("%s%d", body.c_str(), 7)) << length;
+    EXPECT_EQ(formatted.back(), '7');
+  }
 }
 
 TEST(StringsTest, StrSplit) {

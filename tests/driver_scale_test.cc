@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -295,10 +296,11 @@ TEST(DriverShardingTest, ShardedFleetHonorsAffinityAndBoundsWorkers) {
 #endif
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__) || \
     __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-constexpr int kChurnFleet = 2000;
+constexpr bool kSanitized = true;
 #else
-constexpr int kChurnFleet = 10000;
+constexpr bool kSanitized = false;
 #endif
+constexpr int kChurnFleet = kSanitized ? 2000 : 10000;
 
 TEST(DriverShardingTest, TenThousandCheckerChurnNoStaleFiresNoWheelLeaks) {
   RealClock& clock = RealClock::Instance();
@@ -953,6 +955,129 @@ TEST(DriverScaleTest, SteadyStateHookPlaneIsAllocationFree) {
   EXPECT_EQ(*ctx.Get(kLong),
             std::string(200, static_cast<char>('a' + (2 * kRounds - 1) % 26)));
   EXPECT_EQ(site.fired_count(), 8 * kRounds);
+}
+
+// --- registration: the flat name index --------------------------------
+
+// Registering a checker allocates nothing per checker in the driver: the
+// slot is built in place in one vector and the name index is one flat
+// vector, so allocations grow with the number of doublings, not the fleet.
+TEST(DriverScaleTest, RegistrationAllocatesNothingPerChecker) {
+  constexpr int kCheckers = 50000;
+  std::vector<std::unique_ptr<Checker>> fleet;
+  fleet.reserve(kCheckers);
+  for (int i = 0; i < kCheckers; ++i) {
+    fleet.push_back(std::make_unique<ProbeChecker>(StrFormat("reg%05d", i), "scale",
+                                                   [] { return Status::Ok(); }));
+  }
+  WatchdogDriver::Options options;
+  options.shards = 4;
+  options.per_checker_metrics = false;
+  WatchdogDriver driver(RealClock::Instance(), options);
+  int refused = 0;
+  const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (std::unique_ptr<Checker>& checker : fleet) {
+    refused += driver.TryAddChecker(std::move(checker)).ok() ? 0 : 1;
+  }
+  const int64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(refused, 0);
+  EXPECT_EQ(driver.checker_count(), kCheckers);
+  EXPECT_LT(allocs, kCheckers / 100) << allocs << " heap allocations for " << kCheckers
+                                     << " registrations";
+}
+
+// Sanitized builds register a smaller fleet: the index's behaviour does not
+// depend on its size past a few doublings.
+constexpr int kRegistrationFleet = kSanitized ? 20000 : 100000;
+
+// After a 10^5 fleet, every name is still found by every accessor, a
+// duplicate is still refused with its code and message, and CheckerNames()
+// lists the fleet in registration order (here not sorted order).
+TEST(DriverScaleTest, FleetRegistrationFindsEveryNameAndRefusesDuplicates) {
+  WatchdogDriver::Options options;
+  options.shards = 4;
+  options.executor.workers = 2;
+  options.executor.queue_capacity = 4096;
+  options.per_checker_metrics = false;
+  WatchdogDriver driver(RealClock::Instance(), options);
+  std::atomic<int64_t> runs{0};
+  CheckerOptions copts;
+  copts.interval = Sec(3600);  // each checker runs once, at Start()
+  copts.timeout = Sec(30);
+  std::vector<std::string> names;
+  names.reserve(kRegistrationFleet);
+  int refused = 0;
+  for (int i = 0; i < kRegistrationFleet; ++i) {
+    // 7919 is prime to the fleet size, so this visits every number once.
+    names.push_back(StrFormat("r%06d", static_cast<int>(int64_t{i} * 7919 % kRegistrationFleet)));
+    refused += driver
+                   .TryAddChecker(std::make_unique<ProbeChecker>(
+                       names.back(), "scale",
+                       [&runs] {
+                         runs.fetch_add(1, std::memory_order_relaxed);
+                         return Status::Ok();
+                       },
+                       copts))
+                   .ok()
+                   ? 0
+                   : 1;
+  }
+  ASSERT_EQ(refused, 0);
+
+  const Status duplicate = driver.TryAddChecker(std::make_unique<ProbeChecker>(
+      names[kRegistrationFleet / 2], "scale", [] { return Status::Ok(); }, copts));
+  EXPECT_EQ(duplicate.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(duplicate.message(),
+            "checker '" + names[kRegistrationFleet / 2] + "' is already registered");
+  EXPECT_EQ(driver.TryAddChecker(nullptr).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(driver.checker_count(), kRegistrationFleet);
+  EXPECT_EQ(driver.CheckerNames(), names);
+
+  int misplaced = 0;
+  for (const std::string& name : names) {
+    const int shard = driver.ShardOf(name);
+    misplaced += shard >= 0 && shard < 4 && driver.IsCheckerEnabled(name) ? 0 : 1;
+  }
+  EXPECT_EQ(misplaced, 0);
+  EXPECT_EQ(driver.ShardOf("r-missing"), -1);
+  EXPECT_FALSE(driver.IsCheckerEnabled("r-missing"));
+  EXPECT_EQ(driver.TrySetCheckerEnabled("r-missing", false).code(), StatusCode::kNotFound);
+
+  ASSERT_TRUE(driver.Start().ok());
+  const Status late = driver.TryAddChecker(
+      std::make_unique<ProbeChecker>("r-late", "scale", [] { return Status::Ok(); }, copts));
+  EXPECT_EQ(late.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(late.message(), "cannot register checker 'r-late': driver already running");
+  const TimeNs deadline = RealClock::Instance().NowNs() + Sec(60);
+  while (runs.load() < kRegistrationFleet && RealClock::Instance().NowNs() < deadline) {
+    RealClock::Instance().SleepFor(Ms(10));
+  }
+  EXPECT_TRUE(driver.Stop().ok());
+  ASSERT_EQ(runs.load(), kRegistrationFleet);
+  // Every name reaches its own slot's stats: each ran exactly once.
+  int not_found = 0;
+  for (const std::string& name : names) {
+    not_found += driver.StatsFor(name).runs == 1 ? 0 : 1;
+  }
+  EXPECT_EQ(not_found, 0);
+  EXPECT_EQ(driver.StatsFor("r-missing").runs, 0);
+}
+
+// Without affinity a checker's shard is std::hash of its name modulo the
+// shard count, as it was before the name index reused the hash.
+TEST(DriverShardingTest, UnpinnedShardIsTheNameHashModuloShards) {
+  WatchdogDriver::Options options;
+  options.shards = 4;
+  WatchdogDriver driver(RealClock::Instance(), options);
+  for (int i = 0; i < 1000; ++i) {
+    driver.AddChecker(std::make_unique<ProbeChecker>(StrFormat("shard-rule-%04d", i), "scale",
+                                                     [] { return Status::Ok(); }));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const std::string name = StrFormat("shard-rule-%04d", i);
+    EXPECT_EQ(driver.ShardOf(name), static_cast<int>(std::hash<std::string>{}(name) % 4))
+        << name;
+  }
 }
 
 }  // namespace

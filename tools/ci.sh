@@ -76,7 +76,9 @@ echo "=== bench smoke: 1M-shape sharded fleet (downscaled) ==="
 # The million-checker driver shape (dispatch_batch 64, ring 8192), downscaled
 # to 200k checkers at the same ~500k/sec offered rate so the gate stays
 # sub-second per round: the allocation-free dispatch path must sustain at
-# least half the offered rate with p99 queue delay in budget.
+# least half the offered rate with p99 queue delay in budget, and
+# registering and starting the fleet must stay within 1.10 heap allocations
+# per checker (a count, so host load does not move it).
 (cd build-ci/bench && ./bench_driver_scale --smoke-1m)
 echo "=== bench smoke: kvs driver shape wake-ups ==="
 # The kvs watchdog's shape (11 checkers at 25 ms, 1 shard x 2 workers,
