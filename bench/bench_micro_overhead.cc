@@ -1,9 +1,13 @@
 // Micro-costs backing Figure 1's "no significant cost" claim, measured with
 // google-benchmark: hook firing (armed/unarmed), context synchronization,
-// fault-site gating, and the AutoWatchdog generation pipeline itself.
+// fault-site gating, the simulated network's round trip, and the
+// AutoWatchdog generation pipeline itself.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "src/autowd/autowatchdog.h"
 #include "src/common/checksum.h"
@@ -14,6 +18,7 @@
 #include "src/kvs/memtable.h"
 #include "src/kvs/sstable.h"
 #include "src/kvs/wal.h"
+#include "src/sim/sim_net.h"
 #include "src/watchdog/context.h"
 
 namespace {
@@ -185,6 +190,52 @@ void BM_FaultSite_NoFault(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FaultSite_NoFault);
+
+// Voluntary context switches of the calling thread so far: one per wake-up
+// from a blocking wait.
+int64_t VoluntarySwitches() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_nvcsw;
+}
+
+// One SimNet Call to an echo thread at 100 us latency each way: the
+// substrate cost under every kvs request. The model says 200 us; the counters
+// show wall time per call and how often the caller woke to get its reply.
+void BM_SimNetCallRoundTrip(benchmark::State& state) {
+  wdg::RealClock& clock = wdg::RealClock::Instance();
+  wdg::FaultInjector injector(clock);
+  wdg::NetOptions options;
+  options.base_latency = wdg::Us(100);
+  options.per_kb_latency = 0;
+  wdg::SimNet net(clock, injector, options);
+  wdg::Endpoint* client = net.CreateEndpoint("client");
+  wdg::Endpoint* server = net.CreateEndpoint("server");
+  std::atomic<bool> stop{false};
+  std::thread echo([&] {
+    while (!stop.load()) {
+      if (const auto request = server->Recv(wdg::Ms(5))) {
+        (void)server->Reply(*request, request->payload);
+      }
+    }
+  });
+  const int64_t switches_before = VoluntarySwitches();
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const auto reply = client->Call("server", "echo", "ping", wdg::Sec(1));
+    if (Failed(state, reply.status())) {
+      break;
+    }
+  }
+  const double wall_us = std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start).count();
+  const auto switches = static_cast<double>(VoluntarySwitches() - switches_before);
+  stop.store(true);
+  echo.join();
+  state.counters["wall_us"] = benchmark::Counter(wall_us, benchmark::Counter::kAvgIterations);
+  state.counters["wakeups"] = benchmark::Counter(switches, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SimNetCallRoundTrip)->UseRealTime();
 
 // CRC32 by buffer size: 64 B is the smallest input the fold kernel takes,
 // 4 KB a block, 81000 B about one SSTable as Index::Get reads it.

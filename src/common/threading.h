@@ -154,6 +154,30 @@ class Event {
   bool signaled_ = false;
 };
 
+// A one-shot kernel timer (a Linux timerfd) that belongs to one thread, for a
+// wait that another thread may need to bring forward: the owner arms it and
+// blocks in Wait(); any thread may re-arm it (under whatever lock hands out
+// the pointer) to end that wait at a chosen time instead of at once. Created
+// by the thread's first ForThisThread() call, closed when the thread exits.
+class ThreadTimer {
+ public:
+  static ThreadTimer& ForThisThread();
+  ~ThreadTimer();
+  ThreadTimer(const ThreadTimer&) = delete;
+  ThreadTimer& operator=(const ThreadTimer&) = delete;
+
+  // Fires once, `after` from now (at least 1 ns); replaces any earlier arming
+  // and forgets an expiry nobody waited for.
+  void ArmAfter(DurationNs after);
+  // Blocks the owner until the armed time. If the kernel refused a timer (out
+  // of descriptors), sleeps 100 us instead: callers re-check their condition.
+  void Wait();
+
+ private:
+  ThreadTimer();
+  int fd_;
+};
+
 // std::thread wrapper that joins on destruction (and never detaches).
 class JoiningThread {
  public:

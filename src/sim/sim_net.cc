@@ -24,15 +24,28 @@ std::optional<Message> Endpoint::Recv(DurationNs timeout) {
   if (!gate.ok()) {
     return std::nullopt;
   }
-  return PopMatching([](const Message& m) { return !m.is_reply; }, timeout);
+  Waiter waiter;
+  return Await(waiter, timeout);
 }
 
 Result<std::string> Endpoint::Call(const NodeId& dst, std::string type, std::string payload,
                                    DurationNs timeout) {
-  const uint64_t corr = net_.NextCorrId();
-  WDG_RETURN_IF_ERROR(Send(dst, std::move(type), std::move(payload), corr, /*is_reply=*/false));
-  std::optional<Message> reply =
-      PopMatching([corr](const Message& m) { return m.is_reply && m.corr_id == corr; }, timeout);
+  // Listed before the send, so the reply finds its Call however fast it is.
+  Waiter waiter;
+  waiter.corr = net_.NextCorrId();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    waiters_.push_back(&waiter);
+    waiter.listed = true;
+  }
+  const Status sent =
+      Send(dst, std::move(type), std::move(payload), waiter.corr, /*is_reply=*/false);
+  if (!sent.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    UnlistLocked(waiter);
+    return sent;
+  }
+  std::optional<Message> reply = Await(waiter, timeout);
   if (!reply.has_value()) {
     return TimeoutError(StrFormat("call to %s timed out", dst.c_str()));
   }
@@ -50,46 +63,95 @@ size_t Endpoint::PendingCount() const {
 }
 
 void Endpoint::Deliver(Message msg, TimeNs deliver_at) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    inbox_.emplace(deliver_at, std::move(msg));
+  std::lock_guard<std::mutex> lock(mu_);
+  bool awaited = !msg.is_reply;
+  for (Waiter* waiter : waiters_) {
+    if (!Wants(*waiter, msg)) {
+      continue;
+    }
+    awaited = true;
+    // Bring a parked waiter's wake-up forward to the due time; waking it now
+    // would only find the message not yet deliverable.
+    if (waiter->timer != nullptr && waiter->wake_at > deliver_at) {
+      waiter->wake_at = deliver_at;
+      waiter->timer->ArmAfter(deliver_at - net_.clock().NowNs());
+    }
   }
-  cv_.notify_all();
+  if (!awaited) {
+    net_.replies_orphaned_->Increment();  // its Call already gave up
+    return;
+  }
+  inbox_.emplace(deliver_at, std::move(msg));
 }
 
-std::optional<Message> Endpoint::PopMatching(const std::function<bool(const Message&)>& pred,
-                                             DurationNs timeout) {
+std::optional<Message> Endpoint::Await(Waiter& waiter, DurationNs timeout) {
   Clock& clock = net_.clock();
   const TimeNs deadline = clock.NowNs() + timeout;
+  std::optional<Message> taken;
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     const TimeNs now = clock.NowNs();
-    // Scan deliverable messages for a match.
-    for (auto it = inbox_.begin(); it != inbox_.end() && it->first <= now; ++it) {
-      if (pred(it->second)) {
-        Message msg = std::move(it->second);
-        inbox_.erase(it);
-        return msg;
-      }
+    auto it = inbox_.begin();
+    while (it != inbox_.end() && it->first <= now && !Wants(waiter, it->second)) {
+      ++it;
+    }
+    if (it != inbox_.end() && it->first <= now) {
+      taken = std::move(it->second);
+      inbox_.erase(it);
+      break;
     }
     if (now >= deadline) {
-      return std::nullopt;
+      break;
     }
-    // Wake at the earlier of: next message becoming deliverable, our deadline,
-    // or a new delivery (cv notification). A short cap keeps SimClock users live.
-    TimeNs wake = deadline;
-    if (!inbox_.empty()) {
-      wake = std::min(wake, inbox_.begin()->first);
+    // Park until the earliest wanted message falls due, the deadline, or the
+    // 5 ms re-check, whichever comes first; Deliver brings it forward.
+    TimeNs wake = std::min(deadline, now + Ms(5));
+    for (; it != inbox_.end() && it->first < wake; ++it) {
+      if (Wants(waiter, it->second)) {
+        wake = it->first;
+        break;
+      }
     }
-    const DurationNs wait = std::min<DurationNs>(std::max<DurationNs>(wake - now, 0), Ms(5));
-    cv_.wait_for(lock, std::chrono::nanoseconds(std::max<DurationNs>(wait, Us(100))));
+    if (!waiter.listed) {
+      waiters_.push_back(&waiter);
+      waiter.listed = true;
+    }
+    waiter.timer = &ThreadTimer::ForThisThread();
+    waiter.wake_at = wake;
+    waiter.timer->ArmAfter(wake - now);
+    lock.unlock();
+    waiter.timer->Wait();
+    lock.lock();
+  }
+  UnlistLocked(waiter);
+  return taken;
+}
+
+void Endpoint::UnlistLocked(Waiter& waiter) {
+  if (!waiter.listed) {
+    return;
+  }
+  waiters_.erase(std::find(waiters_.begin(), waiters_.end(), &waiter));
+  waiter.listed = false;
+  if (waiter.corr == 0) {
+    return;
+  }
+  // A reply still in flight for a finished Call would never be taken.
+  for (auto it = inbox_.begin(); it != inbox_.end();) {
+    if (Wants(waiter, it->second)) {
+      it = inbox_.erase(it);
+      net_.replies_orphaned_->Increment();
+    } else {
+      ++it;
+    }
   }
 }
 
 SimNet::SimNet(Clock& clock, FaultInjector& injector, NetOptions options, uint64_t seed)
     : clock_(clock), injector_(injector), options_(options),
       drop_probability_(options.drop_probability), rng_(seed),
-      messages_sent_(metrics_.GetCounter("net.messages_sent")) {}
+      messages_sent_(metrics_.GetCounter("net.messages_sent")),
+      replies_orphaned_(metrics_.GetCounter("net.replies_orphaned")) {}
 
 Endpoint* SimNet::CreateEndpoint(const NodeId& id) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -5,12 +5,22 @@
 // Fault sites: "net.send.<dst>" and "net.recv.<node>" — so a campaign can
 // hang exactly the leader→follower link ("net.send.follower1") while every
 // other flow, including heartbeats, keeps working.
+//
+// Delivery contract. A message sent at t is due at t + latency and is never
+// surfaced before that. A thread blocked in Recv or Call wakes once per
+// message it is waiting for, when that message is due, not when it is sent:
+// each waiting thread parks on its own kernel timer (a ThreadTimer, created
+// on the thread's first wait), and Deliver moves a parked waiter's timer
+// forward to the new message's due time instead of waking it. A parked
+// thread also wakes at its deadline, and at least every 5 ms, so a clock
+// that is not real time (SimClock) is re-read that often. Messages due at the
+// same time surface in send order. A reply that no waiting Call will take (it
+// came after the Call gave up) is dropped and counted in
+// "net.replies_orphaned".
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +32,7 @@
 #include "src/common/clock.h"
 #include "src/common/metrics.h"
 #include "src/common/result.h"
+#include "src/common/threading.h"
 #include "src/fault/fault_injector.h"
 
 namespace wdg {
@@ -75,9 +86,24 @@ class Endpoint {
  private:
   friend class SimNet;
 
+  // A thread in Recv (corr 0: any request) or Call (the reply with its
+  // correlation id). Fields are guarded by mu_.
+  struct Waiter {
+    uint64_t corr = 0;
+    bool listed = false;           // in waiters_: a Call from its send on, a Recv once parked
+    ThreadTimer* timer = nullptr;  // set once the thread has parked
+    TimeNs wake_at = 0;            // when `timer` fires; Deliver moves it earlier
+  };
+
+  static bool Wants(const Waiter& waiter, const Message& msg) {
+    return waiter.corr == 0 ? !msg.is_reply : msg.is_reply && msg.corr_id == waiter.corr;
+  }
+
   void Deliver(Message msg, TimeNs deliver_at);
-  std::optional<Message> PopMatching(const std::function<bool(const Message&)>& pred,
-                                     DurationNs timeout);
+  // Takes the first deliverable message `waiter` wants, parking until one is
+  // due or the timeout passes; unlists the waiter before it returns.
+  std::optional<Message> Await(Waiter& waiter, DurationNs timeout);
+  void UnlistLocked(Waiter& waiter);
 
   SimNet& net_;
   NodeId id_;
@@ -85,9 +111,9 @@ class Endpoint {
   std::string send_site_;  // "net.send.<id>", built once: every send to this node
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   // deliver_at -> message; Recv only surfaces messages whose time has come.
   std::multimap<TimeNs, Message> inbox_;
+  std::vector<Waiter*> waiters_;  // parked threads and open Calls
 };
 
 class SimNet {
@@ -129,6 +155,7 @@ class SimNet {
   std::atomic<uint64_t> corr_counter_{0};
   MetricsRegistry metrics_;
   Counter* messages_sent_;  // resolved once: Route counts every message
+  Counter* replies_orphaned_;
 };
 
 }  // namespace wdg

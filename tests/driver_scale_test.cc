@@ -176,6 +176,9 @@ TEST(DriverScaleTest, StopUnderSaturatedQueueJoinsCleanly) {
   WatchdogDriver::Options options;
   options.executor.workers = 2;
   options.executor.queue_capacity = 4;  // far smaller than the fleet
+  // One pool task per checker: 64 tasks against a queue of 4. Batched 16 to a
+  // task, a round is exactly 4 tasks and the queue need never push back.
+  options.dispatch_batch = 1;
   WatchdogDriver driver(clock, options);
 
   constexpr int kCheckers = 64;

@@ -1,8 +1,12 @@
 // Unit tests for the simulated disk and network.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <functional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/checksum.h"
 #include "src/sim/sim_disk.h"
@@ -299,6 +303,219 @@ TEST_F(SimNetTest, LatencyDelaysDelivery) {
   ASSERT_TRUE(a->Send("b", "t", "p").ok());
   EXPECT_FALSE(b->Recv(Ms(5)).has_value());  // not yet deliverable
   EXPECT_TRUE(b->Recv(Ms(200)).has_value());
+}
+
+// Voluntary context switches of the calling thread so far: each wake-up
+// from a blocking wait is one.
+int64_t VoluntarySwitches() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_nvcsw;
+}
+
+// perfbench's latency, so the wake-up bounds below measure its shape.
+NetOptions HundredMicros() {
+  NetOptions options;
+  options.base_latency = Us(100);
+  options.per_kb_latency = 0;
+  return options;
+}
+
+// Answers every request on `server` with its own payload until `stop`.
+void Echo(Endpoint* server, const std::atomic<bool>& stop) {
+  while (!stop.load()) {
+    if (const auto request = server->Recv(Ms(5))) {
+      ASSERT_TRUE(server->Reply(*request, request->payload).ok());
+    }
+  }
+}
+
+TEST_F(SimNetTest, BlockedReceiverWakesOncePerMessage) {
+  // Waking at send time finds the message not yet due and sleeps again:
+  // two wake-ups per message. The receiver must wake once, when it is due.
+  SimNet net(clock_, injector_, HundredMicros());
+  Endpoint* a = net.CreateEndpoint("a");
+  Endpoint* b = net.CreateEndpoint("b");
+  constexpr int kMessages = 200;
+  int received = 0;
+  int64_t switches = 0;
+  std::thread receiver([&] {
+    const int64_t before = VoluntarySwitches();
+    while (received < kMessages && b->Recv(Sec(2)).has_value()) {
+      ++received;
+    }
+    switches = VoluntarySwitches() - before;
+  });
+  for (int i = 0; i < kMessages; ++i) {
+    clock_.SleepFor(Ms(1));
+    EXPECT_TRUE(a->Send("b", "t", "p").ok());
+  }
+  receiver.join();
+  ASSERT_EQ(received, kMessages);
+  EXPECT_LE(static_cast<double>(switches) / kMessages, 1.25) << switches << " wake-ups";
+}
+
+TEST_F(SimNetTest, CallerWakesOncePerReply) {
+  SimNet net(clock_, injector_, HundredMicros());
+  Endpoint* client = net.CreateEndpoint("client");
+  Endpoint* server = net.CreateEndpoint("server");
+  std::atomic<bool> stop{false};
+  std::thread echo(Echo, server, std::cref(stop));
+  constexpr int kCalls = 200;
+  int64_t switches = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    const int64_t before = VoluntarySwitches();
+    const auto reply = client->Call("server", "echo", "hi", Sec(2));
+    switches += VoluntarySwitches() - before;
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  }
+  stop = true;
+  echo.join();
+  EXPECT_LE(static_cast<double>(switches) / kCalls, 1.25) << switches << " wake-ups";
+}
+
+// Sends `count` messages to `to`, each carrying its send time; `before_send`
+// runs first, so a test can line a send up against a receiver.
+void SendStamped(Clock& clock, Endpoint* from, const NodeId& to, int count,
+                 const std::function<void(int)>& before_send) {
+  for (int i = 0; i < count; ++i) {
+    before_send(i);
+    EXPECT_TRUE(from->Send(to, "t", std::to_string(clock.NowNs())).ok());
+  }
+}
+
+TEST_F(SimNetTest, NeverDeliversEarly) {
+  SimNet net(clock_, injector_, HundredMicros());
+  Endpoint* a = net.CreateEndpoint("a");
+  Endpoint* b = net.CreateEndpoint("b");
+  constexpr int kMessages = 300;
+  std::atomic<int> early{0};
+  std::atomic<int> received{0};
+  const auto receive = [&](int want) {
+    while (received.load() < want) {
+      const auto msg = b->Recv(Ms(20));
+      if (!msg.has_value()) {
+        continue;
+      }
+      if (clock_.NowNs() < std::stoll(msg->payload) + Us(100)) {
+        early.fetch_add(1);
+      }
+      received.fetch_add(1);
+    }
+  };
+
+  // Each send lines up with a receiver that is just calling Recv, so the
+  // message races the waiter's scan and park.
+  std::atomic<int> parking{-1};
+  std::thread racer([&] {
+    for (int i = 0; i < kMessages; ++i) {
+      parking.store(i);
+      receive(i + 1);
+    }
+  });
+  SendStamped(clock_, a, "b", kMessages, [&](int i) {
+    while (parking.load() != i) {
+      std::this_thread::yield();
+    }
+  });
+  racer.join();
+  EXPECT_EQ(received.load(), kMessages);
+
+  // Two waiters on one endpoint, messages at varied spacing.
+  received = 0;
+  std::thread first(receive, 2 * kMessages);
+  std::thread second(receive, 2 * kMessages);
+  SendStamped(clock_, a, "b", 2 * kMessages, [&](int i) {
+    const TimeNs until = clock_.NowNs() + Us(i % 7 * 30);
+    while (clock_.NowNs() < until) {
+    }
+  });
+  first.join();
+  second.join();
+  EXPECT_EQ(received.load(), 2 * kMessages);
+  EXPECT_EQ(early.load(), 0);
+  EXPECT_EQ(b->PendingCount(), 0u);
+}
+
+TEST_F(SimNetTest, ConcurrentCallsOnOneEndpointAllComplete) {
+  // The mimic executors share one endpoint per source: concurrent Calls
+  // through it must each get their own reply.
+  SimNet net(clock_, injector_, HundredMicros());
+  Endpoint* client = net.CreateEndpoint("client");
+  Endpoint* server = net.CreateEndpoint("server");
+  std::atomic<bool> stop{false};
+  std::thread echo(Echo, server, std::cref(stop));
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 50;
+  std::atomic<int> completed{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < kCalls; ++i) {
+        const std::string payload = std::to_string(t) + ":" + std::to_string(i);
+        const auto reply = client->Call("server", "echo", payload, Sec(2));
+        if (reply.ok() && *reply == payload) {
+          completed.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) {
+    caller.join();
+  }
+  stop = true;
+  echo.join();
+  EXPECT_EQ(completed.load(), kThreads * kCalls);
+  EXPECT_EQ(client->PendingCount(), 0u);
+  EXPECT_EQ(net.metrics().GetCounter("net.replies_orphaned")->Value(), 0);
+}
+
+TEST_F(SimNetTest, LateReplyIsDroppedAndLeavesLaterCallsQuiet) {
+  // A reply that comes after its Call gave up would sit in the inbox for
+  // good, already due, and make every later wait on the endpoint poll.
+  SimNet net(clock_, injector_, HundredMicros());
+  Endpoint* client = net.CreateEndpoint("client");
+  Endpoint* server = net.CreateEndpoint("server");
+  std::thread server_thread([&] {
+    for (const DurationNs delay : {Ms(30), Ms(2)}) {
+      const auto request = server->Recv(Sec(2));
+      ASSERT_TRUE(request.has_value());
+      clock_.SleepFor(delay);
+      ASSERT_TRUE(server->Reply(*request, "late").ok());
+    }
+  });
+  EXPECT_EQ(client->Call("server", "echo", "1", Ms(10)).status().code(), StatusCode::kTimeout);
+  clock_.SleepFor(Ms(40));  // the 30 ms reply has come and is due
+  EXPECT_EQ(client->PendingCount(), 0u);
+  EXPECT_EQ(net.metrics().GetCounter("net.replies_orphaned")->Value(), 1);
+
+  const int64_t before = VoluntarySwitches();
+  // Answered 2 ms late: inside one 5 ms park, so one wake-up for the reply.
+  const auto reply = client->Call("server", "echo", "2", Sec(2));
+  const int64_t switches = VoluntarySwitches() - before;
+  server_thread.join();
+  ASSERT_TRUE(reply.ok());
+  EXPECT_LE(switches, 2);
+}
+
+TEST_F(SimNetTest, ReplyInFlightWhenCallGivesUpIsDropped) {
+  // The reply is sent while the Call still waits but falls due after it
+  // gave up: it must not stay behind in the inbox either.
+  NetOptions slow;
+  slow.base_latency = Ms(30);
+  slow.per_kb_latency = 0;
+  SimNet net(clock_, injector_, slow);
+  Endpoint* client = net.CreateEndpoint("client");
+  Endpoint* server = net.CreateEndpoint("server");
+  std::thread server_thread([&] {
+    const auto request = server->Recv(Sec(2));
+    ASSERT_TRUE(request.has_value());
+    ASSERT_TRUE(server->Reply(*request, "pong").ok());  // due ~60 ms after the call
+  });
+  EXPECT_EQ(client->Call("server", "echo", "hi", Ms(45)).status().code(), StatusCode::kTimeout);
+  server_thread.join();
+  EXPECT_EQ(client->PendingCount(), 0u);
+  EXPECT_EQ(net.metrics().GetCounter("net.replies_orphaned")->Value(), 1);
 }
 
 }  // namespace

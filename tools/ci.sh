@@ -91,13 +91,14 @@ echo "=== bench smoke: context read path ==="
 # Runs in the build tree so the quick-mode JSON can't clobber the committed
 # full-run artifact the trend gate below reads.
 (cd build-ci/bench && ./bench_context_read --quick)
-echo "=== bench smoke: table paths ==="
+echo "=== bench smoke: table paths and the SimNet round trip ==="
 # One short pass over the table-path micro benches (compaction, the merge,
-# index.lookup and partition-validate mimics, at 1x and 10x data), so a
-# crash or hang in those paths fails CI. Gates on the exit status only: the
-# timings print but are not judged.
+# index.lookup and partition-validate mimics, at 1x and 10x data) and the
+# SimNet Call round trip under every kvs request, so a crash, a hang or a
+# failing op in those paths fails CI. Gates on the exit status only: the
+# timings and the round trip's wake-ups per call print but are not judged.
 timeout 300 ./build-ci/bench/bench_micro_overhead \
-  --benchmark_filter='BM_(CompactOnce|PartitionValidateProbe|MergeProbe|IndexGet)' \
+  --benchmark_filter='BM_(CompactOnce|PartitionValidateProbe|MergeProbe|IndexGet|SimNetCallRoundTrip)' \
   --benchmark_min_time=0.01
 echo "=== campaign smoke: fusion fault matrix ==="
 # Downscaled fault-matrix campaign (1 seed per class): the fused detector must
@@ -138,9 +139,11 @@ run_leg build-ci-asan address "$@"
 # completion-wake handshake between workers and the scheduler (a batch
 # stamps finished_at before its worker_released release store, and wakes the
 # scheduler only when it fails, is abandoned or is due before the planned
-# wake).
+# wake), and the SimNet suite, whose senders re-arm a parked receiver's
+# per-thread timer through the endpoint's waiter list while Calls list and
+# unlist themselves around their sends.
 run_leg build-ci-tsan thread \
-  -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal|kvs_test|minizk_test|kvs_integration_test|autowd_test|watchdog_test' \
+  -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal|kvs_test|minizk_test|kvs_integration_test|autowd_test|watchdog_test|sim_test' \
   "$@"
 # UBSan leg: the byte-level code (CRC fold kernel and sliced tail, SSTable
 # record walker, block map and merge cursors, WAL framing, block store, the standard mimic executors'
