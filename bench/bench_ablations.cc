@@ -6,13 +6,12 @@
 //   (iii) similar-op dedup in reduction (§4.1) — "invoke write() once".
 #include <cstdio>
 
-#include "src/autowd/autowatchdog.h"
 #include "src/common/strings.h"
+#include "src/eval/armed_system.h"
 #include "src/eval/campaign.h"
 #include "src/eval/scenario.h"
 #include "src/eval/table.h"
 #include "src/kvs/ir_model.h"
-#include "src/kvs/server.h"
 
 namespace {
 
@@ -22,42 +21,27 @@ namespace {
 // with contexts force-readied (no sync), the watchdog "barks" at a path the
 // program never took (the paper's spurious-report example).
 int CountFalseAlarms(bool with_context_sync) {
-  wdg::RealClock& clock = wdg::RealClock::Instance();
-  wdg::FaultInjector injector(clock);
-  wdg::DiskOptions disk_options;
-  disk_options.base_latency = wdg::Us(5);
-  wdg::SimDisk disk(clock, injector, disk_options);
-  wdg::SimNet net(clock, injector, wdg::NetOptions{});
-
-  kvs::KvsOptions options;
-  options.node_id = "kvs1";
-  options.followers = {"ghost-follower"};  // configured but never started
-  kvs::KvsNode leader(clock, disk, net, options);
-  (void)leader.Start();
-
-  awd::OpExecutorRegistry registry;
-  kvs::RegisterOpExecutors(registry, leader);
-  wdg::WatchdogDriver::Options driver_options;
-  driver_options.release_on_stop = [&injector] { injector.ClearAll(); };
-  driver_options.dedup_window = wdg::Ms(100);  // count repeated barking
-  wdg::WatchdogDriver driver(clock, driver_options);
+  wdg::ArmedSystemOptions options;
+  options.disk.base_latency = wdg::Us(5);
+  // Configured but never started; the harness's own follower idles unused.
+  options.kvs.followers = {"ghost-follower"};
+  options.driver.dedup_window = wdg::Ms(100);  // count repeated barking
+  wdg::ArmedSystem sys(wdg::System::kKvs, options);
+  (void)sys.Boot();
   awd::GenerationOptions gen;
   gen.checker.interval = wdg::Ms(25);
   gen.checker.timeout = wdg::Ms(250);
-  const awd::GenerationReport report =
-      awd::Generate(kvs::DescribeIr(leader.options()), leader.hooks(), registry, driver, gen);
+  const awd::GenerationReport report = sys.Arm(gen);
   if (!with_context_sync) {
     // Ablate: pretend every context is ready without any hook having fired.
     for (const awd::ContextSpec& spec : report.plan.contexts) {
-      leader.hooks().Context(spec.context_name)->MarkReady(clock.NowNs());
+      sys.hooks().Context(spec.context_name)->MarkReady(sys.clock().NowNs());
     }
   }
-  (void)driver.Start();
-  clock.SleepFor(wdg::Ms(800));
-  (void)driver.Stop();
-  const int alarms = static_cast<int>(driver.Failures().size());
-  leader.Stop();
-  return alarms;
+  (void)sys.Start();
+  sys.clock().SleepFor(wdg::Ms(800));
+  (void)sys.driver().Stop();
+  return static_cast<int>(sys.driver().Failures().size());
 }
 
 const wdg::Scenario& FindScenario(const std::vector<wdg::Scenario>& catalog,

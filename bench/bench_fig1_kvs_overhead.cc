@@ -8,13 +8,11 @@
 // latency with and without the watchdog.
 #include <cstdio>
 
-#include "src/autowd/autowatchdog.h"
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
+#include "src/eval/armed_system.h"
 #include "src/eval/table.h"
 #include "src/kvs/client.h"
-#include "src/kvs/ir_model.h"
-#include "src/kvs/server.h"
 
 namespace {
 
@@ -30,46 +28,27 @@ struct RunStats {
 };
 
 RunStats RunWorkload(bool with_watchdog, wdg::DurationNs duration) {
-  wdg::RealClock& clock = wdg::RealClock::Instance();
-  wdg::FaultInjector injector(clock);
-  wdg::DiskOptions disk_options;
-  disk_options.base_latency = wdg::Us(5);
-  disk_options.per_kb_latency = 0;
-  wdg::SimDisk disk(clock, injector, disk_options);
-  wdg::NetOptions net_options;
-  net_options.base_latency = wdg::Us(20);
-  wdg::SimNet net(clock, injector, net_options);
-
-  kvs::KvsOptions follower_options;
-  follower_options.node_id = "kvs2";
-  kvs::KvsNode follower(clock, disk, net, follower_options);
-  (void)follower.Start();
-
-  kvs::KvsOptions options;
-  options.node_id = "kvs1";
-  options.followers = {"kvs2"};
-  options.flush_threshold_bytes = 1024;
-  options.flush_poll = wdg::Ms(10);
-  kvs::KvsNode leader(clock, disk, net, options);
-  (void)leader.Start();
-
-  wdg::WatchdogDriver::Options driver_options;
-  driver_options.release_on_stop = [&injector] { injector.ClearAll(); };
-  wdg::WatchdogDriver driver(clock, driver_options);
-  awd::OpExecutorRegistry registry;
+  wdg::ArmedSystemOptions options;
+  options.disk.base_latency = wdg::Us(5);
+  options.disk.per_kb_latency = 0;
+  options.net.base_latency = wdg::Us(20);
+  options.kvs.flush_threshold_bytes = 1024;
+  options.kvs.flush_poll = wdg::Ms(10);
+  wdg::ArmedSystem sys(wdg::System::kKvs, options);
+  (void)sys.Boot();
+  wdg::Clock& clock = sys.clock();
+  wdg::WatchdogDriver& driver = sys.driver();
   RunStats stats;
   if (with_watchdog) {
-    kvs::RegisterOpExecutors(registry, leader);
     awd::GenerationOptions gen;
     gen.checker.interval = wdg::Ms(20);
     gen.checker.timeout = wdg::Ms(250);
-    stats.report = awd::Generate(kvs::DescribeIr(leader.options()), leader.hooks(), registry,
-                                 driver, gen);
-    (void)driver.Start();
+    stats.report = sys.Arm(gen);
+    (void)sys.Start();
   }
 
   // Closed-loop client workload.
-  kvs::KvsClient client(net, "bench", "kvs1", wdg::Ms(500));
+  kvs::KvsClient client(sys.net(), "bench", "kvs1", wdg::Ms(500));
   wdg::Histogram latency;
   const wdg::TimeNs start = clock.NowNs();
   int64_t i = 0;
@@ -96,9 +75,6 @@ RunStats RunWorkload(bool with_watchdog, wdg::DurationNs duration) {
   for (const std::string& name : driver.CheckerNames()) {
     stats.checker_runs += driver.StatsFor(name).runs;
   }
-  (void)driver.Stop();
-  leader.Stop();
-  follower.Stop();
   return stats;
 }
 

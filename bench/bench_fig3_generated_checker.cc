@@ -8,18 +8,18 @@
 #include "src/autowd/autowatchdog.h"
 #include "src/autowd/codegen.h"
 #include "src/common/strings.h"
+#include "src/eval/armed_system.h"
 #include "src/minizk/client.h"
 #include "src/minizk/ir_model.h"
-#include "src/minizk/server.h"
 
 int main() {
   std::printf("=== Figure 3: the generated mimic checker ===\n\n");
 
-  minizk::ZkOptions options;
-  options.node_id = "zk-leader";
-  options.followers = {"zk-f1"};
-  options.snapshot_every_n = 2;
-  const awd::Module module = minizk::DescribeIr(options);
+  wdg::ArmedSystemOptions options;
+  options.disk.base_latency = wdg::Us(5);
+  options.net.base_latency = wdg::Us(20);
+  options.zk.snapshot_every_n = 2;
+  const awd::Module module = minizk::DescribeIr(options.zk);
 
   // Emit the generated source for the processor region (which subsumes the
   // serializeSnapshot chain of Figure 2/3).
@@ -32,33 +32,18 @@ int main() {
   }
 
   // Now run it for real.
-  wdg::RealClock& clock = wdg::RealClock::Instance();
-  wdg::FaultInjector injector(clock);
-  wdg::DiskOptions disk_options;
-  disk_options.base_latency = wdg::Us(5);
-  wdg::SimDisk disk(clock, injector, disk_options);
-  wdg::NetOptions net_options;
-  net_options.base_latency = wdg::Us(20);
-  wdg::SimNet net(clock, injector, net_options);
-
-  minizk::ZkFollower follower(clock, net, "zk-f1");
-  follower.Start();
-  minizk::ZkNode leader(clock, disk, net, options);
-  if (!leader.Start().ok()) {
+  wdg::ArmedSystem zk(wdg::System::kMinizk, options);
+  if (!zk.Boot().ok()) {
     std::fprintf(stderr, "leader failed to start\n");
     return 1;
   }
-
-  awd::OpExecutorRegistry registry;
-  minizk::RegisterOpExecutors(registry, leader);
-  wdg::WatchdogDriver::Options driver_options;
-  driver_options.release_on_stop = [&injector] { injector.ClearAll(); };
-  wdg::WatchdogDriver driver(clock, driver_options);
+  wdg::Clock& clock = zk.clock();
+  wdg::WatchdogDriver& driver = zk.driver();
   awd::GenerationOptions gen;
   gen.checker.interval = wdg::Ms(20);
   gen.checker.timeout = wdg::Ms(250);
-  awd::Generate(module, leader.hooks(), registry, driver, gen);
-  (void)driver.Start();
+  zk.Arm(gen);
+  (void)zk.Start();
 
   std::printf("=== live execution ===\n\n");
   clock.SleepFor(wdg::Ms(150));
@@ -70,7 +55,7 @@ int main() {
               static_cast<long long>(before.context_not_ready),
               static_cast<long long>(before.passes));
 
-  minizk::ZkClient client(net, "zc", "zk-leader", wdg::Sec(2));
+  minizk::ZkClient client(zk.net(), "zc", "zk-leader", wdg::Sec(2));
   for (int i = 0; i < 4; ++i) {
     (void)client.Create(wdg::StrFormat("/node%d", i), "data");
   }
@@ -86,7 +71,7 @@ int main() {
   fault.id = "txnlog";
   fault.site_pattern = "disk.append";
   fault.kind = wdg::FaultKind::kError;
-  injector.Inject(fault);
+  zk.injector().Inject(fault);
   const bool detected = driver.WaitForFailure(wdg::Sec(3));
   if (detected) {
     const auto failure = *driver.FirstFailure();
@@ -95,9 +80,5 @@ int main() {
   } else {
     std::printf("          (no detection — unexpected)\n");
   }
-  injector.ClearAll();
-  (void)driver.Stop();
-  leader.Stop();
-  follower.Stop();
   return detected ? 0 : 1;
 }

@@ -6,217 +6,125 @@
 //
 // This bench runs the full generation pipeline against all three in-repo
 // analogs (minizk / kvs / minihdfs), then injects each system's signature
-// gray failure and reports detection + pinpointing, in one table.
+// gray failure and reports detection + pinpointing, in one table. Exits 1
+// unless every system's watchdog alarms at the faulty operation.
 #include <cstdio>
-#include <memory>
+#include <functional>
+#include <optional>
 
-#include "src/autowd/autowatchdog.h"
 #include "src/common/strings.h"
+#include "src/eval/armed_system.h"
 #include "src/eval/table.h"
 #include "src/kvs/client.h"
-#include "src/kvs/ir_model.h"
-#include "src/minihdfs/ir_model.h"
 #include "src/minizk/client.h"
-#include "src/minizk/ir_model.h"
 
 namespace {
 
-struct SystemResult {
-  std::string system;
-  std::string analog_of;
-  int checkers = 0;
-  int reduced_ops = 0;
-  int hooks = 0;
-  std::string fault;
-  bool detected = false;
-  double latency_logical_s = 0;
-  std::string pinpoint;
+struct SystemCase {
+  wdg::System system;
+  const char* analog_of;
+  const char* fault_desc;
+  const char* fault_site;
+  wdg::FaultKind fault_kind;
+  const char* pinpoint_site;  // the op a correct alarm names
+  wdg::ArmedSystemOptions options;
+  // Drives traffic until the armed contexts are ready, calls `inject`, and
+  // sends whatever request the fault needs to bite.
+  std::function<void(wdg::ArmedSystem&, const std::function<void()>& inject)> workload;
 };
 
-awd::GenerationOptions FastGen() {
+void ZkWorkload(wdg::ArmedSystem& sys, const std::function<void()>& inject) {
+  minizk::ZkClient client(sys.net(), "zc", "zk-leader", wdg::Ms(300));
+  (void)client.Create("/app", "v0");
+  sys.clock().SleepFor(wdg::Ms(100));
+  inject();
+  (void)client.Set("/app", "v1");  // wedge the processor
+}
+
+// Spread writes across flush polls so several tables accumulate and a
+// compaction actually runs (arming the compaction checker's context).
+void KvsWorkload(wdg::ArmedSystem& sys, const std::function<void()>& inject) {
+  kvs::KvsClient client(sys.net(), "c", "kvs1", wdg::Ms(300));
+  int key = 0;
+  for (int wave = 0; wave < 30 && sys.kvs()->compaction().compaction_count() == 0; ++wave) {
+    for (int i = 0; i < 10; ++i) {
+      (void)client.Set(wdg::StrFormat("k%03d", key++), std::string(64, 'v'));
+    }
+    sys.clock().SleepFor(wdg::Ms(25));
+  }
+  sys.clock().SleepFor(wdg::Ms(50));
+  inject();
+}
+
+void HdfsWorkload(wdg::ArmedSystem& sys, const std::function<void()>& inject) {
+  wdg::Endpoint* client = sys.net().CreateEndpoint("hdfs-client");
+  (void)client->Call("dn1", minihdfs::kMsgWriteBlock, std::string("1") + '\x1f' + "block",
+                     wdg::Ms(500));
+  sys.clock().SleepFor(wdg::Ms(100));
+  inject();
+}
+
+// Arms one system, injects its fault, prints its row; true on a detection at
+// the faulty op.
+bool RunAndPrint(const SystemCase& c, wdg::TablePrinter& table) {
+  wdg::ArmedSystem sys(c.system, c.options);
+  if (!sys.Boot().ok()) {
+    return false;
+  }
   awd::GenerationOptions gen;
   gen.checker.interval = wdg::Ms(25);
   gen.checker.timeout = wdg::Ms(250);
-  return gen;
-}
+  const awd::GenerationReport report = sys.Arm(gen);
+  (void)sys.Start();
 
-template <typename SetupFn>
-SystemResult RunSystem(const std::string& system, const std::string& analog_of,
-                       const std::string& fault_desc, SetupFn setup) {
-  SystemResult result;
-  result.system = system;
-  result.analog_of = analog_of;
-  result.fault = fault_desc;
-  setup(result);
-  return result;
+  wdg::TimeNs t0 = 0;
+  c.workload(sys, [&] {
+    t0 = sys.clock().NowNs();
+    wdg::FaultSpec fault;
+    fault.id = "f";
+    fault.site_pattern = c.fault_site;
+    fault.kind = c.fault_kind;
+    sys.injector().Inject(fault);
+  });
+  const auto at_fault = [&](const wdg::FailureSignature& sig) {
+    return sig.detect_time >= t0 && sig.location.op_site == c.pinpoint_site;
+  };
+  std::optional<wdg::FailureSignature> hit;
+  if (sys.driver().WaitForFailure(wdg::Sec(3), at_fault)) {
+    for (const wdg::FailureSignature& sig : sys.driver().Failures()) {
+      if (at_fault(sig)) {
+        hit = sig;
+        break;
+      }
+    }
+  }
+  table.PrintRow(
+      {wdg::SystemName(c.system), c.analog_of,
+       wdg::StrFormat("%zu", report.checker_names.size()),
+       wdg::StrFormat("%d", report.program.stats.ops_retained),
+       wdg::StrFormat("%d", report.hooks_armed), c.fault_desc, hit ? "yes" : "NO",
+       hit ? wdg::StrFormat("%.1f l.s", wdg::ToLogicalSeconds(hit->detect_time - t0)) : "-",
+       hit ? hit->location.ToString() : ""});
+  return hit.has_value();
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== 4.2 preliminary results: AutoWatchdog applied to three systems ===\n\n");
-  std::vector<SystemResult> results;
-
-  // --- minizk (ZooKeeper analog): the ZK-2201 hang --------------------------
-  results.push_back(RunSystem("minizk", "ZooKeeper", "sync link hang (ZK-2201)",
-                              [](SystemResult& r) {
-    wdg::RealClock& clock = wdg::RealClock::Instance();
-    wdg::FaultInjector injector(clock);
-    wdg::SimDisk disk(clock, injector);
-    wdg::SimNet net(clock, injector);
-    minizk::ZkFollower follower(clock, net, "zk-f1");
-    follower.Start();
-    minizk::ZkOptions options;
-    options.node_id = "zk-leader";
-    options.followers = {"zk-f1"};
-    minizk::ZkNode leader(clock, disk, net, options);
-    (void)leader.Start();
-    awd::OpExecutorRegistry registry;
-    minizk::RegisterOpExecutors(registry, leader);
-    wdg::WatchdogDriver::Options driver_options;
-    driver_options.release_on_stop = [&injector] { injector.ClearAll(); };
-    wdg::WatchdogDriver driver(clock, driver_options);
-    const auto report = awd::Generate(minizk::DescribeIr(options), leader.hooks(), registry,
-                                      driver, FastGen());
-    r.checkers = static_cast<int>(report.checker_names.size());
-    r.reduced_ops = report.program.stats.ops_retained;
-    r.hooks = report.hooks_armed;
-    (void)driver.Start();
-
-    minizk::ZkClient client(net, "zc", "zk-leader", wdg::Ms(300));
-    (void)client.Create("/app", "v0");
-    clock.SleepFor(wdg::Ms(100));
-    const wdg::TimeNs t0 = clock.NowNs();
-    wdg::FaultSpec hang;
-    hang.id = "f";
-    hang.site_pattern = "net.send.zk-f1";
-    hang.kind = wdg::FaultKind::kHang;
-    injector.Inject(hang);
-    (void)client.Set("/app", "v1");  // wedge the processor
-    if (driver.WaitForFailure(wdg::Sec(3))) {
-      const auto sig = *driver.FirstFailure();
-      r.detected = true;
-      r.latency_logical_s = wdg::ToLogicalSeconds(sig.detect_time - t0);
-      r.pinpoint = sig.location.ToString();
-    }
-    injector.ClearAll();
-    (void)driver.Stop();
-    leader.Stop();
-    follower.Stop();
-  }));
-
-  // --- kvs (Cassandra analog): stuck compaction ------------------------------
-  results.push_back(RunSystem("kvs", "Cassandra", "compaction task stuck",
-                              [](SystemResult& r) {
-    wdg::RealClock& clock = wdg::RealClock::Instance();
-    wdg::FaultInjector injector(clock);
-    wdg::SimDisk disk(clock, injector,
-                      wdg::DiskOptions{.base_latency = wdg::Us(5), .per_kb_latency = 0});
-    wdg::SimNet net(clock, injector);
-    kvs::KvsOptions follower_options;
-    follower_options.node_id = "kvs2";
-    kvs::KvsNode follower(clock, disk, net, follower_options);
-    (void)follower.Start();
-    kvs::KvsOptions options;
-    options.node_id = "kvs1";
-    options.followers = {"kvs2"};
-    options.flush_threshold_bytes = 512;
-    options.flush_poll = wdg::Ms(10);
-    options.compaction_max_tables = 3;
-    options.compaction_poll = wdg::Ms(15);
-    kvs::KvsNode leader(clock, disk, net, options);
-    (void)leader.Start();
-    awd::OpExecutorRegistry registry;
-    kvs::RegisterOpExecutors(registry, leader);
-    wdg::WatchdogDriver::Options driver_options;
-    driver_options.release_on_stop = [&injector] { injector.ClearAll(); };
-    wdg::WatchdogDriver driver(clock, driver_options);
-    const auto report = awd::Generate(kvs::DescribeIr(options), leader.hooks(), registry,
-                                      driver, FastGen());
-    r.checkers = static_cast<int>(report.checker_names.size());
-    r.reduced_ops = report.program.stats.ops_retained;
-    r.hooks = report.hooks_armed;
-    (void)driver.Start();
-
-    // Spread writes across flush polls so several tables accumulate and a
-    // compaction actually runs (arming the compaction checker's context).
-    kvs::KvsClient client(net, "c", "kvs1", wdg::Ms(300));
-    int key = 0;
-    for (int wave = 0; wave < 30 && leader.compaction().compaction_count() == 0; ++wave) {
-      for (int i = 0; i < 10; ++i) {
-        (void)client.Set(wdg::StrFormat("k%03d", key++), std::string(64, 'v'));
-      }
-      clock.SleepFor(wdg::Ms(25));
-    }
-    clock.SleepFor(wdg::Ms(50));
-    const wdg::TimeNs t0 = clock.NowNs();
-    wdg::FaultSpec hang;
-    hang.id = "f";
-    hang.site_pattern = "compact.merge";
-    hang.kind = wdg::FaultKind::kHang;
-    injector.Inject(hang);
-    if (driver.WaitForFailure(wdg::Sec(3), [t0](const wdg::FailureSignature& sig) {
-          return sig.detect_time >= t0 && sig.location.op_site == "compact.merge";
-        })) {
-      for (const auto& sig : driver.Failures()) {
-        if (sig.detect_time >= t0 && sig.location.op_site == "compact.merge") {
-          r.detected = true;
-          r.latency_logical_s = wdg::ToLogicalSeconds(sig.detect_time - t0);
-          r.pinpoint = sig.location.ToString();
-          break;
-        }
-      }
-    }
-    injector.ClearAll();
-    (void)driver.Stop();
-    leader.Stop();
-    follower.Stop();
-  }));
-
-  // --- minihdfs (HDFS analog): the dying disk --------------------------------
-  results.push_back(RunSystem("minihdfs", "HDFS", "dead disk (HADOOP-13738)",
-                              [](SystemResult& r) {
-    wdg::RealClock& clock = wdg::RealClock::Instance();
-    wdg::FaultInjector injector(clock);
-    wdg::SimDisk disk(clock, injector);
-    wdg::SimNet net(clock, injector);
-    minihdfs::NameNode namenode(clock, net);
-    namenode.Start();
-    minihdfs::DataNode datanode(clock, disk, net);
-    (void)datanode.Start();
-    awd::OpExecutorRegistry registry;
-    minihdfs::RegisterOpExecutors(registry, datanode);
-    wdg::WatchdogDriver::Options driver_options;
-    driver_options.release_on_stop = [&injector] { injector.ClearAll(); };
-    wdg::WatchdogDriver driver(clock, driver_options);
-    const auto report = awd::Generate(minihdfs::DescribeIr(datanode.options()),
-                                      datanode.hooks(), registry, driver, FastGen());
-    r.checkers = static_cast<int>(report.checker_names.size());
-    r.reduced_ops = report.program.stats.ops_retained;
-    r.hooks = report.hooks_armed;
-    (void)driver.Start();
-
-    wdg::Endpoint* client = net.CreateEndpoint("hdfs-client");
-    (void)client->Call("dn1", minihdfs::kMsgWriteBlock,
-                       std::string("1") + '\x1f' + "block", wdg::Ms(500));
-    clock.SleepFor(wdg::Ms(100));
-    const wdg::TimeNs t0 = clock.NowNs();
-    wdg::FaultSpec dead;
-    dead.id = "f";
-    dead.site_pattern = "disk.write";
-    dead.kind = wdg::FaultKind::kError;
-    injector.Inject(dead);
-    if (driver.WaitForFailure(wdg::Sec(3))) {
-      const auto sig = *driver.FirstFailure();
-      r.detected = true;
-      r.latency_logical_s = wdg::ToLogicalSeconds(sig.detect_time - t0);
-      r.pinpoint = sig.location.ToString();
-    }
-    injector.ClearAll();
-    (void)driver.Stop();
-    datanode.Stop();
-    namenode.Stop();
-  }));
+  std::vector<SystemCase> cases;
+  cases.push_back({wdg::System::kMinizk, "ZooKeeper", "sync link hang (ZK-2201)",
+                   "net.send.zk-f1", wdg::FaultKind::kHang, "lock.zk.commit", {}, ZkWorkload});
+  wdg::ArmedSystemOptions kvs_options;
+  kvs_options.disk = wdg::DiskOptions{.base_latency = wdg::Us(5), .per_kb_latency = 0};
+  kvs_options.kvs.flush_threshold_bytes = 512;
+  kvs_options.kvs.flush_poll = wdg::Ms(10);
+  kvs_options.kvs.compaction_max_tables = 3;
+  kvs_options.kvs.compaction_poll = wdg::Ms(15);
+  cases.push_back({wdg::System::kKvs, "Cassandra", "compaction task stuck", "compact.merge",
+                   wdg::FaultKind::kHang, "compact.merge", kvs_options, KvsWorkload});
+  cases.push_back({wdg::System::kMinihdfs, "HDFS", "dead disk (HADOOP-13738)", "disk.write",
+                   wdg::FaultKind::kError, "disk.write", {}, HdfsWorkload});
 
   wdg::TablePrinter table({{"system", 9},
                            {"analog of", 10},
@@ -228,20 +136,13 @@ int main() {
                            {"latency", 10},
                            {"pinpoint", 42}});
   table.PrintHeader();
-  for (const SystemResult& r : results) {
-    table.PrintRow({r.system, r.analog_of, wdg::StrFormat("%d", r.checkers),
-                    wdg::StrFormat("%d", r.reduced_ops), wdg::StrFormat("%d", r.hooks),
-                    r.fault, r.detected ? "yes" : "NO",
-                    r.detected ? wdg::StrFormat("%.1f l.s", r.latency_logical_s) : "-",
-                    r.pinpoint});
+  bool all = true;
+  for (const SystemCase& c : cases) {
+    all = RunAndPrint(c, table) && all;
   }
   table.PrintRule();
   std::printf("\npaper: tens of checkers generated per system; the ZK-2201 repro detected in\n"
               "~7 s with the blocked call pinpointed. (\"l.s\" = logical seconds at paper\n"
               "scale; the simulator runs 10x faster than wall clock.)\n");
-  bool all = true;
-  for (const SystemResult& r : results) {
-    all = all && r.detected;
-  }
   return all ? 0 : 1;
 }

@@ -10,52 +10,41 @@
 // Virtual-time convention: 1 paper-second == 100 real ms (DESIGN.md §2), so
 // detector cadences here are the paper's divided by 10. Detection latencies
 // are reported in logical (paper) seconds.
+//
+// Exits 1 unless the paper's shape holds: the first watchdog signature after
+// the injection pinpoints ProcessWrite @ lock.zk.commit, session ping acks
+// keep flowing, and the ruok probe never alarms.
 #include <cstdio>
 
-#include "src/autowd/autowatchdog.h"
 #include "src/common/strings.h"
 #include "src/detectors/api_probe.h"
-#include "src/detectors/client_observer.h"
+#include "src/eval/armed_system.h"
 #include "src/eval/table.h"
 #include "src/minizk/client.h"
-#include "src/minizk/ir_model.h"
-#include "src/minizk/server.h"
 
 int main() {
   std::printf("=== ZOOKEEPER-2201: remote sync blocks in a critical section ===\n\n");
-  wdg::RealClock& clock = wdg::RealClock::Instance();
-  wdg::FaultInjector injector(clock);
-  wdg::DiskOptions disk_options;
-  disk_options.base_latency = wdg::Us(5);
-  wdg::SimDisk disk(clock, injector, disk_options);
-  wdg::NetOptions net_options;
-  net_options.base_latency = wdg::Us(20);
-  wdg::SimNet net(clock, injector, net_options);
-
-  minizk::ZkFollower follower(clock, net, "zk-f1");
-  follower.Start();
-  minizk::ZkOptions options;
-  options.node_id = "zk-leader";
-  options.followers = {"zk-f1"};
-  options.snapshot_every_n = 8;
-  options.ping_interval = wdg::Ms(25);
-  minizk::ZkNode leader(clock, disk, net, options);
-  if (!leader.Start().ok()) {
+  wdg::ArmedSystemOptions options;
+  options.disk.base_latency = wdg::Us(5);
+  options.net.base_latency = wdg::Us(20);
+  options.zk.snapshot_every_n = 8;
+  options.zk.ping_interval = wdg::Ms(25);
+  wdg::ArmedSystem zk(wdg::System::kMinizk, options);
+  if (!zk.Boot().ok()) {
     return 1;
   }
+  wdg::Clock& clock = zk.clock();
+  wdg::SimNet& net = zk.net();
+  minizk::ZkNode& leader = *zk.zk();
+  wdg::WatchdogDriver& driver = zk.driver();
 
   // The generated watchdog. Checker cadence mirrors the paper's seconds-scale
-  // watchdog at 1/10 wall time: 500ms interval ≈ 5 logical s.
-  awd::OpExecutorRegistry registry;
-  minizk::RegisterOpExecutors(registry, leader);
-  wdg::WatchdogDriver::Options driver_options;
-  driver_options.release_on_stop = [&injector] { injector.ClearAll(); };
-  wdg::WatchdogDriver driver(clock, driver_options);
+  // watchdog at 1/10 wall time: 250ms interval ≈ 2.5 logical s.
   awd::GenerationOptions gen;
   gen.checker.interval = wdg::Ms(250);
   gen.checker.timeout = wdg::Ms(400);
-  awd::Generate(minizk::DescribeIr(options), leader.hooks(), registry, driver, gen);
-  (void)driver.Start();
+  zk.Arm(gen);
+  (void)zk.Start();
 
   // Baseline 1: ZooKeeper's heartbeat protocol (sessions/pings) — we observe
   // its health through ping acks continuing to flow.
@@ -80,7 +69,7 @@ int main() {
   hang.id = "zk2201";
   hang.site_pattern = "net.send.zk-f1";  // exact site: pings ride .hb, unaffected
   hang.kind = wdg::FaultKind::kHang;
-  injector.Inject(hang);
+  zk.injector().Inject(hang);
 
   // Trigger the wedge and demonstrate the gray symptoms.
   const wdg::Status write = client.Set("/app", "v1");
@@ -110,10 +99,11 @@ int main() {
   wdg::TablePrinter table({{"detector", 30}, {"detected", 9}, {"latency", 16},
                            {"localization", 40}});
   table.PrintHeader();
-  table.PrintRow({"heartbeat protocol (pings)",
-                  leader.pings_acked() > pings_before ? "no" : "yes",
+  const bool pings_flowing = leader.pings_acked() > pings_before;
+  const bool ruok_alarmed = admin_probe.Alarmed();
+  table.PrintRow({"heartbeat protocol (pings)", pings_flowing ? "no" : "yes",
                   "-", "n/a (leader looked healthy)"});
-  table.PrintRow({"admin command (ruok probe)", admin_probe.Alarmed() ? "yes" : "no", "-",
+  table.PrintRow({"admin command (ruok probe)", ruok_alarmed ? "yes" : "no", "-",
                   "n/a (listener answered imok)"});
   if (first.has_value()) {
     table.PrintRow({"generated mimic watchdog", "yes",
@@ -133,10 +123,15 @@ int main() {
                 "within single-digit logical seconds, at the blocked critical section.\n");
   }
 
-  injector.ClearAll();
-  admin_probe.Stop();
-  (void)driver.Stop();
-  leader.Stop();
-  follower.Stop();
-  return first.has_value() ? 0 : 1;
+  const bool pinpointed = first.has_value() && first->location.function == "ProcessWrite" &&
+                          first->location.op_site == "lock.zk.commit";
+  if (!pinpointed || !pings_flowing || ruok_alarmed) {
+    std::fprintf(stderr,
+                 "zk2201 FAILED: first signature %s ProcessWrite @ lock.zk.commit, "
+                 "pings %s, ruok probe %s\n",
+                 pinpointed ? "pinpoints" : "does not pinpoint",
+                 pings_flowing ? "flowing" : "stopped", ruok_alarmed ? "alarmed" : "quiet");
+    return 1;
+  }
+  return 0;
 }

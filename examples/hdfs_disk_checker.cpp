@@ -8,45 +8,31 @@
 // This demo puts both generations of the checker against the same dying
 // disk: the permissions-only check stays green forever; the generated mimic
 // checker (real I/O through the write path's op sites) alarms and pinpoints.
+// Exits 1 if the mimic checker misses the dead disk.
 #include <cstdio>
 
-#include "src/autowd/autowatchdog.h"
-#include "src/common/strings.h"
-#include "src/minihdfs/ir_model.h"
+#include "src/eval/armed_system.h"
 
 int main() {
-  wdg::RealClock& clock = wdg::RealClock::Instance();
-  wdg::FaultInjector injector(clock);
-  wdg::SimDisk disk(clock, injector);
-  wdg::SimNet net(clock, injector);
-
-  minihdfs::NameNode namenode(clock, net);
-  namenode.Start();
-  minihdfs::DataNode datanode(clock, disk, net);
-  if (!datanode.Start().ok()) {
+  wdg::ArmedSystem hdfs(wdg::System::kMinihdfs);
+  if (!hdfs.Boot().ok()) {
     return 1;
   }
-
-  awd::OpExecutorRegistry registry;
-  minihdfs::RegisterOpExecutors(registry, datanode);
-  wdg::WatchdogDriver::Options driver_options;
-  driver_options.release_on_stop = [&injector] { injector.ClearAll(); };
-  wdg::WatchdogDriver driver(clock, driver_options);
+  wdg::WatchdogDriver& driver = hdfs.driver();
   awd::GenerationOptions gen;
   gen.checker.interval = wdg::Ms(25);
   gen.checker.timeout = wdg::Ms(250);
-  awd::Generate(minihdfs::DescribeIr(datanode.options()), datanode.hooks(), registry, driver,
-                gen);
-  if (const wdg::Status st = driver.Start(); !st.ok()) {
+  hdfs.Arm(gen);
+  if (const wdg::Status st = hdfs.Start(); !st.ok()) {
     std::fprintf(stderr, "driver Start failed: %s\n", st.ToString().c_str());
     return 1;
   }
 
   // Store a block so the write-path context synchronizes.
-  wdg::Endpoint* client = net.CreateEndpoint("client");
+  wdg::Endpoint* client = hdfs.net().CreateEndpoint("client");
   (void)client->Call("dn1", minihdfs::kMsgWriteBlock,
                      std::string("1") + '\x1f' + "block data", wdg::Ms(500));
-  clock.SleepFor(wdg::Ms(150));
+  hdfs.clock().SleepFor(wdg::Ms(150));
   std::printf("healthy DataNode: 1 block stored, watchdog silent (%zu alarms)\n",
               driver.Failures().size());
 
@@ -55,26 +41,23 @@ int main() {
   dead.id = "dead";
   dead.site_pattern = "disk.write";
   dead.kind = wdg::FaultKind::kError;
-  injector.Inject(dead);
+  hdfs.injector().Inject(dead);
 
   // Generation 1: the original permissions-only check.
-  const wdg::Status weak = datanode.CheckDirsPermissionsOnly();
+  const wdg::Status weak = hdfs.hdfs()->CheckDirsPermissionsOnly();
   std::printf("permissions-only disk check (pre-HADOOP-13738): %s\n", weak.ToString().c_str());
 
   // Generation 2: the generated mimic checker doing real I/O.
-  if (driver.WaitForFailure(wdg::Sec(3))) {
+  const bool detected = driver.WaitForFailure(wdg::Sec(3));
+  if (detected) {
     const auto failure = *driver.FirstFailure();
     std::printf("generated mimic disk checker:                   ALARM\n");
     std::printf("  %s\n", failure.ToString().c_str());
   } else {
-    std::printf("mimic checker silent (unexpected)\n");
+    std::printf("generated mimic disk checker:                   silent (missed)\n");
   }
   std::printf("\nheartbeats to the NameNode during all of this: %s\n",
-              namenode.IsLive("dn1", wdg::Ms(100)) ? "flowing (node 'healthy')" : "stopped");
-
-  injector.ClearAll();
-  (void)driver.Stop();
-  datanode.Stop();
-  namenode.Stop();
-  return 0;
+              hdfs.namenode()->IsLive("dn1", wdg::Ms(100)) ? "flowing (node 'healthy')"
+                                                            : "stopped");
+  return detected ? 0 : 1;
 }

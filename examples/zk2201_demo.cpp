@@ -2,45 +2,30 @@
 // study): a network fault wedges the write pipeline inside a critical
 // section, every conventional health signal stays green, and the generated
 // watchdog is the only detector that fires — with the blocked call pinpointed.
+// Exits 1 if the watchdog misses the wedge.
 #include <cstdio>
 
-#include "src/autowd/autowatchdog.h"
 #include "src/common/strings.h"
+#include "src/eval/armed_system.h"
 #include "src/minizk/client.h"
-#include "src/minizk/ir_model.h"
-#include "src/minizk/server.h"
 
 int main() {
-  wdg::RealClock& clock = wdg::RealClock::Instance();
-  wdg::FaultInjector injector(clock);
-  wdg::SimDisk disk(clock, injector);
-  wdg::SimNet net(clock, injector);
-
-  minizk::ZkFollower follower(clock, net, "zk-f1");
-  follower.Start();
-  minizk::ZkOptions options;
-  options.node_id = "zk-leader";
-  options.followers = {"zk-f1"};
-  minizk::ZkNode leader(clock, disk, net, options);
-  if (!leader.Start().ok()) {
+  wdg::ArmedSystem zk(wdg::System::kMinizk);
+  if (!zk.Boot().ok()) {
     return 1;
   }
-
-  awd::OpExecutorRegistry registry;
-  minizk::RegisterOpExecutors(registry, leader);
-  wdg::WatchdogDriver::Options driver_options;
-  driver_options.release_on_stop = [&injector] { injector.ClearAll(); };
-  wdg::WatchdogDriver driver(clock, driver_options);
+  wdg::Clock& clock = zk.clock();
+  minizk::ZkNode& leader = *zk.zk();
   awd::GenerationOptions gen;
   gen.checker.interval = wdg::Ms(50);
   gen.checker.timeout = wdg::Ms(300);
-  awd::Generate(minizk::DescribeIr(options), leader.hooks(), registry, driver, gen);
-  if (const wdg::Status st = driver.Start(); !st.ok()) {
+  zk.Arm(gen);
+  if (const wdg::Status st = zk.Start(); !st.ok()) {
     std::fprintf(stderr, "driver Start failed: %s\n", st.ToString().c_str());
     return 1;
   }
 
-  minizk::ZkClient client(net, "app", "zk-leader", wdg::Ms(300));
+  minizk::ZkClient client(zk.net(), "app", "zk-leader", wdg::Ms(300));
   std::printf("cluster up: leader + follower, watchdog generated and running\n");
   (void)client.Create("/config/db", "primary=host-a");
   (void)client.Create("/config/cache", "ttl=60");
@@ -53,7 +38,7 @@ int main() {
   hang.id = "zk2201";
   hang.site_pattern = "net.send.zk-f1";
   hang.kind = wdg::FaultKind::kHang;
-  injector.Inject(hang);
+  zk.injector().Inject(hang);
 
   std::printf("operator's view of the leader during the failure:\n");
   const wdg::Status write = client.Set("/config/db", "primary=host-b");
@@ -69,21 +54,21 @@ int main() {
               static_cast<long long>(pings), static_cast<long long>(leader.pings_acked()));
 
   std::printf("\nwaiting for the watchdog...\n");
-  if (driver.WaitForFailure(wdg::Sec(5))) {
-    const auto failure = *driver.FirstFailure();
+  const bool detected = zk.driver().WaitForFailure(wdg::Sec(5));
+  if (detected) {
+    const auto failure = *zk.driver().FirstFailure();
     std::printf("  WATCHDOG: %s\n", failure.ToString().c_str());
     std::printf("  context for reproduction: %s\n", failure.context_dump.c_str());
     std::printf("\nthe write pipeline is wedged inside ProcessWrite's critical section —\n"
                 "exactly what ZOOKEEPER-2201's operators spent hours discovering by hand.\n");
+  } else {
+    std::printf("  the watchdog stayed silent: the wedge went undetected\n");
   }
 
-  injector.ClearAll();
+  zk.injector().ClearAll();
   clock.SleepFor(wdg::Ms(200));
   const wdg::Status recovered = client.Set("/config/db", "primary=host-b");
   std::printf("\nnetwork restored; retry write: %s\n", recovered.ToString().c_str());
 
-  (void)driver.Stop();
-  leader.Stop();
-  follower.Stop();
-  return 0;
+  return detected ? 0 : 1;
 }

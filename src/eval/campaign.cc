@@ -5,21 +5,14 @@
 #include <cstdio>
 #include <memory>
 
-#include "src/autowd/autowatchdog.h"
 #include "src/common/strings.h"
-#include "src/common/threading.h"
 #include "src/detectors/api_probe.h"
 #include "src/detectors/client_observer.h"
-#include "src/detectors/fusion.h"
 #include "src/detectors/heartbeat.h"
-#include "src/detectors/signal_suite.h"
-#include "src/kvs/client.h"
-#include "src/kvs/ctx_keys.h"
-#include "src/kvs/ir_model.h"
+#include "src/eval/armed_system.h"
 #include "src/eval/workload.h"
-#include "src/kvs/server.h"
+#include "src/kvs/client.h"
 #include "src/watchdog/builtin_checkers.h"
-#include "src/watchdog/driver.h"
 
 namespace wdg {
 
@@ -130,27 +123,12 @@ void ScoreFusion(const FusionDetector& detector, TimeNs t_inject,
 }  // namespace
 
 TrialResult RunTrial(const Scenario& scenario, const TrialOptions& options) {
-  RealClock& clock = RealClock::Instance();
-  FaultInjector injector(clock, options.seed);
-
-  DiskOptions disk_options;
-  disk_options.base_latency = Us(5);
-  disk_options.per_kb_latency = 0;
-  SimDisk disk(clock, injector, disk_options);
-
-  NetOptions net_options;
-  net_options.base_latency = Us(20);
-  SimNet net(clock, injector, net_options, options.seed);
-
   // --- the monitored cluster ---------------------------------------------
-  kvs::KvsOptions follower_options;
-  follower_options.node_id = "kvs2";
-  kvs::KvsNode follower(clock, disk, net, follower_options);
-  (void)follower.Start();
-
-  kvs::KvsOptions leader_options;
-  leader_options.node_id = "kvs1";
-  leader_options.followers = {"kvs2"};
+  ArmedSystemOptions system_options;
+  system_options.disk.base_latency = Us(5);
+  system_options.disk.per_kb_latency = 0;
+  system_options.net.base_latency = Us(20);
+  kvs::KvsOptions& leader_options = system_options.kvs;
   leader_options.heartbeat_target = "monitor";
   leader_options.heartbeat_interval = Ms(20);
   leader_options.flush_threshold_bytes = 512;
@@ -159,8 +137,22 @@ TrialResult RunTrial(const Scenario& scenario, const TrialOptions& options) {
   leader_options.compaction_poll = Ms(20);
   leader_options.maintenance_poll = Ms(25);
   leader_options.replication_ack_timeout = Ms(150);
-  kvs::KvsNode leader(clock, disk, net, leader_options);
-  (void)leader.Start();
+  WatchdogDriver::Options& driver_options = system_options.driver;
+  if (options.dedup_window > 0) {
+    driver_options.dedup_window = options.dedup_window;
+  }
+  // Campaigns run dozens of checkers on a small machine: a compact pool with
+  // headroom for abandoned-worker respawns keeps the watchdog's own footprint
+  // bounded (it is part of what Fig. 1 measures).
+  driver_options.executor.workers = 4;
+  driver_options.executor.queue_capacity = 512;
+  driver_options.suppress_unconfirmed = options.enable_validation && options.suppress_unconfirmed;
+  ArmedSystem system(System::kKvs, system_options, options.seed);
+  Clock& clock = system.clock();
+  SimNet& net = system.net();
+  kvs::KvsNode& leader = *system.kvs();
+  WatchdogDriver& driver = system.driver();
+  (void)system.Boot();
 
   // --- detectors -----------------------------------------------------------
   HeartbeatDetectorOptions hb_options;
@@ -171,51 +163,22 @@ TrialResult RunTrial(const Scenario& scenario, const TrialOptions& options) {
     heartbeat.Start();
   }
 
-  // Fusion instances outlive the driver (declared first => destroyed last):
-  // the driver delivers OnFailure from scheduler threads until Stop().
-  std::unique_ptr<FusionDetector> fused, fused_probe_only, fused_signal_only,
-      fused_mimic_only;
-  if (options.with_fusion) {
-    FusionPolicy policy;
-    fused = std::make_unique<FusionDetector>(policy);
-    policy.family_mask = kFamilyProbe;
-    fused_probe_only = std::make_unique<FusionDetector>(policy);
-    policy.family_mask = kFamilySignal;
-    fused_signal_only = std::make_unique<FusionDetector>(policy);
-    policy.family_mask = kFamilyMimic;
-    fused_mimic_only = std::make_unique<FusionDetector>(policy);
-  }
-
   kvs::KvsClient validation_client(net, "val-probe", "kvs1", Ms(150));
-  WatchdogDriver::Options driver_options;
-  if (options.dedup_window > 0) {
-    driver_options.dedup_window = options.dedup_window;
-  }
-  driver_options.release_on_stop = [&injector] { injector.ClearAll(); };
-  // Campaigns run dozens of checkers on a small machine: a compact pool with
-  // headroom for abandoned-worker respawns keeps the watchdog's own footprint
-  // bounded (it is part of what Fig. 1 measures).
-  driver_options.executor.workers = 4;
-  driver_options.executor.queue_capacity = 512;
   if (options.enable_validation) {
-    driver_options.validation_probe = [&validation_client] {
-      static std::atomic<int64_t> nonce{0};
-      return ProbeRoundtrip(validation_client, nonce.fetch_add(1));
-    };
-    driver_options.suppress_unconfirmed = options.suppress_unconfirmed;
+    (void)driver.SetValidationProbe(
+        [&validation_client] {
+          static std::atomic<int64_t> nonce{0};
+          return ProbeRoundtrip(validation_client, nonce.fetch_add(1));
+        },
+        driver_options.validation_timeout);
   }
-  WatchdogDriver driver(clock, driver_options);
-
-  awd::OpExecutorRegistry registry;
-  kvs::RegisterOpExecutors(registry, leader);
   if (options.with_mimic) {
     awd::GenerationOptions gen;
     gen.reducer.dedup_similar = options.dedup_similar;
     gen.checker.interval = Ms(25);
     gen.checker.timeout = Ms(250);
-    awd::Generate(kvs::DescribeIr(leader.options()), leader.hooks(), registry, driver, gen);
+    system.Arm(gen);
   }
-
   kvs::KvsClient wd_probe_client(net, "wd-probe", "kvs1", Ms(200));
   if (options.with_wd_probe) {
     CheckerOptions probe_options;
@@ -248,38 +211,9 @@ TrialResult RunTrial(const Scenario& scenario, const TrialOptions& options) {
         [](double v) { return v < 64; }, 3, signal_options));
   }
   if (options.with_signal_suite) {
-    // Arm the leader's resource hook sites into one shared context; the suite
-    // subscribes per-key, so e.g. a quiet queue-depth key skips its checker
-    // even while the beat key keeps advancing.
-    leader.hooks().Arm("ResourceSample:1", "res_ctx");
-    leader.hooks().Arm("ResourceBeat:1", "res_ctx");
-    SignalSuiteKeys suite_keys{
-        kvs::keys::ResOpenHandles(), kvs::keys::ResRssBytes(),
-        kvs::keys::ResQueueDepth(),  kvs::keys::ResDiskLatNs(),
-        kvs::keys::ResLiveThreads(), kvs::keys::ResLastBeatNs()};
-    SignalSuiteOptions suite_options;
-    suite_options.name_prefix = "kvs_res_";
-    suite_options.fd_component = "kvs.compaction";   // table-dir file leaks
-    suite_options.rss_component = "kvs.flusher";     // memtable never drains
-    suite_options.queue_component = "kvs.listener";
-    suite_options.disk_component = "kvs.wal";
-    suite_options.threads_component = "kvs";
-    suite_options.beat_component = "kvs.listener";
-    suite_options.threads_min_live = 5;  // listener/maint/flush/compact/repl
-    // Normal compaction churn can grow the table dir by +5 files monotonically
-    // (trough after a merge -> next merge's inputs plus its output) before the
-    // deletes land; 8 clears that sawtooth while a real delete-path leak blows
-    // through it within a few flush cycles.
-    suite_options.fd_min_growth = 8;
-    (void)RegisterSignalSuite(driver, clock, leader.hooks().Context("res_ctx"),
-                              suite_keys, suite_options);
+    (void)system.AttachSignalSuite();
   }
-  if (options.with_fusion) {
-    driver.AddListener(fused.get());
-    driver.AddListener(fused_probe_only.get());
-    driver.AddListener(fused_signal_only.get());
-    driver.AddListener(fused_mimic_only.get());
-  }
+  const FusionColumns* fusion = options.with_fusion ? &system.AttachFusion() : nullptr;
   (void)driver.Start();
 
   kvs::KvsClient api_probe_client(net, "api-probe", "kvs1", Ms(150));
@@ -330,7 +264,7 @@ TrialResult RunTrial(const Scenario& scenario, const TrialOptions& options) {
     (void)driver.Stop();
     leader.Stop();
   } else if (!scenario.fault_free) {
-    injector.Inject(scenario.fault);
+    system.injector().Inject(scenario.fault);
   }
   clock.SleepFor(options.observe);
 
@@ -367,23 +301,23 @@ TrialResult RunTrial(const Scenario& scenario, const TrialOptions& options) {
       outcome.localization = std::min(outcome.localization, LocalizationLevel::kComponent);
     }
   }
-  if (options.with_fusion) {
+  if (fusion != nullptr) {
     const struct {
       const char* label;
       const FusionDetector* detector;
-    } columns[] = {{kDetFused, fused.get()},
-                   {kDetFusedProbeOnly, fused_probe_only.get()},
-                   {kDetFusedSignalOnly, fused_signal_only.get()},
-                   {kDetFusedMimicOnly, fused_mimic_only.get()}};
+    } columns[] = {{kDetFused, &fusion->fused},
+                   {kDetFusedProbeOnly, &fusion->probe_only},
+                   {kDetFusedSignalOnly, &fusion->signal_only},
+                   {kDetFusedMimicOnly, &fusion->mimic_only}};
     for (const auto& column : columns) {
       DetectorOutcome& outcome = result.outcomes[column.label];
       outcome.enabled = true;
       ScoreFusion(*column.detector, t_inject, scenario, score_as_control, outcome);
     }
     const TimeNs now = clock.NowNs();
-    result.fusion_score = fused->ScoreAt(now);
-    result.fusion_component = fused->PinpointAt(now);
-    result.fusion_alarms = fused->alarms_seen();
+    result.fusion_score = fusion->fused.ScoreAt(now);
+    result.fusion_component = fusion->fused.PinpointAt(now);
+    result.fusion_alarms = fusion->fused.alarms_seen();
   }
   if (options.with_heartbeat) {
     DetectorOutcome& outcome = result.outcomes[kDetHeartbeat];
@@ -404,14 +338,9 @@ TrialResult RunTrial(const Scenario& scenario, const TrialOptions& options) {
   result.workload_errors = workload.errors();
   result.leader_metrics = leader.metrics().Snapshot();
 
-  // --- teardown ----------------------------------------------------------------
-  injector.ClearAll();
-  workload.Stop();
-  (void)driver.Stop();
-  api_probe.Stop();
-  heartbeat.Stop();
-  leader.Stop();
-  follower.Stop();
+  // The driver's checkers call the clients declared after `system`, so it
+  // stops before they go.
+  system.Stop();
   return result;
 }
 

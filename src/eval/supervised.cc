@@ -19,15 +19,6 @@
 
 namespace wdg {
 
-const char* SupervisedSystemName(SupervisedSystem system) {
-  switch (system) {
-    case SupervisedSystem::kKvs: return "kvs";
-    case SupervisedSystem::kMinizk: return "minizk";
-    case SupervisedSystem::kMinihdfs: return "minihdfs";
-  }
-  return "unknown";
-}
-
 namespace {
 
 constexpr char kHangFaultId[] = "supervised.disk.hang";
@@ -120,9 +111,9 @@ class SupervisedProcess {
     }
     instance->client = std::make_unique<WdogClient>(clock_, std::move(*pipe));
 
-    const std::string name = SupervisedSystemName(options_.system);
+    const std::string name = SystemName(options_.system);
     switch (options_.system) {
-      case SupervisedSystem::kKvs: {
+      case System::kKvs: {
         kvs::KvsOptions node_options;
         node_options.node_id = "kvs1";
         node_options.data_dir = "/supervised/kvs";
@@ -131,14 +122,14 @@ class SupervisedProcess {
         WDG_RETURN_IF_ERROR(instance->kvs->Start());
         break;
       }
-      case SupervisedSystem::kMinizk: {
+      case System::kMinizk: {
         minizk::ZkOptions node_options;
         node_options.data_dir = "/supervised/zk";
         instance->zk = std::make_unique<minizk::ZkNode>(clock_, disk_, net_, node_options);
         WDG_RETURN_IF_ERROR(instance->zk->Start());
         break;
       }
-      case SupervisedSystem::kMinihdfs: {
+      case System::kMinihdfs: {
         minihdfs::DataNodeOptions node_options;
         node_options.data_dir = "/supervised/hdfs";
         instance->hdfs =
@@ -254,7 +245,7 @@ TrialResult RunSupervisedTrial(const SupervisedTrialOptions& options) {
   SimDisk journal_disk(clock, supervisor_injector, disk_options);
 
   TrialResult result;
-  result.scenario = StrFormat("supervised-disk-hang-%s", SupervisedSystemName(options.system));
+  result.scenario = StrFormat("supervised-disk-hang-%s", SystemName(options.system));
 
   WdogdOptions wdogd_options;
   wdogd_options.policy = options.policy;

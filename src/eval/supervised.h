@@ -15,17 +15,14 @@
 #include <string>
 
 #include "src/common/clock.h"
+#include "src/eval/armed_system.h"
 #include "src/eval/campaign.h"
 #include "src/supervisor/wdogd.h"
 
 namespace wdg {
 
-enum class SupervisedSystem { kKvs, kMinizk, kMinihdfs };
-
-const char* SupervisedSystemName(SupervisedSystem system);
-
 struct SupervisedTrialOptions {
-  SupervisedSystem system = SupervisedSystem::kKvs;
+  System system = System::kKvs;
 
   // In-process driver → supervisor cadence. The deadline must comfortably
   // exceed the kick interval or a healthy process walks the ladder.

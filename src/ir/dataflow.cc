@@ -515,16 +515,6 @@ std::vector<std::string> ModuleDataflow::LongRunningRoots() const {
   return roots;
 }
 
-std::set<std::string> ModuleDataflow::ReachingRoots(const std::string& fn) const {
-  std::set<std::string> roots;
-  for (const auto& [name, function] : functions_) {
-    if (function->long_running && graph_.ReachableFrom(name).count(fn) > 0) {
-      roots.insert(name);
-    }
-  }
-  return roots;
-}
-
 void ModuleDataflow::PropagateEntryLocksets(const Module& module) {
   for (const Function& root : module.functions()) {
     if (!root.long_running) {

@@ -145,9 +145,6 @@ class ModuleDataflow {
   // its escapes reported.
   std::vector<std::string> LongRunningRoots() const;
 
-  // Long-running roots from which `fn` is reachable. Each root approximates
-  // one main-program thread.
-  std::set<std::string> ReachingRoots(const std::string& fn) const;
   // Locksets that may be held just before `instr_id` of `fn`, one entry per
   // (root, distinct lockset): entry locksets propagated top-down from the
   // roots, plus the intra-function lockset at that point. Capped at

@@ -460,8 +460,13 @@ void CheckContext::FlushBatch(HookBatch& batch) {
   while (snapshot_waiters_.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
+  // Claim every cell, and mark it populated, before publishing any: a
+  // reader that sees one of the batch's values settled also sees every
+  // batch cell's populated bit, so a scan that missed a bit fails its mask
+  // re-check instead of returning part of a first batch.
   for (const HookBatch::Staged& e : entries) {
     ClaimCell(*CellFor(e.slot));  // a first touch allocates the chunk
+    MarkPopulated(e.slot);
   }
   // Every cell held odd: store and publish. A reader can never see part of
   // the batch settle before the rest — a seq it visited before the first
@@ -470,7 +475,6 @@ void CheckContext::FlushBatch(HookBatch& batch) {
     SlotCell& cell = *CellFor(e.slot);
     StoreCell(cell, e, batch.spill_);
     PublishCell(cell);
-    MarkPopulated(e.slot);
   }
   entries.clear();
   batch.spill_.clear();
@@ -546,6 +550,10 @@ bool CheckContext::TryScan(ConsistentSnapshot* out) const {
   const uint32_t chunk_limit = chunk_limit_.load(std::memory_order_acquire);
   const Chunk* chunk_ptrs[kMaxChunks];
   uint32_t masks[kMaxChunks];
+  const auto mask_of = [this](uint32_t ci) {
+    const Chunk* chunk = chunks_[ci].load(std::memory_order_acquire);
+    return chunk == nullptr ? 0u : chunk->populated.load(std::memory_order_acquire);
+  };
   const auto seq_sum = [&] {
     uint64_t sum = 0;
     for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
@@ -559,11 +567,10 @@ bool CheckContext::TryScan(ConsistentSnapshot* out) const {
     return sum;
   };
   for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
-    const Chunk* chunk = chunks_[ci].load(std::memory_order_acquire);
-    chunk_ptrs[ci] = chunk;
+    chunk_ptrs[ci] = chunks_[ci].load(std::memory_order_acquire);
     // Only ever-populated cells are worth probing; the bitmask iteration
     // skips the (typically dominant) empty remainder of the chunk.
-    masks[ci] = chunk == nullptr ? 0u : chunk->populated.load(std::memory_order_acquire);
+    masks[ci] = mask_of(ci);
   }
   const uint64_t fingerprint = seq_sum();
   // Orders the fingerprint loads before every value load below — the
@@ -596,6 +603,17 @@ bool CheckContext::TryScan(ConsistentSnapshot* out) const {
   std::atomic_thread_fence(std::memory_order_acquire);
   if (seq_sum() != fingerprint) {
     return false;
+  }
+  // A batch whose first write populated cells this scan did not visit has
+  // set their bits before publishing any value: if one of its values was
+  // copied, the set of populated cells has grown since the pre-pass.
+  if (chunk_limit_.load(std::memory_order_acquire) != chunk_limit) {
+    return false;
+  }
+  for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
+    if (mask_of(ci) != masks[ci]) {
+      return false;
+    }
   }
   out->epoch = epoch_.load(std::memory_order_acquire);
   out->last_update = last_update_.load(std::memory_order_acquire);
@@ -715,13 +733,6 @@ void HookSet::Arm(const std::string& site, const std::string& context) {
 }
 
 void HookSet::Disarm(const std::string& site) { Site(site)->Disarm(); }
-
-void HookSet::DisarmAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [_, site] : sites_) {
-    site->Disarm();
-  }
-}
 
 std::vector<std::string> HookSet::SiteNames() const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -553,7 +553,6 @@ class HookSet {
   // Arms `site` to populate `context` (both created on demand).
   void Arm(const std::string& site, const std::string& context);
   void Disarm(const std::string& site);
-  void DisarmAll();
 
   std::vector<std::string> SiteNames() const;
   std::vector<std::string> ContextNames() const;

@@ -351,6 +351,44 @@ TEST(ContextConcurrencyTest, SpillGrowthNeverTearsAString) {
   EXPECT_EQ(*ctx.Get(kStr), SpillValue(last));
 }
 
+// A fresh context's first batch also creates its cells' populated bits. A
+// snapshot taken while that batch publishes must hold all of its keys or
+// none: a reader that sees some cells populated and published but not the
+// rest would return a strict subset of the batch.
+TEST(ContextConcurrencyTest, FirstBatchLandsWholeOrNotAtAll) {
+  constexpr int kKeys = 40;  // spans a chunk boundary
+  std::vector<ContextKey<int64_t>> keys;
+  for (int k = 0; k < kKeys; ++k) {
+    keys.push_back(ContextKey<int64_t>::Of(StrFormat("fb1.k%d", k)));
+  }
+  int partial = 0;
+  for (int round = 0; round < 200 && partial == 0; ++round) {
+    CheckContext ctx("first-batch");
+    std::atomic<bool> reading{false};
+    std::atomic<bool> written{false};
+    std::thread reader([&] {
+      reading.store(true, std::memory_order_release);
+      bool last = false;
+      while (!last) {
+        last = written.load(std::memory_order_acquire);
+        const size_t found = ctx.SnapshotConsistent().values.size();
+        if (found != 0 && found != static_cast<size_t>(kKeys)) {
+          ++partial;
+        }
+      }
+    });
+    while (!reading.load(std::memory_order_acquire)) {
+    }
+    for (const auto& key : keys) {
+      ctx.Set(key, round);
+    }
+    ctx.MarkReady(round);
+    written.store(true, std::memory_order_release);
+    reader.join();
+  }
+  EXPECT_EQ(partial, 0);
+}
+
 TEST(ContextConcurrencyTest, EpochCountsFlushesExactly) {
   CheckContext ctx("c");
   constexpr int kThreads = 4;

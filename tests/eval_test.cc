@@ -1,13 +1,21 @@
 // Tests for the eval harness: scenario catalog sanity, localization scoring,
-// aggregation math, and three representative end-to-end trials (control,
-// gray failure, crash).
+// aggregation math, three representative end-to-end trials (control, gray
+// failure, crash), and the ArmedSystem harness on all three systems.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
+#include "src/eval/armed_system.h"
 #include "src/eval/campaign.h"
 #include "src/eval/fault_matrix.h"
 #include "src/eval/scenario.h"
 #include "src/eval/table.h"
 #include "src/eval/workload.h"
+#include "src/kvs/client.h"
+#include "src/kvs/ir_model.h"
+#include "src/minihdfs/ir_model.h"
+#include "src/minizk/client.h"
+#include "src/minizk/ir_model.h"
 
 namespace wdg {
 namespace {
@@ -245,6 +253,137 @@ TEST(TrialTest, ClientVisibleFaultSeenByProbesAndMimic) {
   // Mimic pinpoints the op; probes only know "the process is sick".
   EXPECT_EQ(result.outcomes.at(kDetMimic).localization, LocalizationLevel::kOperation);
   EXPECT_EQ(result.outcomes.at(kDetApiProbe).localization, LocalizationLevel::kProcess);
+}
+
+constexpr System kAllSystems[] = {System::kKvs, System::kMinizk, System::kMinihdfs};
+
+awd::GenerationOptions FastGen() {
+  awd::GenerationOptions gen;
+  gen.checker.interval = Ms(25);
+  gen.checker.timeout = Ms(250);
+  return gen;
+}
+
+// What arming produced: the generated checkers, the hooks the plan armed,
+// the ops kept, and the checkers the driver holds.
+struct Armed {
+  std::vector<std::string> checker_names;
+  int hooks_armed = 0;
+  int ops_retained = 0;
+  size_t driver_checkers = 0;
+};
+
+Armed Summarize(const awd::GenerationReport& report, WatchdogDriver& driver) {
+  return {report.checker_names, report.hooks_armed, report.program.stats.ops_retained,
+          static_cast<size_t>(driver.checker_count())};
+}
+
+// The four steps written out by hand, as every bench and example did before
+// the harness: same substrate, leader options and driver wiring.
+template <typename Leader, typename Options>
+Armed HandWire(const Options& options,
+               void (*register_executors)(awd::OpExecutorRegistry&, Leader&),
+               awd::Module (*describe)(const Options&)) {
+  RealClock& clock = RealClock::Instance();
+  FaultInjector injector(clock);
+  SimDisk disk(clock, injector);
+  SimNet net(clock, injector);
+  Leader leader(clock, disk, net, options);
+  awd::OpExecutorRegistry registry;
+  register_executors(registry, leader);
+  WatchdogDriver::Options driver_options;
+  driver_options.release_on_stop = [&injector] { injector.ClearAll(); };
+  WatchdogDriver driver(clock, driver_options);
+  const awd::GenerationReport report =
+      awd::Generate(describe(options), leader.hooks(), registry, driver, FastGen());
+  return Summarize(report, driver);
+}
+
+Armed HandWired(System system) {
+  switch (system) {
+    case System::kKvs: {
+      kvs::KvsOptions options;
+      options.node_id = "kvs1";
+      options.followers = {"kvs2"};
+      return HandWire<kvs::KvsNode>(options, kvs::RegisterOpExecutors, kvs::DescribeIr);
+    }
+    case System::kMinizk: {
+      minizk::ZkOptions options;
+      options.node_id = "zk-leader";
+      options.followers = {"zk-f1"};
+      return HandWire<minizk::ZkNode>(options, minizk::RegisterOpExecutors, minizk::DescribeIr);
+    }
+    case System::kMinihdfs:
+      break;
+  }
+  return HandWire<minihdfs::DataNode>(minihdfs::DataNodeOptions{},
+                                      minihdfs::RegisterOpExecutors, minihdfs::DescribeIr);
+}
+
+TEST(ArmedSystemTest, ArmsLikeTheHandWiredSetup) {
+  for (const System system : kAllSystems) {
+    SCOPED_TRACE(SystemName(system));
+    const Armed hand = HandWired(system);
+    ArmedSystem sys(system);
+    ASSERT_TRUE(sys.Boot().ok());
+    const Armed armed = Summarize(sys.Arm(FastGen()), sys.driver());
+    EXPECT_FALSE(armed.checker_names.empty());
+    EXPECT_EQ(armed.checker_names, hand.checker_names);
+    EXPECT_EQ(armed.hooks_armed, hand.hooks_armed);
+    EXPECT_EQ(armed.ops_retained, hand.ops_retained);
+    EXPECT_EQ(armed.driver_checkers, hand.driver_checkers);
+  }
+}
+
+// Sends each system's first write, so its generated checkers' contexts
+// synchronize and their mimics start touching the disk.
+void FirstWrite(System system, ArmedSystem& sys) {
+  switch (system) {
+    case System::kKvs: {
+      kvs::KvsClient client(sys.net(), "c", "kvs1", Ms(300));
+      EXPECT_TRUE(client.Set("k", std::string(600, 'v')).ok());
+      return;
+    }
+    case System::kMinizk: {
+      minizk::ZkClient client(sys.net(), "zc", "zk-leader", Ms(300));
+      EXPECT_TRUE(client.Create("/app", "v0").ok());
+      return;
+    }
+    case System::kMinihdfs:
+      break;
+  }
+  Endpoint* client = sys.net().CreateEndpoint("hdfs-client");
+  EXPECT_TRUE(client->Call("dn1", minihdfs::kMsgWriteBlock, std::string("1") + '\x1f' + "b",
+                           Ms(500))
+                  .ok());
+}
+
+TEST(ArmedSystemTest, TeardownUnparksAHangOnEveryDiskSite) {
+  // A disk hang parks whichever thread reaches a disk site next: a mimic
+  // probe or a node loop. Stopping a node first would join a parked thread
+  // forever; the harness clears the fault before any join.
+  for (const System system : kAllSystems) {
+    SCOPED_TRACE(SystemName(system));
+    auto sys = std::make_unique<ArmedSystem>(system);
+    ASSERT_TRUE(sys->Boot().ok());
+    sys->Arm(FastGen());
+    ASSERT_TRUE(sys->Start().ok());
+    FirstWrite(system, *sys);
+    FaultSpec hang;
+    hang.id = "disk-hang";
+    hang.site_pattern = "disk.*";
+    hang.kind = FaultKind::kHang;
+    sys->injector().Inject(hang);
+    const TimeNs deadline = sys->clock().NowNs() + Sec(3);
+    while (sys->injector().parked_thread_count() == 0 && sys->clock().NowNs() < deadline) {
+      sys->clock().SleepFor(Ms(5));
+    }
+    ASSERT_GT(sys->injector().parked_thread_count(), 0);
+
+    const auto start = std::chrono::steady_clock::now();
+    sys.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(3));
+  }
 }
 
 }  // namespace

@@ -107,6 +107,12 @@ echo "=== campaign smoke: fusion fault matrix ==="
 # nonzero). Runs in the build tree so no JSON lands near the committed
 # BENCH_fusion.json the trend gate reads.
 (cd build-ci && ./tools/wdg_campaign --smoke-fusion)
+echo "=== campaign smoke: ZOOKEEPER-2201 on minizk ==="
+# Paper §4.2's case study: the first watchdog signature after the sync-link
+# hang must pinpoint ProcessWrite @ lock.zk.commit while session ping acks
+# keep flowing and the ruok probe stays quiet. The binary self-checks and
+# exits nonzero when any of the three fails.
+./build-ci/bench/bench_zk2201_gray_failure
 echo "=== supervised smoke: wdogd escalation under a wedged process ==="
 # The §3.3 scenario the in-process plane cannot catch for itself: a kvs,
 # minizk and minihdfs node in turn, each with its watchdog driver, wedge on

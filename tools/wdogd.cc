@@ -23,7 +23,7 @@
 namespace {
 
 struct CliOptions {
-  std::vector<wdg::SupervisedSystem> systems = {wdg::SupervisedSystem::kKvs};
+  std::vector<wdg::System> systems = {wdg::System::kKvs};
   bool quick = false;
   std::string out = "BENCH_supervisor.json";
 };
@@ -36,13 +36,13 @@ int Usage(std::FILE* stream) {
   return stream == stdout ? 0 : 2;
 }
 
-bool ParseSystem(const std::string& name, wdg::SupervisedSystem* out) {
+bool ParseSystem(const std::string& name, wdg::System* out) {
   if (name == "kvs") {
-    *out = wdg::SupervisedSystem::kKvs;
+    *out = wdg::System::kKvs;
   } else if (name == "minizk") {
-    *out = wdg::SupervisedSystem::kMinizk;
+    *out = wdg::System::kMinizk;
   } else if (name == "minihdfs") {
-    *out = wdg::SupervisedSystem::kMinihdfs;
+    *out = wdg::System::kMinihdfs;
   } else {
     return false;
   }
@@ -60,10 +60,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--quick") {
       cli.quick = true;
     } else if (arg == "--all") {
-      cli.systems = {wdg::SupervisedSystem::kKvs, wdg::SupervisedSystem::kMinizk,
-                     wdg::SupervisedSystem::kMinihdfs};
+      cli.systems = {wdg::System::kKvs, wdg::System::kMinizk,
+                     wdg::System::kMinihdfs};
     } else if (arg == "--system" && i + 1 < argc) {
-      wdg::SupervisedSystem system;
+      wdg::System system;
       if (!ParseSystem(argv[++i], &system)) {
         std::fprintf(stderr, "wdogd: unknown system '%s'\n", argv[i]);
         return Usage(stderr);
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
       options.policy.max_respawns = 1;
       options.observe = wdg::Sec(2);
     }
-    const char* name = wdg::SupervisedSystemName(options.system);
+    const char* name = wdg::SystemName(options.system);
     std::printf("== %s: injecting disk hang under wdogd supervision...\n", name);
     std::fflush(stdout);
     const wdg::TrialResult result = wdg::RunSupervisedTrial(options);
